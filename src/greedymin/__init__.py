@@ -8,16 +8,15 @@ smoothness and uniform-convexity behavior of the objective.
 
 from .analysis import (EquivalenceRow, ModuliEquivalenceReport, ModulusEstimate,
                        RateConstants, RateFit, RecursionReport, SequenceBoundInput,
-                       check_error_recursion, check_moduli_equivalence,
+                       TraceVerification, check_error_recursion, check_moduli_equivalence,
                        decrement_gain, distance_bound, error_bound, estimate_moduli,
                        fit_rate, global_convexity_constant, rate_constants,
-                       recursive_sequence_bound)
+                       recursive_sequence_bound, verify_trace)
 from .config import (AnalysisSettings, ConfigError, ExperimentConfig,
                      config_from_mapping, load_config, parse_config_text)
 from .core import (ConvexityParams, IterateTrace, SmoothnessParams, SparseSupport,
                    TraceStep, Vector, as_point, inner, norm)
-from .dictionaries import (CanonicalBasis, Dictionary, RotatedBasis, argmax_atom,
-                           weak_select)
+from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis, weak_select
 from .harness import (build_dictionary, build_objective, derive_constants,
                       run_compare, run_demo_cs, run_experiment, run_moduli, sub_seed)
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
@@ -36,7 +35,7 @@ __all__ = [
     "ModuliEquivalenceReport", "ModulusEstimate", "Objective", "PowerSum",
     "RateConstants", "RateFit", "RecursionReport", "RotatedBasis",
     "SequenceBoundInput", "SmoothnessParams", "SolverConfig", "SparseSupport",
-    "TraceStep", "Vector", "WeaknessSchedule", "argmax_atom", "as_point",
+    "TraceStep", "TraceVerification", "Vector", "WeaknessSchedule", "as_point",
     "bregman_gap", "build_dictionary", "build_objective", "check_error_recursion",
     "check_gradient", "check_moduli_equivalence", "config_from_mapping",
     "decrement_gain", "derive_constants", "distance_bound", "error_bound",
@@ -45,5 +44,6 @@ __all__ = [
     "global_convexity_constant", "inner", "load_config", "norm",
     "parse_config_text", "rate_constants", "recursive_sequence_bound",
     "restricted_minimize", "run_compare", "run_demo_cs", "run_experiment",
-    "run_moduli", "run_omp", "run_wcga", "sub_seed", "uniform_ball", "weak_select",
+    "run_moduli", "run_omp", "run_wcga", "sub_seed", "uniform_ball", "verify_trace",
+    "weak_select",
 ]

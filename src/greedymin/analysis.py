@@ -392,6 +392,40 @@ def error_bound(rc: RateConstants, k: int,
     return rc.poly_scale * (s_pow / (rc.poly_offset * s_pow + rc.gain * weight_sum)) ** expo
 
 
+@dataclass
+class TraceVerification:
+    """Both theory checks of one trace: the one-step recursion and the e_k bound.
+
+    ``bounds`` holds one (k, e_k, bound_k, margin) row per step k >= 2, with
+    margin = bound_k - e_k; ``bound_violations`` counts margins below -tol.
+    """
+
+    recursion: RecursionReport
+    bounds: list[tuple[int, float, float, float]]
+    bound_violations: int
+
+    @property
+    def passed(self) -> bool:
+        return not (self.recursion.violations or self.bound_violations)
+
+
+def verify_trace(trace: IterateTrace, rc: RateConstants,
+                 schedule: WeaknessSchedule | None, tol: float) -> TraceVerification:
+    """Check a trace against the recursion and the e_k bound of the constants.
+
+    ``schedule`` supplies the weakness parameters of a WCGA run; pass None
+    for OMP (t = 1).  Needs error data (a known minimizer).
+    """
+    recursion = check_error_recursion(trace, rc, schedule, tol=tol)
+    bounds = []
+    for step in trace:
+        if step.k >= 2:
+            b = error_bound(rc, step.k, schedule)
+            bounds.append((step.k, step.error, b, b - step.error))
+    violations = sum(1 for row in bounds if row[3] < -tol)
+    return TraceVerification(recursion, bounds, violations)
+
+
 def distance_bound(rc: RateConstants, error: float) -> float:
     """Bound on the distance to the minimizer implied by an error value."""
     if error < 0:

@@ -51,7 +51,6 @@ class AnalysisSettings:
     lambda_grid_size: int = 9
     tail_fraction: float = 0.5
     omega_radius: float | None = None
-    l_mode: str = "closed_form"
     q: float | None = None
     p: float | None = None
     alpha_safety: float = 1.1
@@ -175,10 +174,9 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
                                                for v in u_grid):
             raise ConfigError("analysis.u_grid: expected a list of positive numbers")
         u_grid = tuple(float(v) for v in u_grid)
-    l_mode = _get(data, "analysis.l_mode", str, default="closed_form")
-    if l_mode not in ("closed_form", "monte_carlo"):
-        raise ConfigError(f"analysis.l_mode: expected closed_form or monte_carlo, "
-                          f"got {l_mode!r}")
+    if "analysis.l_mode" in data:
+        raise ConfigError("analysis.l_mode: no longer supported; the level-set diameter "
+                          "is the objective's closed form, else a sampled estimate")
     tail = float(_get(data, "analysis.tail_fraction", (int, float), default=0.5))
     if not 0.0 < tail <= 1.0:
         raise ConfigError(f"analysis.tail_fraction: {tail} outside (0, 1]")
@@ -194,7 +192,6 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         lambda_grid_size=_get(data, "analysis.lambda_grid_size", int, default=9),
         tail_fraction=tail,
         omega_radius=_get(data, "analysis.omega_radius", (int, float), default=None),
-        l_mode=l_mode,
         q=None if q is None else float(q),
         p=None if p is None else float(p),
         alpha_safety=float(_get(data, "analysis.alpha_safety", (int, float), default=1.1)),

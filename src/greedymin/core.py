@@ -7,8 +7,9 @@ any result.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -192,17 +193,20 @@ class IterateTrace:
 
     def to_csv(self, path) -> None:
         """Write the trace; floats at 17 significant digits, one row per step."""
-        lines = [TRACE_CSV_HEADER]
-        for s in self.steps:
-            lines.append(",".join([
-                str(s.k),
-                _csv_num(s.value),
-                _csv_num(s.error),
-                _csv_num(s.dist),
-                "" if s.selected is None else str(s.selected),
-                _csv_num(s.grad_coeff),
-                _csv_num(s.grad_sup),
-                "true" if s.stopped else "false",
-            ]))
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, TRACE_CSV_HEADER.split(","),
+                  ([s.k, s.value, s.error, s.dist, s.selected, s.grad_coeff, s.grad_sup,
+                    "true" if s.stopped else "false"] for s in self.steps))
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file with ``\\n`` line ends.
+
+    Strings are written as given, None as an empty cell, integers in
+    decimal and floats at 17 significant digits; ``csv.writer`` quotes any
+    cell that contains a comma.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else _csv_num(v) for v in row]
+                         for row in rows)

@@ -119,24 +119,13 @@ class RotatedBasis(Dictionary):
         return self.q[:, list(indices)].copy()
 
 
-def argmax_atom(coeffs) -> tuple[int, float]:
-    """Index of the largest-magnitude coefficient and its signed value.
-
-    Ties break toward the lowest index so traces are reproducible.
-    """
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.size == 0:
-        raise ValueError("empty coefficient sequence")
-    j = int(np.argmax(np.abs(c)))
-    return j, float(c[j])
-
-
 def weak_select(coeffs, t: float, strategy: str = "exact", seed=None) -> tuple[int, float]:
     """Pick an index whose |coefficient| is at least t times the maximum.
 
-    strategy: "exact" returns the argmax; "first_admissible" the lowest
-    admissible index; "random_admissible" a seeded uniform draw over the
-    admissible set.  ``seed`` may be an int or a numpy Generator.
+    strategy: "exact" returns the argmax, ties broken toward the lowest index
+    so traces are reproducible; "first_admissible" the lowest admissible
+    index; "random_admissible" a seeded uniform draw over the admissible
+    set.  ``seed`` may be an int or a numpy Generator.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     if c.size == 0:
@@ -145,9 +134,10 @@ def weak_select(coeffs, t: float, strategy: str = "exact", seed=None) -> tuple[i
         raise ValueError(f"weakness parameter t={t} outside (0, 1]")
     if strategy not in SELECTION_STRATEGIES:
         raise ValueError(f"unknown selection strategy {strategy!r}")
-    if strategy == "exact":
-        return argmax_atom(c)
     mags = np.abs(c)
+    if strategy == "exact":
+        j = int(np.argmax(mags))
+        return j, float(c[j])
     admissible = np.flatnonzero(mags >= t * mags.max())
     if strategy == "first_admissible":
         j = int(admissible[0])

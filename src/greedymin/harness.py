@@ -6,7 +6,6 @@ component name, so each component is independently reproducible.
 """
 from __future__ import annotations
 
-import csv
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -14,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (ModuliEquivalenceReport, ModulusEstimate, RateConstants,
-                       RateFit, check_error_recursion, check_moduli_equivalence,
-                       error_bound, estimate_moduli, fit_rate, rate_constants)
+from .analysis import (RateConstants, TraceVerification, check_moduli_equivalence,
+                       estimate_moduli, fit_rate, rate_constants, verify_trace)
 from .config import ConfigError, ExperimentConfig
-from .core import (ConvexityParams, IterateTrace, SmoothnessParams,
-                   SparseSupport, _csv_num, norm)
+from .core import (ConvexityParams, IterateTrace, SmoothnessParams, SparseSupport,
+                   norm, write_csv)
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
                          estimate_condition_constants, estimate_gradient_bound,
@@ -157,11 +155,8 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
         p = ana.p if ana.p is not None else 2.0
         smooth = SmoothnessParams(ana.alpha, q, ana.radius, ana.grad_bound)
         convex = ConvexityParams(ana.beta, p, ana.radius)
-        if ana.l_mode == "closed_form":
-            diam = objective.level_set_diameter()
-            if diam is None:
-                diam = estimate_level_set_diameter(objective, sub_seed(cfg.seed, "analysis"))
-        else:
+        diam = objective.level_set_diameter()
+        if diam is None:
             diam = estimate_level_set_diameter(objective, sub_seed(cfg.seed, "analysis"))
         ratio = max(1.0, diam / ana.radius)
     elif objective.known_params is not None:
@@ -198,23 +193,12 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
 
 
 @dataclass
-class RunReport:
+class Report:
+    """Outcome of one command: its name, its STATUS and the files it wrote."""
+
     name: str
     status: str
-    trace_path: Path
-    bounds_path: Path
-    report_path: Path
-    trace: IterateTrace
-    constants: RateConstants | None
-    constants_reason: str | None
-    recursion_violations: int
-    recursion_min_margin: float | None
-    bound_violations: int
-    bound_min_margin: float | None
-    fit: RateFit | None
-    fit_reason: str | None
-    theoretical_slope: float | str | None
-    wall_time: float
+    paths: list[Path]
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
@@ -223,11 +207,28 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
     return replace(cfg.solver, seed=sub_seed(cfg.seed, "solver"))
 
 
-def _run_solver(cfg: ExperimentConfig, objective: Objective,
-                dictionary: Dictionary) -> IterateTrace:
-    solver_cfg = _solver_config(cfg)
+def _solve(objective: Objective, dictionary: Dictionary,
+           solver_cfg: SolverConfig) -> IterateTrace:
+    """Run ``run_omp`` or ``run_wcga``, looked up at call time so a rebinding is seen."""
     runner = run_omp if solver_cfg.algorithm == "omp" else run_wcga
     return runner(objective, dictionary, solver_cfg)
+
+
+def _verify(trace: IterateTrace, rc: RateConstants,
+            solver_cfg: SolverConfig) -> TraceVerification:
+    """Theory checks of a trace; OMP is WCGA with t_k = 1, so it has no schedule."""
+    schedule = solver_cfg.weakness if solver_cfg.algorithm == "wcga" else None
+    return verify_trace(trace, rc, schedule, BOUND_TOL)
+
+
+def _write_report(path: Path, name: str, status: str, lines: list[str],
+                  paths: list[Path], quiet: bool) -> Report:
+    """Write a text report headed by its STATUS and name; echo it unless quiet."""
+    text = "\n".join([f"STATUS: {status}", f"name: {name}", *lines]) + "\n"
+    path.write_text(text)
+    if not quiet:
+        print(text, end="")
+    return Report(name, status, [*paths, path])
 
 
 def _constants_lines(rc: RateConstants) -> list[str]:
@@ -248,56 +249,27 @@ def _constants_lines(rc: RateConstants) -> list[str]:
     return lines
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> Report:
     t0 = time.perf_counter()
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
-    trace = _run_solver(cfg, objective, dictionary)
+    solver_cfg = _solver_config(cfg)
+    trace = _solve(objective, dictionary, solver_cfg)
 
-    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
+    outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / f"{cfg.name}.trace.csv"
     bounds_path = outdir / f"{cfg.name}.bounds.csv"
-    report_path = outdir / f"{cfg.name}.report.txt"
     trace.to_csv(trace_path)
 
     rc, reason = derive_constants(cfg, objective, dictionary)
-    schedule = cfg.solver.weakness if cfg.solver.algorithm == "wcga" else None
+    check = None if rc is None else _verify(trace, rc, solver_cfg)
+    write_csv(bounds_path, ("k", "e_k", "bound_k", "margin"),
+              [] if check is None else check.bounds)
 
-    rec_violations = 0
-    rec_min = None
-    rec_pairs = 0
-    bound_violations = 0
-    bound_min = None
-    fit = None
-    fit_reason = None
-    theo_slope: float | str | None = None
-    bound_lines = ["k,e_k,bound_k,margin"]
-    if rc is not None and trace.has_errors:
-        rec = check_error_recursion(trace, rc, schedule, tol=BOUND_TOL)
-        rec_violations, rec_min, rec_pairs = rec.violations, rec.min_margin, len(rec.ks)
-        for step in trace:
-            if step.k >= 2:
-                b = error_bound(rc, step.k, schedule)
-                margin = b - step.error
-                if margin < -BOUND_TOL:
-                    bound_violations += 1
-                bound_min = margin if bound_min is None else min(bound_min, margin)
-                bound_lines.append(",".join([str(step.k), _csv_num(step.error),
-                                             _csv_num(b), _csv_num(margin)]))
-        theo_slope = "exponential" if rc.is_exponential else rc.theoretical_slope
-        try:
-            fit = fit_rate(trace, cfg.analysis.tail_fraction)
-        except ValueError as exc:
-            fit_reason = str(exc)
-    with open(bounds_path, "w", newline="") as fh:
-        fh.write("\n".join(bound_lines) + "\n")
-
-    status = "VIOLATION" if (rec_violations or bound_violations) else "OK"
-    wall = time.perf_counter() - t0
+    status = "OK" if check is None or check.passed else "VIOLATION"
     final = trace.final
-    lines = [f"STATUS: {status}", f"name: {cfg.name}",
-             "config: " + "; ".join(f"{k}={v}" for k, v in sorted(cfg.raw.items())),
+    lines = ["config: " + "; ".join(f"{k}={v}" for k, v in sorted(cfg.raw.items())),
              f"algorithm: {cfg.solver.algorithm}",
              f"objective: {cfg.objective['type']} (dimension {cfg.dimension})",
              f"dictionary: {cfg.dictionary_type}",
@@ -309,44 +281,35 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
         lines.append(f"constants: skipped ({reason})")
     else:
         lines.extend(_constants_lines(rc))
-        lines.append(f"recursion: pairs={rec_pairs} violations={rec_violations} "
+        rec = check.recursion
+        rec_min = rec.min_margin
+        bound_min = min((row[3] for row in check.bounds), default=None)
+        lines.append(f"recursion: pairs={len(rec.ks)} violations={rec.violations} "
                      f"min_margin={'' if rec_min is None else format(rec_min, '.6g')}")
-        lines.append(f"bounds: rows={len(bound_lines) - 1} violations={bound_violations} "
+        lines.append(f"bounds: rows={len(check.bounds)} violations={check.bound_violations} "
                      f"min_margin={'' if bound_min is None else format(bound_min, '.6g')}")
-        if fit is not None:
+        try:
+            fit = fit_rate(trace, cfg.analysis.tail_fraction)
+        except ValueError as exc:
+            lines.append(f"rate_fit: skipped ({exc})")
+        else:
             lines.append(f"rate_fit: slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
                          f"residual={fit.residual:.6g}")
-        else:
-            lines.append(f"rate_fit: skipped ({fit_reason})")
-        if theo_slope == "exponential":
+        if rc.is_exponential:
             lines.append(f"theoretical_rate: exponential "
                          f"(factor {rc.contraction_factor:.6g}; decays faster than "
                          f"any fixed power)")
         else:
-            lines.append(f"theoretical_rate: k^{theo_slope:.6g}")
-    lines.append(f"wall_time_s: {wall:.3f}")
-    report_path.write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    return RunReport(cfg.name, status, trace_path, bounds_path, report_path, trace,
-                     rc, reason, rec_violations, rec_min, bound_violations, bound_min,
-                     fit, fit_reason, theo_slope, wall)
+            lines.append(f"theoretical_rate: k^{rc.theoretical_slope:.6g}")
+    lines.append(f"wall_time_s: {time.perf_counter() - t0:.3f}")
+    return _write_report(outdir / f"{cfg.name}.report.txt", cfg.name, status, lines,
+                         [trace_path, bounds_path], quiet)
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModuliReport:
-    name: str
-    status: str
-    estimate: ModulusEstimate
-    equivalence: ModuliEquivalenceReport
-    csv_path: Path
-    report_path: Path
-
-
-def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> ModuliReport:
+def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> Report:
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
     radius = _effective_radius(cfg, objective)
@@ -357,28 +320,19 @@ def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> M
                           cfg.analysis.sample_count, cfg.analysis.lambda_grid_size,
                           sub_seed(cfg.seed, "analysis"))
     eq = check_moduli_equivalence(est)
-    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
+    outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{cfg.name}.moduli.csv"
-    lines = ["u,rho,rho1,delta1"]
-    for i, u in enumerate(est.u_grid):
-        lines.append(",".join(_csv_num(v) for v in
-                              (u, est.rho[i], est.rho1[i], est.delta1[i])))
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    status = "OK" if eq.passed else "VIOLATION"
-    report_path = outdir / f"{cfg.name}.moduli.txt"
-    rep = [f"STATUS: {status}", f"name: {cfg.name}",
-           f"samples: {est.sample_count}  seed: {est.seed}",
-           f"two-sided comparison (slack {eq.slack:g}, tol {eq.tol:g}):"]
+    write_csv(csv_path, ("u", "rho", "rho1", "delta1"),
+              zip(est.u_grid, est.rho, est.rho1, est.delta1))
+    lines = [f"samples: {est.sample_count}  seed: {est.seed}",
+             f"two-sided comparison (slack {eq.slack:g}, tol {eq.tol:g}):"]
     for row in eq.rows:
         left = "n/a" if row.left_margin is None else f"{row.left_margin:.6g}"
-        rep.append(f"  u={row.u:.6g}  right_margin={row.right_margin:.6g}  "
-                   f"left_margin={left}  {'pass' if row.passed else 'FAIL'}")
-    report_path.write_text("\n".join(rep) + "\n")
-    if not quiet:
-        print("\n".join(rep))
-    return ModuliReport(cfg.name, status, est, eq, csv_path, report_path)
+        lines.append(f"  u={row.u:.6g}  right_margin={row.right_margin:.6g}  "
+                     f"left_margin={left}  {'pass' if row.passed else 'FAIL'}")
+    return _write_report(outdir / f"{cfg.name}.moduli.txt", cfg.name,
+                         "OK" if eq.passed else "VIOLATION", lines, [csv_path], quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -390,113 +344,75 @@ def parse_variant(descriptor: str, base: SolverConfig) -> SolverConfig:
     if name not in ("omp", "wcga"):
         raise ConfigError(f"--algs: unknown algorithm {name!r} in {descriptor!r}")
     kwargs: dict = {"algorithm": name}
-    if rest:
-        for item in rest.split(","):
-            key, sep, val = item.partition("=")
-            if not sep:
-                raise ConfigError(f"--algs: expected key=value in {descriptor!r}")
-            key = key.strip()
-            val = val.strip()
-            if key == "t":
-                kwargs["weakness"] = WeaknessSchedule.constant(float(val))
-            elif key == "strategy":
-                kwargs["selection_strategy"] = val
-            elif key == "seed":
-                kwargs["seed"] = int(val)
-            else:
-                raise ConfigError(f"--algs: unknown variant key {key!r} in {descriptor!r}")
     try:
+        if rest:
+            for item in rest.split(","):
+                key, sep, val = item.partition("=")
+                if not sep:
+                    raise ConfigError(f"--algs: expected key=value in {descriptor!r}")
+                key = key.strip()
+                val = val.strip()
+                if key == "t":
+                    kwargs["weakness"] = WeaknessSchedule.constant(float(val))
+                elif key == "strategy":
+                    kwargs["selection_strategy"] = val
+                elif key == "seed":
+                    kwargs["seed"] = int(val)
+                else:
+                    raise ConfigError(f"--algs: unknown variant key {key!r} in {descriptor!r}")
         return replace(base, **kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"--algs: {descriptor!r}: {exc}") from exc
 
 
-@dataclass
-class CompareReport:
-    name: str
-    status: str
-    labels: list[str]
-    traces: list[IterateTrace]
-    csv_path: Path
-    report_path: Path
-
-
 def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
-                quiet: bool = False) -> CompareReport:
+                quiet: bool = False) -> Report:
     if len(descriptors) < 2:
         raise ConfigError("--algs: need at least two solver variants")
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
     base = _solver_config(cfg)
     variants = [parse_variant(d, base) for d in descriptors]
-    traces = []
-    for v in variants:
-        runner = run_omp if v.algorithm == "omp" else run_wcga
-        traces.append(runner(objective, dictionary, v))
+    traces = [_solve(objective, dictionary, v) for v in variants]
     rc, reason = derive_constants(cfg, objective, dictionary)
 
-    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
+    outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{cfg.name}.compare.csv"
-    depth = max(len(t) for t in traces)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k"] + [f"e_k({d})" for d in descriptors])
-        for k in range(depth):
-            writer.writerow([str(k)] + [_csv_num(t[k].error) if k < len(t) else ""
-                                        for t in traces])
+    write_csv(csv_path, ["k"] + [f"e_k({d})" for d in descriptors],
+              ([k] + [t[k].error if k < len(t) else None for t in traces]
+               for k in range(max(len(t) for t in traces))))
 
     status = "OK"
-    rep_rows = []
+    lines = [] if rc is not None else [f"constants: skipped ({reason})"]
     for d, v, t in zip(descriptors, variants, traces):
-        entry = [f"variant: {d}", f"  steps: {t.final.k} stopped: {t.final.stopped}"]
+        lines += [f"variant: {d}",
+                  f"  steps: {t.final.k} stopped: {'true' if t.final.stopped else 'false'}"]
         if t.has_errors:
-            entry.append(f"  error_final: {t.final.error:.12g}")
-        if rc is not None and t.has_errors:
-            schedule = v.weakness if v.algorithm == "wcga" else None
-            rec = check_error_recursion(t, rc, schedule, tol=BOUND_TOL)
-            bviol = 0
-            for step in t:
-                if step.k >= 2 and step.error > error_bound(rc, step.k, schedule) + BOUND_TOL:
-                    bviol += 1
-            if rec.violations or bviol:
+            lines.append(f"  error_final: {t.final.error:.12g}")
+        if rc is not None:
+            check = _verify(t, rc, v)
+            if not check.passed:
                 status = "VIOLATION"
-            entry.append(f"  recursion_violations: {rec.violations}  "
-                         f"bound_violations: {bviol}")
+            lines.append(f"  recursion_violations: {check.recursion.violations}  "
+                         f"bound_violations: {check.bound_violations}")
         try:
-            f = fit_rate(t, cfg.analysis.tail_fraction)
-            entry.append(f"  fitted_slope: {f.slope:.6g}")
+            fit = fit_rate(t, cfg.analysis.tail_fraction)
         except ValueError as exc:
-            entry.append(f"  fitted_slope: skipped ({exc})")
-        rep_rows.extend(entry)
-    report_path = outdir / f"{cfg.name}.compare.txt"
-    head = [f"STATUS: {status}", f"name: {cfg.name}"]
-    if rc is None:
-        head.append(f"constants: skipped ({reason})")
-    report_path.write_text("\n".join(head + rep_rows) + "\n")
-    if not quiet:
-        print("\n".join(head + rep_rows))
-    return CompareReport(cfg.name, status, descriptors, traces, csv_path, report_path)
+            lines.append(f"  fitted_slope: skipped ({exc})")
+        else:
+            lines.append(f"  fitted_slope: {fit.slope:.6g}")
+    return _write_report(outdir / f"{cfg.name}.compare.txt", cfg.name, status, lines,
+                         [csv_path], quiet)
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DemoCSReport:
-    name: str
-    status: str
-    recovered: bool
-    distance: float
-    rip_low: float | None
-    rip_high: float | None
-    trace: IterateTrace
-    trace_path: Path
-    report_path: Path
-
-
 def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
-                output_dir="runs", quiet: bool = False) -> DemoCSReport:
+                output_dir="runs", quiet: bool = False) -> Report:
     """Compressed-sensing style demo: plant a sparse solution, recover with OMP.
 
     Also samples the near-isometry ratio ||Az||^2 / ||z||^2 over seeded
@@ -519,7 +435,7 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if objective.known_minimizer is None:
         objective.known_minimizer = xbar
     cfg = SolverConfig(algorithm="omp", max_steps=rows, seed=sub_seed(seed, "solver"))
-    trace = run_omp(objective, CanonicalBasis(cols), cfg)
+    trace = _solve(objective, CanonicalBasis(cols), cfg)
 
     final = trace.final
     true_support = set(np.flatnonzero(np.abs(xbar) > 0.0))
@@ -542,9 +458,7 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     name = f"demo_cs_r{rows}_c{cols}_s{sparsity}_seed{seed}"
     trace_path = outdir / f"{name}.trace.csv"
     trace.to_csv(trace_path)
-    status = "OK"
-    lines = [f"STATUS: {status}", f"name: {name}",
-             f"matrix: {rows}x{cols} gaussian, scaled by 1/sqrt(rows)",
+    lines = [f"matrix: {rows}x{cols} gaussian, scaled by 1/sqrt(rows)",
              f"planted sparsity: {sparsity}",
              f"steps: {final.k}  stopped: {'true' if final.stopped else 'false'}",
              f"support_recovered: {'true' if recovered else 'false'}",
@@ -552,9 +466,4 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if rip_low is not None:
         lines.append(f"sampled_isometry_ratio: [{rip_low:.6g}, {rip_high:.6g}] "
                      f"over 1000 random {sparsity}-sparse vectors")
-    report_path = outdir / f"{name}.report.txt"
-    report_path.write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    return DemoCSReport(name, status, recovered, distance, rip_low, rip_high,
-                        trace, trace_path, report_path)
+    return _write_report(outdir / f"{name}.report.txt", name, "OK", lines, [trace_path], quiet)

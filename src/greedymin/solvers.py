@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import IterateTrace, SparseSupport, TraceStep, Vector, norm
-from .dictionaries import SELECTION_STRATEGIES, Dictionary, argmax_atom, weak_select
+from .dictionaries import SELECTION_STRATEGIES, Dictionary, weak_select
 from .objectives import Objective
 
 
@@ -98,7 +98,8 @@ class SolverConfig:
 class InnerSolveError(RuntimeError):
     """Restricted minimization ran out of iterations.
 
-    Carries the best iterate reached and its residual gradient sup-norm.
+    Carries the best iterate reached and its residual gradient sup-norm;
+    raised from a greedy run, also its step and support size (else None).
     """
 
     def __init__(self, message: str, x: Vector, coeffs: dict[int, float], residual: float):
@@ -106,6 +107,8 @@ class InnerSolveError(RuntimeError):
         self.x = x
         self.coeffs = coeffs
         self.residual = residual
+        self.step: int | None = None
+        self.support_size: int | None = None
 
 
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
@@ -240,7 +243,7 @@ def _run_greedy(objective: Objective, dictionary: Dictionary, cfg: SolverConfig)
         if stopped:
             break
         if cfg.algorithm == "omp":
-            j, coeff = argmax_atom(g)
+            j, coeff = weak_select(g, 1.0, "exact")
         else:
             j, coeff = weak_select(g, cfg.weakness.t(m), cfg.selection_strategy, rng)
         if j in coeffs:
@@ -252,8 +255,9 @@ def _run_greedy(objective: Objective, dictionary: Dictionary, cfg: SolverConfig)
             x, coeffs = restricted_minimize(
                 objective, dictionary, SparseSupport.of(warm), warm, cfg.inner)
         except InnerSolveError as exc:
-            raise InnerSolveError(f"step {m}: {exc}", exc.x, exc.coeffs,
-                                  exc.residual) from exc
+            err = InnerSolveError(f"step {m}: {exc}", exc.x, exc.coeffs, exc.residual)
+            err.step, err.support_size = m, len(warm)
+            raise err from exc
         val = objective.value(x)
         sel_sup = g_sup
         g = dictionary.analyze(objective.gradient(x))

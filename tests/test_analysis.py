@@ -6,7 +6,7 @@ from greedymin.analysis import (SequenceBoundInput, check_error_recursion,
                                 check_moduli_equivalence, decrement_gain,
                                 distance_bound, error_bound, estimate_moduli,
                                 fit_rate, global_convexity_constant,
-                                rate_constants, recursive_sequence_bound)
+                                rate_constants, recursive_sequence_bound, verify_trace)
 from greedymin.objectives import Objective
 
 from conftest import make_rotated_powersum, make_sparse_quadratic, powersum_constants, synth_trace
@@ -279,6 +279,38 @@ def test_recursion_check_power_sum_fixture():
     rc = powersum_constants(E, 16, int(np.sum(coeffs != 0)))
     report = check_error_recursion(tr, rc)
     assert report.violations == 0 and report.min_margin >= 0
+
+
+def test_verify_trace_matches_direct_checks():
+    from dataclasses import replace
+    E, D = make_sparse_quadratic(3, n=30, s=4)
+    smooth, convex = E.known_params
+    rc = rate_constants(E, E.known_minimizer, 4, smooth, convex, 1.0)
+    # overstated constants: the recursion factor 1 - 4 t^2 is at most 0 for
+    # every t used here, and every bound stays below 1e-6
+    hot = replace(rc, gain=4.0 * rc.scale, initial_gap=1e-6)
+    omp = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=30))
+    sched = gm.WeaknessSchedule.from_sequence([1.0, 0.5, 0.8])
+    wcga = gm.run_wcga(E, D, gm.SolverConfig(
+        algorithm="wcga", weakness=sched, selection_strategy="random_admissible",
+        max_steps=30, seed=5))
+    for tr, schedule in ((omp, None), (wcga, sched)):
+        for constants in (rc, hot):
+            check = verify_trace(tr, constants, schedule, 1e-9)
+            rec = check_error_recursion(tr, constants, schedule, tol=1e-9)
+            assert (check.recursion.ks, check.recursion.margins) == (rec.ks, rec.margins)
+            want = []
+            for step in tr:
+                if step.k >= 2:
+                    b = error_bound(constants, step.k, schedule)
+                    want.append((step.k, step.error, b, b - step.error))
+            assert check.bounds == want and len(want) == len(tr) - 2
+            violations = sum(1 for row in want if row[3] < -1e-9)
+            assert check.bound_violations == violations
+            assert check.passed == (rec.violations == 0 and violations == 0)
+            assert check.passed == (constants is rc)
+            if constants is hot:
+                assert rec.violations > 0 and violations > 0
 
 
 def test_error_bound_exponential_example():

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -78,15 +79,20 @@ def test_run_config_errors_exit_1(tmp_path, capsys):
     assert main(["--quiet", "run", str(tmp_path / "missing.cfg")]) == 1
 
 
-def test_run_violation_exits_2(tmp_path):
+@pytest.mark.parametrize("command,extra,report", [
+    ("run", [], "quad_fix.report.txt"),
+    ("compare", ["--algs", "omp", "wcga:t=0.5,strategy=first_admissible"],
+     "quad_fix.compare.txt"),
+], ids=["run", "compare"])
+def test_run_violation_exits_2(tmp_path, command, extra, report):
     # deliberately overstated curvature: claimed contraction cannot hold
     out = tmp_path / "out"
     cfg = tmp_path / "hot.cfg"
     cfg.write_text(QUAD_CFG.format(out=out) +
                    "analysis.alpha = 1.0\nanalysis.beta = 4.0\n"
                    "analysis.radius = 50.0\nanalysis.grad_bound = 10.0\n")
-    assert main(["--quiet", "run", str(cfg)]) == 2
-    assert (out / "quad_fix.report.txt").read_text().startswith("STATUS: VIOLATION")
+    assert main(["--quiet", command, str(cfg), *extra]) == 2
+    assert (out / report).read_text().startswith("STATUS: VIOLATION")
 
 
 def test_moduli_quadratic_exact(tmp_path):
@@ -143,6 +149,8 @@ def test_compare_weak_variants_converge(quad_cfg):
             assert float(rows[-1][col]) <= 1e-10
     text = (out / "quad_fix.compare.txt").read_text()
     assert "recursion_violations: 0" in text and "bound_violations: 0" in text
+    # booleans as in the run report and the trace CSV
+    assert text.count("stopped: true") == 2 and "True" not in text
 
 
 def test_compare_two_weak_variants_bound_checked(quad_cfg):
@@ -163,7 +171,13 @@ def test_compare_requires_two_variants(quad_cfg, capsys):
 def test_compare_bad_descriptor(quad_cfg, capsys):
     path, _ = quad_cfg
     assert main(["--quiet", "compare", str(path), "--algs", "omp", "sgd"]) == 1
-    assert main(["--quiet", "compare", str(path), "--algs", "omp", "wcga:t=2"]) == 1
+    assert "--algs" in capsys.readouterr().err
+    for bad, why in [("wcga:t=abc", "could not convert"), ("wcga:t=2", r"outside \(0, 1\]"),
+                     ("omp:seed=x", "invalid literal"), ("wcga:strategy=bogus", "strategy")]:
+        assert main(["--quiet", "compare", str(path), "--algs", "omp", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --algs: {bad!r}: ")
+        assert re.search(why, err)
 
 
 def test_demo_cs_seeded_recovery(tmp_path):

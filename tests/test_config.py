@@ -105,6 +105,13 @@ def test_curvature_overrides_must_be_complete():
         config_from_mapping(data)
 
 
+def test_removed_l_mode_key_is_rejected():
+    for mode in ("closed_form", "monte_carlo"):
+        data = parse_config_text(QUAD_TEXT) | {"analysis.l_mode": mode}
+        with pytest.raises(ConfigError, match="analysis.l_mode"):
+            config_from_mapping(data)
+
+
 def test_sub_seed_stable():
     # CRC32 of the component names pins the splitting rule
     assert gm.sub_seed(0, "objective") == 3113677057

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greedymin as gm
-from greedymin.dictionaries import argmax_atom, weak_select
+from greedymin.dictionaries import weak_select
 
 
 @pytest.fixture(params=["canonical", "rotated"])
@@ -56,12 +56,14 @@ def test_rotated_determinism_and_orthogonality():
     assert not np.allclose(a.q, gm.RotatedBasis(20, seed=43).q)
 
 
-def test_argmax_atom_examples():
-    assert argmax_atom([-3.0, 0.0, -1.0, 0.0]) == (0, -3.0)
-    assert argmax_atom([2.0, -2.0]) == (0, 2.0)          # tie -> lowest index
-    assert argmax_atom([0.0, 0.0, 5.0]) == (2, 5.0)
+def test_weak_select_exact_examples():
+    assert weak_select([-3.0, 0.0, -1.0, 0.0], 1.0) == (0, -3.0)
+    assert weak_select([2.0, -2.0], 1.0) == (0, 2.0)     # tie -> lowest index
+    assert weak_select([0.0, 0.0, 5.0], 1.0) == (2, 5.0)
+    # the argmax, whatever t: exact selection ignores the weakness
+    assert weak_select([1.0, -4.0, 3.5], 0.5, "exact") == (1, -4.0)
     with pytest.raises(ValueError, match="empty"):
-        argmax_atom([])
+        weak_select([], 1.0, "exact")
 
 
 def test_weak_select_examples():
@@ -92,7 +94,8 @@ def test_weak_select_seed_determinism():
 @settings(max_examples=200, deadline=None)
 @given(coeffs=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20))
 def test_weak_select_t1_matches_argmax(coeffs):
-    want = argmax_atom(coeffs)
+    j = int(np.argmax(np.abs(coeffs)))
+    want = (j, float(coeffs[j]))
     assert weak_select(coeffs, 1.0, "exact") == want
     assert weak_select(coeffs, 1.0, "first_admissible") == want
 

@@ -287,8 +287,9 @@ def test_per_step_recursion_invariant_quadratic():
 
 def test_inner_failure_reports_step_index():
     E, D, _ = make_rotated_powersum(seed=16)
-    with pytest.raises(InnerSolveError, match="step 1"):
+    with pytest.raises(InnerSolveError, match="^step 1: restricted minimization") as err:
         gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=5, max_inner_iters=1))
+    assert err.value.step == 1 and err.value.support_size == 1
 
 
 def test_weakness_schedule():

@@ -1,0 +1,96 @@
+"""Run a fixed matrix of greedymin CLI commands and keep every output.
+
+Usage:
+    PYTHONPATH=<checkout>/src python3 tools/golden_outputs.py OUTDIR
+
+Each command runs through ``greedymin.cli.main`` with ``--output-dir
+OUTDIR/<label>``.  Its stdout goes to ``OUTDIR/<label>/stdout.txt`` and its
+exit code to ``OUTDIR/<label>/exit_code.txt``.  Lines starting with
+``wall_time_s:`` are removed from every file, so two runs of the same code
+give identical directories.  To check that a change leaves the outputs
+alone, run this once against each checkout and compare the directories:
+
+    PYTHONPATH=old/src python3 tools/golden_outputs.py /tmp/golden-old
+    PYTHONPATH=new/src python3 tools/golden_outputs.py /tmp/golden-new
+    diff -r /tmp/golden-old /tmp/golden-new
+
+Configs are read from ``configs/`` next to this directory; the derived
+configs below add lines to them, and a later key overrides an earlier one.
+Only the standard library and greedymin are used.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from greedymin.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+VARIANTS = ["omp", "wcga:t=0.5,strategy=first_admissible",
+            "wcga:t=0.7,strategy=random_admissible"]
+
+# label -> (base config, extra config lines)
+DERIVED = {
+    "quadratic_wcga": ("quadratic", "solver.algorithm = wcga\n"
+                                    "solver.weakness = [1.0, 0.5, 0.8]\n"
+                                    "solver.selection_strategy = random_admissible\n"),
+    # overstated curvature: the claimed contraction cannot hold (exit 2)
+    "quadratic_overstated": ("quadratic", "analysis.alpha = 1.0\nanalysis.beta = 4.0\n"
+                                          "analysis.radius = 50.0\n"
+                                          "analysis.grad_bound = 10.0\n"),
+    # minimizer at the origin: the constants are skipped
+    "quadratic_origin": ("quadratic", "objective.center_sparsity = 0\n"),
+    "powersum_override": ("powersum", "analysis.alpha = 2.0e7\nanalysis.beta = 1.0e-4\n"
+                                      "analysis.radius = 10.0\n"
+                                      "analysis.grad_bound = 1.0e4\n"),
+}
+
+
+def commands(cfg_dir: Path) -> list[tuple[str, list[str]]]:
+    """(label, CLI arguments after the global flags) for every command."""
+    out = []
+    for name in ("quadratic", "least_squares", "powersum"):
+        path = str(CONFIGS / f"{name}.cfg")
+        out += [(f"run-{name}", ["run", path]),
+                (f"moduli-{name}", ["moduli", path]),
+                (f"compare-{name}", ["compare", path, "--algs", *VARIANTS])]
+    for label, (base, extra) in DERIVED.items():
+        path = cfg_dir / f"{label}.cfg"
+        path.write_text((CONFIGS / f"{base}.cfg").read_text() + extra)
+        out.append((f"run-{label}", ["run", str(path)]))
+        if label in ("quadratic_overstated", "quadratic_origin"):
+            out.append((f"compare-{label}", ["compare", str(path), "--algs", *VARIANTS]))
+    for rows, cols, sparsity, seed in ((50, 200, 4, 7), (16, 16, 0, 2)):
+        out.append((f"demo-cs-{rows}x{cols}-s{sparsity}-seed{seed}",
+                    ["demo-cs", "--rows", str(rows), "--cols", str(cols),
+                     "--sparsity", str(sparsity), "--seed", str(seed)]))
+    return out
+
+
+def strip_timing(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith("wall_time_s:")))
+
+
+def run_all(outdir: Path) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args in commands(Path(tmp)):
+            dest = outdir / label
+            dest.mkdir(parents=True, exist_ok=True)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["--output-dir", str(dest), *args])
+            (dest / "stdout.txt").write_text(stdout.getvalue())
+            (dest / "exit_code.txt").write_text(f"{code}\n")
+            for path in dest.iterdir():
+                strip_timing(path)
+            print(f"{label}: exit {code}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: golden_outputs.py OUTDIR")
+    run_all(Path(sys.argv[1]))
