@@ -13,12 +13,12 @@ from .analysis import (EquivalenceRow, ModuliEquivalenceReport, ModulusEstimate,
                        fit_rate, global_convexity_constant, rate_constants,
                        recursive_sequence_bound, verify_trace)
 from .config import (AnalysisSettings, ConfigError, ExperimentConfig,
-                     config_from_mapping, load_config, parse_config_text)
+                     config_from_mapping, load_config, parse_config_text, sub_seed)
 from .core import (ConvexityParams, IterateTrace, SmoothnessParams, SparseSupport,
                    TraceStep, Vector, as_point, inner, norm)
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis, weak_select
 from .harness import (build_dictionary, build_objective, derive_constants,
-                      run_compare, run_demo_cs, run_experiment, run_moduli, sub_seed)
+                      run_compare, run_demo_cs, run_experiment, run_moduli)
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
                          bregman_gap, check_gradient, estimate_condition_constants,
                          estimate_gradient_bound, estimate_level_set_diameter,

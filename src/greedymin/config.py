@@ -7,6 +7,7 @@ lists and fall back to bare strings; ``#`` starts a comment.
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,30 +43,28 @@ def parse_config_text(text: str) -> dict:
     return data
 
 
+# moduli grid u = 2^-i, ascending, so every u has its half present
+DEFAULT_U_GRID = tuple(1.0 / 2 ** i for i in reversed(range(10)))
+
+
+def sub_seed(seed: int, component: str) -> int:
+    """Stable per-component seed: (seed + crc32(name)) mod 2^32."""
+    return (int(seed) + zlib.crc32(component.encode())) % 2 ** 32
+
+
 @dataclass
 class AnalysisSettings:
-    u_grid: tuple[float, ...] | None = None
-    u_max: float = 1.0
-    u_points: int = 10
+    u_grid: tuple[float, ...] = DEFAULT_U_GRID
     sample_count: int = 200
     lambda_grid_size: int = 9
     tail_fraction: float = 0.5
-    omega_radius: float | None = None
     q: float | None = None
     p: float | None = None
-    alpha_safety: float = 1.1
-    beta_safety: float = 0.9
     # explicit curvature overrides; all four must be given together
     alpha: float | None = None
     beta: float | None = None
     radius: float | None = None
     grad_bound: float | None = None
-
-    def halving_u_grid(self) -> tuple[float, ...]:
-        """Default grid u_max / 2^i, ascending, so every u has its half present."""
-        if self.u_grid is not None:
-            return self.u_grid
-        return tuple(self.u_max / 2 ** i for i in reversed(range(self.u_points)))
 
 
 @dataclass
@@ -76,135 +75,186 @@ class ExperimentConfig:
     output_dir: str
     objective: dict
     dictionary_type: str
-    dictionary_seed: int | None
     solver: SolverConfig
     analysis: AnalysisSettings
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _get(data: dict, key: str, kind, default=..., required: bool = False):
-    if key not in data:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _take(left: dict, key: str, kind: type, default=None, required: bool = False):
+    """Pop ``key`` from ``left`` as ``kind``; ints widen to float, booleans are not numbers."""
+    if key not in left:
         if required:
             raise ConfigError(f"{key}: missing required field")
-        return None if default is ... else default
-    v = data[key]
-    if kind is float and isinstance(v, int):
-        v = float(v)
-    if kind is not None and not isinstance(v, kind):
-        raise ConfigError(f"{key}: expected {getattr(kind, '__name__', kind)}, got {v!r}")
-    return v
+        return default
+    v = left.pop(key)
+    if kind is float and _is_number(v):
+        return float(v)
+    if isinstance(v, kind) and (kind is bool or not isinstance(v, bool)):
+        return v
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {v!r}")
 
 
-def _weakness_from(data: dict) -> WeaknessSchedule:
-    v = data.get("solver.weakness", 1.0)
+def _fields(left: dict, section: str, kinds: dict) -> dict:
+    """The ``section.<name>`` keys present in ``left``, popped and typed, by name."""
+    return {name: _take(left, f"{section}.{name}", kind)
+            for name, kind in kinds.items() if f"{section}.{name}" in left}
+
+
+def _vector(key: str, v, n: int) -> tuple[float, ...]:
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+        raise ConfigError(f"{key}: expected a list of {n} numbers, got {v!r}")
+    if len(v) != n:
+        raise ConfigError(f"{key}: expected {n} entries, got {(len(v),)}")
+    return tuple(float(x) for x in v)
+
+
+def _center(left: dict, n: int) -> dict:
+    """An explicit center, or the spec of a seeded sparse one."""
+    if "objective.center" in left:
+        if "objective.center_sparsity" in left:
+            raise ConfigError("objective.center: conflicts with objective.center_sparsity")
+        return {"center": _vector("objective.center", left.pop("objective.center"), n)}
+    if "objective.center_sparsity" not in left:
+        raise ConfigError("objective.center or objective.center_sparsity required")
+    s = _take(left, "objective.center_sparsity", int)
+    if not 0 <= s <= n:
+        raise ConfigError(f"objective.center_sparsity: expected int in [0, {n}], got {s!r}")
+    return {"center_sparsity": s,
+            "center_low": _take(left, "objective.center_low", float, 1.0),
+            "center_high": _take(left, "objective.center_high", float, 2.0)}
+
+
+def _weights(left: dict, n: int) -> dict:
+    """Explicit weights (a number or a list), or the range of seeded draws."""
+    if "objective.weights_low" in left or "objective.weights_high" in left:
+        if "objective.weights" in left:
+            raise ConfigError("objective.weights: conflicts with objective.weights_low/high")
+        low = _take(left, "objective.weights_low", float, 0.5)
+        high = _take(left, "objective.weights_high", float, 2.0)
+        if not 0 < low <= high:
+            raise ConfigError(f"objective.weights_low/high: need 0 < low <= high, "
+                              f"got {low}, {high}")
+        return {"weights_low": low, "weights_high": high,
+                "weights_log": _take(left, "objective.weights_log", bool, False)}
+    w = left.pop("objective.weights", 1.0)
+    if _is_number(w):
+        w = float(w)
+    elif isinstance(w, list):
+        w = _vector("objective.weights", w, n)
+    else:
+        raise ConfigError(f"objective.weights: expected a number or list, got {w!r}")
+    if min(w if isinstance(w, tuple) else (w,)) <= 0:
+        raise ConfigError("objective.weights: weights must be positive")
+    return {"weights": w}
+
+
+def _objective(left: dict, n: int) -> dict:
+    """The objective spec: the keys ``objective.type`` reads, checked against dimension n."""
+    kind = _take(left, "objective.type", str, required=True)
+    if kind not in OBJECTIVE_TYPES:
+        raise ConfigError(f"objective.type: unknown type {kind!r}, "
+                          f"expected one of {OBJECTIVE_TYPES}")
+    spec = {"type": kind}
+    if kind == "least_squares":
+        if "objective.matrix_file" in left:
+            spec["matrix_file"] = _take(left, "objective.matrix_file", str)
+            spec["b_file"] = _take(left, "objective.b_file", str)
+            if spec["b_file"] is None:
+                raise ConfigError("objective.b_file: required with objective.matrix_file")
+            return spec
+        spec["rows"] = _take(left, "objective.rows", int, required=True)
+        if spec["rows"] < 1:
+            raise ConfigError(f"objective.rows: expected a positive int, got {spec['rows']}")
+        return spec | _center(left, n)
+    if kind == "power_sum":
+        spec["exponent"] = _take(left, "objective.exponent", float, required=True)
+        if spec["exponent"] < 2.0:
+            raise ConfigError(f"objective.exponent: must be >= 2, got {spec['exponent']}")
+    return spec | _center(left, n) | _weights(left, n)
+
+
+def _weakness(v) -> WeaknessSchedule:
+    ts = [v] if _is_number(v) else v
+    if not isinstance(ts, list) or not all(_is_number(t) for t in ts):
+        raise ConfigError(f"solver.weakness: expected a number or list, got {v!r}")
     try:
-        if isinstance(v, (int, float)):
-            return WeaknessSchedule.constant(float(v))
-        if isinstance(v, list):
-            return WeaknessSchedule.from_sequence([float(t) for t in v])
+        return WeaknessSchedule.from_sequence(ts)
     except ValueError as exc:
         raise ConfigError(f"solver.weakness: {exc}") from exc
-    raise ConfigError(f"solver.weakness: expected a number or list, got {v!r}")
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    name = _get(data, "name", str, required=True)
-    dimension = _get(data, "dimension", int, required=True)
+    """Typed config from a parsed mapping.
+
+    Each key is read once from a copy of ``data``; a key left over (unknown,
+    removed, or not read by the chosen ``objective.type``) is an error.
+    """
+    left = dict(data)
+    name = _take(left, "name", str, required=True)
+    dimension = _take(left, "dimension", int, required=True)
     if dimension < 1:
         raise ConfigError(f"dimension: must be >= 1, got {dimension}")
-    seed = _get(data, "seed", int, default=0)
-    output_dir = str(data.get("output_dir", "runs"))
+    seed = _take(left, "seed", int, 0)
+    output_dir = str(left.pop("output_dir", "runs"))
+    objective = _objective(left, dimension)
 
-    obj_type = _get(data, "objective.type", str, required=True)
-    if obj_type not in OBJECTIVE_TYPES:
-        raise ConfigError(f"objective.type: unknown type {obj_type!r}, "
-                          f"expected one of {OBJECTIVE_TYPES}")
-    objective = {"type": obj_type}
-    for key, val in data.items():
-        if key.startswith("objective.") and key != "objective.type":
-            objective[key[len("objective."):]] = val
-    if obj_type == "power_sum":
-        expo = _get(data, "objective.exponent", (int, float), required=True)
-        if float(expo) < 2.0:
-            raise ConfigError(f"objective.exponent: must be >= 2, got {expo}")
-        objective["exponent"] = float(expo)
-
-    dict_type = _get(data, "dictionary.type", str, default="canonical")
+    dict_type = _take(left, "dictionary.type", str, "canonical")
     if dict_type not in DICTIONARY_TYPES:
         raise ConfigError(f"dictionary.type: unknown type {dict_type!r}, "
                           f"expected one of {DICTIONARY_TYPES}")
-    dict_seed = _get(data, "dictionary.seed", int, default=None)
 
-    algorithm = _get(data, "solver.algorithm", str, default="omp")
-    if algorithm not in ("omp", "wcga"):
-        raise ConfigError(f"solver.algorithm: expected omp or wcga, got {algorithm!r}")
+    solver = _fields(left, "solver", {"algorithm": str, "max_steps": int, "stop_tol": float,
+                                      "selection_strategy": str})
+    if solver.get("algorithm") not in (None, "omp", "wcga"):
+        raise ConfigError(f"solver.algorithm: expected omp or wcga, got {solver['algorithm']!r}")
+    if "solver.weakness" in left:
+        solver["weakness"] = _weakness(left.pop("solver.weakness"))
+    inner = _fields(left, "solver", {"inner_tol": float, "max_inner_iters": int,
+                                     "armijo_c": float, "backtrack_factor": float,
+                                     "initial_step": float})
     try:
-        inner = InnerConfig(
-            inner_tol=_get(data, "solver.inner_tol", (int, float), default=1e-10),
-            max_inner_iters=_get(data, "solver.max_inner_iters", int, default=500),
-            armijo_c=_get(data, "solver.armijo_c", (int, float), default=1e-4),
-            backtrack_factor=_get(data, "solver.backtrack_factor", (int, float), default=0.5),
-            initial_step=_get(data, "solver.initial_step", (int, float), default=1.0),
-        )
-        solver = SolverConfig(
-            algorithm=algorithm,
-            weakness=_weakness_from(data),
-            max_steps=_get(data, "solver.max_steps", int, default=100),
-            stop_tol=_get(data, "solver.stop_tol", (int, float), default=1e-8),
-            inner=inner,
-            selection_strategy=_get(data, "solver.selection_strategy", str, default="exact"),
-            seed=_get(data, "solver.seed", int, default=None) or 0,
-        )
+        solver = SolverConfig(inner=InnerConfig(**inner), seed=sub_seed(seed, "solver"),
+                              **solver)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    q = _get(data, "analysis.q", (int, float), default=None)
-    p = _get(data, "analysis.p", (int, float), default=None)
-    if q is not None and p is not None and float(p) == float(q) and float(p) != 2.0:
+    analysis = _fields(left, "analysis", {
+        "sample_count": int, "lambda_grid_size": int, "tail_fraction": float,
+        "q": float, "p": float, "alpha": float, "beta": float, "radius": float,
+        "grad_bound": float})
+    q, p = analysis.get("q"), analysis.get("p")
+    if q is not None and p is not None and p == q and p != 2.0:
         raise ConfigError(
             f"analysis.p/analysis.q: rate theory covers q < p or p = q = 2, "
             f"got p = q = {p}")
-    if q is not None and not 1.0 < float(q) <= 2.0:
+    if q is not None and not 1.0 < q <= 2.0:
         raise ConfigError(f"analysis.q: {q} outside (1, 2]")
-    if p is not None and float(p) < 2.0:
+    if p is not None and p < 2.0:
         raise ConfigError(f"analysis.p: {p} below 2")
-    u_grid = data.get("analysis.u_grid")
-    if u_grid is not None:
-        if not isinstance(u_grid, list) or any(not isinstance(v, (int, float)) or v <= 0
-                                               for v in u_grid):
-            raise ConfigError("analysis.u_grid: expected a list of positive numbers")
-        u_grid = tuple(float(v) for v in u_grid)
-    if "analysis.l_mode" in data:
-        raise ConfigError("analysis.l_mode: no longer supported; the level-set diameter "
-                          "is the objective's closed form, else a sampled estimate")
-    tail = float(_get(data, "analysis.tail_fraction", (int, float), default=0.5))
-    if not 0.0 < tail <= 1.0:
+    tail = analysis.get("tail_fraction")
+    if tail is not None and not 0.0 < tail <= 1.0:
         raise ConfigError(f"analysis.tail_fraction: {tail} outside (0, 1]")
-    overrides = [data.get(f"analysis.{k}") for k in ("alpha", "beta", "radius", "grad_bound")]
-    if any(v is not None for v in overrides) and not all(v is not None for v in overrides):
+    overrides = [k for k in ("alpha", "beta", "radius", "grad_bound") if k in analysis]
+    if 0 < len(overrides) < 4:
         raise ConfigError("analysis.alpha/beta/radius/grad_bound: "
                           "explicit curvature overrides must be given together")
-    analysis = AnalysisSettings(
-        u_grid=u_grid,
-        u_max=float(_get(data, "analysis.u_max", (int, float), default=1.0)),
-        u_points=_get(data, "analysis.u_points", int, default=10),
-        sample_count=_get(data, "analysis.sample_count", int, default=200),
-        lambda_grid_size=_get(data, "analysis.lambda_grid_size", int, default=9),
-        tail_fraction=tail,
-        omega_radius=_get(data, "analysis.omega_radius", (int, float), default=None),
-        q=None if q is None else float(q),
-        p=None if p is None else float(p),
-        alpha_safety=float(_get(data, "analysis.alpha_safety", (int, float), default=1.1)),
-        beta_safety=float(_get(data, "analysis.beta_safety", (int, float), default=0.9)),
-        alpha=None if overrides[0] is None else float(overrides[0]),
-        beta=None if overrides[1] is None else float(overrides[1]),
-        radius=None if overrides[2] is None else float(overrides[2]),
-        grad_bound=None if overrides[3] is None else float(overrides[3]),
-    )
+    if "analysis.u_grid" in left:
+        u_grid = left.pop("analysis.u_grid")
+        if not isinstance(u_grid, list) or any(not _is_number(v) or v <= 0 for v in u_grid):
+            raise ConfigError("analysis.u_grid: expected a list of positive numbers")
+        analysis["u_grid"] = tuple(float(v) for v in u_grid)
+
+    if left:
+        raise ConfigError(f"{', '.join(sorted(left))}: unknown key, or one that "
+                          f"objective.type {objective['type']!r} does not read")
     return ExperimentConfig(
         name=name, dimension=dimension, seed=seed, output_dir=output_dir,
-        objective=objective, dictionary_type=dict_type, dictionary_seed=dict_seed,
-        solver=solver, analysis=analysis, raw=data,
+        objective=objective, dictionary_type=dict_type, solver=solver,
+        analysis=AnalysisSettings(**analysis), raw=data,
     )
 
 

@@ -7,7 +7,6 @@ component name, so each component is independently reproducible.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,50 +14,37 @@ import numpy as np
 
 from .analysis import (RateConstants, TraceVerification, check_moduli_equivalence,
                        estimate_moduli, fit_rate, rate_constants, verify_trace)
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, sub_seed
 from .core import (ConvexityParams, IterateTrace, SmoothnessParams, SparseSupport,
                    norm, write_csv)
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
-                         estimate_condition_constants, estimate_gradient_bound,
-                         estimate_level_set_diameter)
+                         estimate_condition_constants)
 from .solvers import SolverConfig, WeaknessSchedule, run_omp, run_wcga
 
 BOUND_TOL = 1e-9
 
-
-def sub_seed(seed: int, component: str) -> int:
-    """Stable per-component seed: (seed + crc32(name)) mod 2^32."""
-    return (int(seed) + zlib.crc32(component.encode())) % 2 ** 32
+# Sampling biases the curvature estimates toward stronger claims, so the
+# bounds stay sound only after relaxing the sampled alpha up and beta down.
+ALPHA_SAFETY = 1.1
+BETA_SAFETY = 0.9
 
 
 def build_dictionary(cfg: ExperimentConfig) -> Dictionary:
     if cfg.dictionary_type == "canonical":
         return CanonicalBasis(cfg.dimension)
-    seed = cfg.dictionary_seed
-    if seed is None:
-        seed = sub_seed(cfg.seed, "dictionary")
-    return RotatedBasis(cfg.dimension, seed)
+    return RotatedBasis(cfg.dimension, sub_seed(cfg.seed, "dictionary"))
 
 
 def _sparse_center(cfg: ExperimentConfig, dictionary: Dictionary,
                    rng: np.random.Generator) -> np.ndarray:
     """Point with seeded sparse dictionary coefficients, or an explicit one."""
     spec = cfg.objective
-    n = cfg.dimension
     if "center" in spec:
-        center = np.asarray(spec["center"], dtype=np.float64)
-        if center.shape != (n,):
-            raise ConfigError(f"objective.center: expected {n} entries, "
-                              f"got {center.shape}")
-        return center
-    s = spec.get("center_sparsity")
-    if s is None:
-        raise ConfigError("objective.center or objective.center_sparsity required")
-    if not isinstance(s, int) or s < 0 or s > n:
-        raise ConfigError(f"objective.center_sparsity: expected int in [0, {n}], got {s!r}")
-    low = float(spec.get("center_low", 1.0))
-    high = float(spec.get("center_high", 2.0))
+        return np.asarray(spec["center"], dtype=np.float64)
+    n = cfg.dimension
+    s = spec["center_sparsity"]
+    low, high = spec["center_low"], spec["center_high"]
     coeffs = np.zeros(n)
     idx = np.sort(rng.choice(n, size=s, replace=False))
     coeffs[idx] = rng.uniform(low, high, size=s) * rng.choice((-1.0, 1.0), size=s)
@@ -68,51 +54,31 @@ def _sparse_center(cfg: ExperimentConfig, dictionary: Dictionary,
 def _weights(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     spec = cfg.objective
     n = cfg.dimension
-    w = spec.get("weights", 1.0)
-    if isinstance(w, (int, float)):
-        out = np.full(n, float(w))
-    elif isinstance(w, list):
-        out = np.asarray(w, dtype=np.float64)
-        if out.shape != (n,):
-            raise ConfigError(f"objective.weights: expected {n} entries, got {out.shape}")
-    else:
-        raise ConfigError(f"objective.weights: expected a number or list, got {w!r}")
-    if "weights_low" in spec or "weights_high" in spec:
-        low = float(spec.get("weights_low", 0.5))
-        high = float(spec.get("weights_high", 2.0))
-        if not 0 < low <= high:
-            raise ConfigError(f"objective.weights_low/high: need 0 < low <= high, "
-                              f"got {low}, {high}")
-        if spec.get("weights_log", False):
-            out = 10.0 ** rng.uniform(np.log10(low), np.log10(high), size=n)
-        else:
-            out = rng.uniform(low, high, size=n)
-    if np.any(out <= 0):
-        raise ConfigError("objective.weights: weights must be positive")
-    return out
+    if "weights" in spec:
+        # a number or an n-tuple; np.full broadcasts either
+        return np.full(n, spec["weights"], dtype=np.float64)
+    low, high = spec["weights_low"], spec["weights_high"]
+    if spec["weights_log"]:
+        return 10.0 ** rng.uniform(np.log10(low), np.log10(high), size=n)
+    return rng.uniform(low, high, size=n)
 
 
 def build_objective(cfg: ExperimentConfig, dictionary: Dictionary) -> Objective:
     rng = np.random.default_rng(sub_seed(cfg.seed, "objective"))
-    kind = cfg.objective["type"]
-    if kind == "diagonal_quadratic":
-        return DiagonalQuadratic(_sparse_center(cfg, dictionary, rng), _weights(cfg, rng))
-    if kind == "power_sum":
-        return PowerSum(_sparse_center(cfg, dictionary, rng),
-                        cfg.objective["exponent"], _weights(cfg, rng))
-    # least squares: files, or a seeded Gaussian sensing matrix
     spec = cfg.objective
+    if spec["type"] == "diagonal_quadratic":
+        return DiagonalQuadratic(_sparse_center(cfg, dictionary, rng), _weights(cfg, rng))
+    if spec["type"] == "power_sum":
+        return PowerSum(_sparse_center(cfg, dictionary, rng), spec["exponent"],
+                        _weights(cfg, rng))
+    # least squares: files, or a seeded Gaussian sensing matrix
     if "matrix_file" in spec:
-        if "b_file" not in spec:
-            raise ConfigError("objective.b_file: required with objective.matrix_file")
         obj = LeastSquares.from_files(spec["matrix_file"], spec["b_file"])
         if obj.dimension != cfg.dimension:
             raise ConfigError(f"objective.matrix_file: {obj.dimension} columns, "
                               f"config dimension {cfg.dimension}")
         return obj
-    rows = spec.get("rows")
-    if not isinstance(rows, int) or rows < 1:
-        raise ConfigError(f"objective.rows: expected a positive int, got {rows!r}")
+    rows = spec["rows"]
     A = rng.standard_normal((rows, cfg.dimension)) / np.sqrt(rows)
     xbar = _sparse_center(cfg, dictionary, rng)
     obj = LeastSquares(A, A @ xbar)
@@ -124,10 +90,8 @@ def build_objective(cfg: ExperimentConfig, dictionary: Dictionary) -> Objective:
 # ---------------------------------------------------------------------------
 
 
-def _effective_radius(cfg: ExperimentConfig, objective: Objective) -> float | None:
+def _effective_radius(objective: Objective) -> float | None:
     """Ball radius (around the origin) certified to contain the level set."""
-    if cfg.analysis.omega_radius is not None:
-        return float(cfg.analysis.omega_radius)
     r = objective.level_set_radius()
     return None if r is None else 1.1 * r
 
@@ -136,12 +100,16 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
                      dictionary: Dictionary) -> tuple[RateConstants | None, str | None]:
     """Rate constants for the configured problem, or a reason they don't exist.
 
-    Known closed-form parameters already use the level-set diameter as the
-    condition radius, so the diameter ratio is 1.  Estimated parameters
-    sample pairs spanning twice the bounding-ball radius, which also covers
-    every level-set pair; sampling biases the estimates toward stronger
-    claims, so documented safety factors relax them.
+    The theory needs a bounded level set, so without a closed-form level-set
+    diameter there are no constants.  Known closed-form parameters already
+    use that diameter as the condition radius, so the diameter ratio is 1.
+    Estimated parameters sample pairs spanning twice the bounding-ball
+    radius, which also covers every level-set pair, and are relaxed by
+    ``ALPHA_SAFETY`` and ``BETA_SAFETY``.
     """
+    diam = objective.level_set_diameter()
+    if diam is None:
+        return None, "level set not known to be bounded"
     xbar = objective.known_minimizer
     if xbar is None:
         return None, "minimizer unknown"
@@ -150,42 +118,30 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
     if support.size == 0:
         return None, "minimizer is the origin"
     ana = cfg.analysis
+    q = ana.q if ana.q is not None else 2.0
+    ratio = 1.0
     if ana.alpha is not None:
-        q = ana.q if ana.q is not None else 2.0
         p = ana.p if ana.p is not None else 2.0
         smooth = SmoothnessParams(ana.alpha, q, ana.radius, ana.grad_bound)
         convex = ConvexityParams(ana.beta, p, ana.radius)
-        diam = objective.level_set_diameter()
-        if diam is None:
-            diam = estimate_level_set_diameter(objective, sub_seed(cfg.seed, "analysis"))
         ratio = max(1.0, diam / ana.radius)
     elif objective.known_params is not None:
         smooth, convex = objective.known_params
-        ratio = 1.0
     else:
-        radius = _effective_radius(cfg, objective)
-        if radius is None:
-            return None, "level set geometry unknown (set analysis.omega_radius)"
-        q = ana.q if ana.q is not None else 2.0
+        radius = _effective_radius(objective)
         p = ana.p
         if p is None:
             p = objective.exponent if isinstance(objective, PowerSum) else 2.0
         pair_radius = 2.0 * radius
-        seed = sub_seed(cfg.seed, "analysis")
         alpha_hat, beta_hat = estimate_condition_constants(
-            objective, q, p, radius, 10 * ana.sample_count, seed,
+            objective, q, p, radius, 10 * ana.sample_count, sub_seed(cfg.seed, "analysis"),
             pair_radius=pair_radius)
-        alpha = ana.alpha_safety * alpha_hat
-        beta = ana.beta_safety * beta_hat
+        alpha = ALPHA_SAFETY * alpha_hat
+        beta = BETA_SAFETY * beta_hat
         if not beta > 0:
             return None, "estimated convexity constant is not positive"
-        grad_bound = objective.gradient_sup_bound()
-        if grad_bound is None:
-            grad_bound = estimate_gradient_bound(objective, radius,
-                                                 10 * ana.sample_count, seed)
-        smooth = SmoothnessParams(alpha, q, pair_radius, grad_bound)
+        smooth = SmoothnessParams(alpha, q, pair_radius, objective.gradient_sup_bound())
         convex = ConvexityParams(beta, p, pair_radius)
-        ratio = 1.0
     return rate_constants(objective, xbar, support.size, smooth, convex, ratio), None
 
 
@@ -199,12 +155,6 @@ class Report:
     name: str
     status: str
     paths: list[Path]
-
-
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    if "solver.seed" in cfg.raw:
-        return cfg.solver
-    return replace(cfg.solver, seed=sub_seed(cfg.seed, "solver"))
 
 
 def _solve(objective: Objective, dictionary: Dictionary,
@@ -253,8 +203,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
     t0 = time.perf_counter()
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
-    solver_cfg = _solver_config(cfg)
-    trace = _solve(objective, dictionary, solver_cfg)
+    trace = _solve(objective, dictionary, cfg.solver)
 
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -263,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
     trace.to_csv(trace_path)
 
     rc, reason = derive_constants(cfg, objective, dictionary)
-    check = None if rc is None else _verify(trace, rc, solver_cfg)
+    check = None if rc is None else _verify(trace, rc, cfg.solver)
     write_csv(bounds_path, ("k", "e_k", "bound_k", "margin"),
               [] if check is None else check.bounds)
 
@@ -312,11 +261,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
 def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> Report:
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
-    radius = _effective_radius(cfg, objective)
+    radius = _effective_radius(objective)
     if radius is None:
-        raise ConfigError("analysis.omega_radius: required (no closed-form level-set "
-                          "radius for this objective)")
-    est = estimate_moduli(objective, radius, cfg.analysis.halving_u_grid(),
+        raise ConfigError(f"moduli: a {cfg.objective['type']} objective without a "
+                          "closed-form level-set radius has no bounded region to sample")
+    est = estimate_moduli(objective, radius, cfg.analysis.u_grid,
                           cfg.analysis.sample_count, cfg.analysis.lambda_grid_size,
                           sub_seed(cfg.seed, "analysis"))
     eq = check_moduli_equivalence(est)
@@ -373,8 +322,7 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
         raise ConfigError("--algs: need at least two solver variants")
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
-    base = _solver_config(cfg)
-    variants = [parse_variant(d, base) for d in descriptors]
+    variants = [parse_variant(d, cfg.solver) for d in descriptors]
     traces = [_solve(objective, dictionary, v) for v in variants]
     rc, reason = derive_constants(cfg, objective, dictionary)
 
@@ -450,7 +398,8 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
             z = np.zeros(cols)
             zi = rng.choice(cols, size=sparsity, replace=False)
             z[zi] = rng.standard_normal(sparsity)
-            ratios.append(float(np.dot(A @ z, A @ z) / np.dot(z, z)))
+            Az = A @ z
+            ratios.append(float(np.dot(Az, Az) / np.dot(z, z)))
         rip_low, rip_high = min(ratios), max(ratios)
 
     outdir = Path(output_dir)

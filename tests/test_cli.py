@@ -79,6 +79,34 @@ def test_run_config_errors_exit_1(tmp_path, capsys):
     assert main(["--quiet", "run", str(tmp_path / "missing.cfg")]) == 1
 
 
+@pytest.mark.parametrize("line,key", [
+    ("solver.max_step = 3", "solver.max_step"),
+    ("dimension = true", "dimension"),
+    ("solver.max_steps = true", "solver.max_steps"),
+    ("objective.rows = 10", "objective.rows"),
+    ("objective.weights = 2.0", "objective.weights"),
+    ("objective.center = " + str([1.0] * 40), "objective.center"),
+], ids=["typo", "bool-dimension", "bool-max-steps", "rows-on-quadratic",
+        "weights-with-range", "center-with-sparsity"])
+def test_bad_key_exits_1_naming_it(quad_cfg, capsys, line, key):
+    path, out = quad_cfg
+    path.write_text(path.read_text() + line + "\n")
+    assert main(["--quiet", "run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:") and "Traceback" not in err
+
+
+def test_moduli_unbounded_level_set_names_objective_type(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("name = wide\ndimension = 40\n"
+                   f"output_dir = {tmp_path / 'out'}\n"
+                   "objective.type = least_squares\nobjective.rows = 20\n"
+                   "objective.center_sparsity = 3\n")
+    assert main(["--quiet", "run", str(cfg)]) == 0
+    assert main(["--quiet", "moduli", str(cfg)]) == 1
+    assert "least_squares" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,extra,report", [
     ("run", [], "quad_fix.report.txt"),
     ("compare", ["--algs", "omp", "wcga:t=0.5,strategy=first_admissible"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,56 @@ def test_removed_l_mode_key_is_rejected():
             config_from_mapping(data)
 
 
+LSQ_MAPPING = {"name": "lsq", "dimension": 10, "seed": 2, "objective.type": "least_squares",
+               "objective.rows": 20, "objective.center_sparsity": 2}
+
+REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_points",
+                "analysis.alpha_safety", "analysis.beta_safety", "analysis.omega_radius")
+
+
+@pytest.mark.parametrize("base,extra,key", [(QUAD_TEXT, {k: 1}, k) for k in REMOVED_KEYS] + [
+    (QUAD_TEXT, {"solver.max_step": 3}, "solver.max_step"),           # typo
+    (QUAD_TEXT, {"dimension": True}, "dimension"),                    # booleans are not numbers
+    (QUAD_TEXT, {"solver.max_steps": True}, "solver.max_steps"),
+    (QUAD_TEXT, {"solver.stop_tol": True}, "solver.stop_tol"),
+    (QUAD_TEXT, {"objective.exponent": 4}, "objective.exponent"),     # not read by the type
+    (None, {"objective.weights": 2.0}, "objective.weights"),
+    (QUAD_TEXT, {"objective.center": [1.0] * 20}, "objective.center"),   # conflicting pairs
+    (QUAD_TEXT, {"objective.weights": 2.0}, "objective.weights"),
+], ids=[*REMOVED_KEYS, "typo", "bool-dimension", "bool-max-steps", "bool-stop-tol",
+        "exponent-on-quadratic", "weights-on-least-squares", "center-with-sparsity",
+        "weights-with-range"])
+def test_bad_key_names_itself(base, extra, key):
+    data = LSQ_MAPPING if base is None else parse_config_text(base)
+    with pytest.raises(ConfigError, match="^" + re.escape(key) + "[:,]"):
+        config_from_mapping(data | extra)
+
+
+FIELD_CASES = [
+    ("objective.center_low", 3.0, lambda c: c.objective["center_low"]),
+    ("objective.center_high", 5.0, lambda c: c.objective["center_high"]),
+    ("solver.stop_tol", 1e-6, lambda c: c.solver.stop_tol),
+    ("solver.inner_tol", 1e-12, lambda c: c.solver.inner.inner_tol),
+    ("solver.armijo_c", 0.3, lambda c: c.solver.inner.armijo_c),
+    ("solver.backtrack_factor", 0.25, lambda c: c.solver.inner.backtrack_factor),
+    ("solver.initial_step", 2.0, lambda c: c.solver.inner.initial_step),
+    ("analysis.u_grid", [0.25, 0.5, 1.0], lambda c: list(c.analysis.u_grid)),
+    ("analysis.lambda_grid_size", 5, lambda c: c.analysis.lambda_grid_size),
+]
+
+
+@pytest.mark.parametrize("key,value,read", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+def test_accepted_key_reaches_its_field(key, value, read):
+    default = read(config_from_mapping(parse_config_text(QUAD_TEXT)))
+    cfg = config_from_mapping(parse_config_text(QUAD_TEXT) | {key: value})
+    assert read(cfg) == value != default
+
+
+def test_solver_seed_comes_from_config_seed():
+    cfg = config_from_mapping(parse_config_text(QUAD_TEXT))
+    assert cfg.solver.seed == gm.sub_seed(3, "solver")
+
+
 def test_sub_seed_stable():
     # CRC32 of the component names pins the splitting rule
     assert gm.sub_seed(0, "objective") == 3113677057
@@ -123,12 +175,12 @@ def test_sub_seed_stable():
 
 
 def test_build_objective_variants(tmp_path):
-    base = parse_config_text(QUAD_TEXT)
-    # explicit weights list
+    # explicit center and weights list replace the sparse-center and uniform-draw keys
+    base = {k: v for k, v in parse_config_text(QUAD_TEXT).items()
+            if k not in ("objective.center_sparsity", "objective.weights_low",
+                         "objective.weights_high")}
     cfg = config_from_mapping(base | {"dimension": 3, "objective.center": [1.0, 0.0, 2.0],
                                       "objective.weights": [1.0, 2.0, 3.0]})
-    # drop the uniform-draw keys so the explicit list wins
-    del cfg.objective["weights_low"], cfg.objective["weights_high"]
     E = gm.build_objective(cfg, gm.build_dictionary(cfg))
     assert np.allclose(E.weights, [1.0, 2.0, 3.0])
     assert np.allclose(E.center, [1.0, 0.0, 2.0])
@@ -189,3 +241,17 @@ def test_derive_constants_override_path():
     # radius 1 is far below the level-set diameter, so the ratio degrades beta
     assert rc.diameter_ratio > 1.0
     assert rc.beta_global < 0.25
+
+
+@pytest.mark.parametrize("overrides", [False, True], ids=["sampled", "override"])
+def test_derive_constants_needs_bounded_level_set(overrides):
+    # 20 x 40 least squares: the level set contains a 20-dimensional null space
+    data = LSQ_MAPPING | {"dimension": 40, "objective.center_sparsity": 3}
+    if overrides:
+        data |= {"analysis.alpha": 1.0, "analysis.beta": 0.1,
+                 "analysis.radius": 5.0, "analysis.grad_bound": 10.0}
+    cfg = config_from_mapping(data)
+    D = gm.build_dictionary(cfg)
+    E = gm.build_objective(cfg, D)
+    assert E.known_minimizer is not None and E.level_set_diameter() is None
+    assert gm.derive_constants(cfg, E, D) == (None, "level set not known to be bounded")

@@ -4,8 +4,14 @@ Usage:
     PYTHONPATH=<checkout>/src python3 tools/golden_outputs.py OUTDIR
 
 Each command runs through ``greedymin.cli.main`` with ``--output-dir
-OUTDIR/<label>``.  Its stdout goes to ``OUTDIR/<label>/stdout.txt`` and its
-exit code to ``OUTDIR/<label>/exit_code.txt``.  Lines starting with
+OUTDIR/<label>``.  Its stdout goes to ``OUTDIR/<label>/stdout.txt``, its
+stderr to ``OUTDIR/<label>/stderr.txt`` and its exit code to
+``OUTDIR/<label>/exit_code.txt``.  The stderr file holds the command's
+warnings, one ``<Category>: <message>`` line each without the source file
+and line, which differ between checkouts, followed by what it printed to
+stderr (its ``error:`` line), so moved or reworded messages show up in the
+comparison too.  Each command starts with a fresh warnings registry, as a
+new process would.  Lines starting with
 ``wall_time_s:`` are removed from every file, so two runs of the same code
 give identical directories.  To check that a change leaves the outputs
 alone, run this once against each checkout and compare the directories:
@@ -24,6 +30,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from greedymin.cli import main
@@ -80,10 +87,14 @@ def run_all(outdir: Path) -> None:
         for label, args in commands(Path(tmp)):
             dest = outdir / label
             dest.mkdir(parents=True, exist_ok=True)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
                 code = main(["--output-dir", str(dest), *args])
             (dest / "stdout.txt").write_text(stdout.getvalue())
+            (dest / "stderr.txt").write_text(
+                "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+                + stderr.getvalue())
             (dest / "exit_code.txt").write_text(f"{code}\n")
             for path in dest.iterdir():
                 strip_timing(path)
