@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .harness import run_compare, run_demo_cs, run_experiment, run_moduli
 
 
@@ -56,9 +56,6 @@ def main(argv=None) -> int:
             else:
                 report = run_compare(cfg, args.algs, output_dir=args.output_dir,
                                      quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

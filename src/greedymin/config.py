@@ -7,6 +7,7 @@ lists and fall back to bare strings; ``#`` starts a comment.
 from __future__ import annotations
 
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,21 +82,25 @@ class ExperimentConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number; booleans are not numbers, NaN fails the comparison."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _take(left: dict, key: str, kind: type, default=None, required: bool = False):
-    """Pop ``key`` from ``left`` as ``kind``; ints widen to float, booleans are not numbers."""
+    """Pop ``key`` from ``left`` as ``kind``; floats are finite numbers, ints widen to them."""
     if key not in left:
         if required:
             raise ConfigError(f"{key}: missing required field")
         return default
     v = left.pop(key)
-    if kind is float and _is_number(v):
-        return float(v)
-    if isinstance(v, kind) and (kind is bool or not isinstance(v, bool)):
+    if kind is float:
+        if _is_number(v):
+            return float(v)
+    elif isinstance(v, kind) and (kind is bool or not isinstance(v, bool)):
         return v
-    raise ConfigError(f"{key}: expected {kind.__name__}, got {v!r}")
+    name = "finite float" if kind is float else kind.__name__
+    raise ConfigError(f"{key}: expected {name}, got {v!r}")
 
 
 def _fields(left: dict, section: str, kinds: dict) -> dict:
@@ -106,7 +111,7 @@ def _fields(left: dict, section: str, kinds: dict) -> dict:
 
 def _vector(key: str, v, n: int) -> tuple[float, ...]:
     if not isinstance(v, list) or not all(_is_number(x) for x in v):
-        raise ConfigError(f"{key}: expected a list of {n} numbers, got {v!r}")
+        raise ConfigError(f"{key}: expected a list of {n} finite numbers, got {v!r}")
     if len(v) != n:
         raise ConfigError(f"{key}: expected {n} entries, got {(len(v),)}")
     return tuple(float(x) for x in v)
@@ -238,14 +243,18 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     tail = analysis.get("tail_fraction")
     if tail is not None and not 0.0 < tail <= 1.0:
         raise ConfigError(f"analysis.tail_fraction: {tail} outside (0, 1]")
+    for key, low in (("sample_count", 1), ("lambda_grid_size", 2)):
+        if analysis.get(key, low) < low:
+            raise ConfigError(f"analysis.{key}: must be >= {low}, got {analysis[key]}")
     overrides = [k for k in ("alpha", "beta", "radius", "grad_bound") if k in analysis]
     if 0 < len(overrides) < 4:
         raise ConfigError("analysis.alpha/beta/radius/grad_bound: "
                           "explicit curvature overrides must be given together")
     if "analysis.u_grid" in left:
         u_grid = left.pop("analysis.u_grid")
-        if not isinstance(u_grid, list) or any(not _is_number(v) or v <= 0 for v in u_grid):
-            raise ConfigError("analysis.u_grid: expected a list of positive numbers")
+        if (not isinstance(u_grid, list) or not u_grid
+                or any(not _is_number(v) or v <= 0 for v in u_grid)):
+            raise ConfigError("analysis.u_grid: expected a non-empty list of positive numbers")
         analysis["u_grid"] = tuple(float(v) for v in u_grid)
 
     if left:

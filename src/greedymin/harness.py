@@ -92,8 +92,8 @@ def build_objective(cfg: ExperimentConfig, dictionary: Dictionary) -> Objective:
 
 def _effective_radius(objective: Objective) -> float | None:
     """Ball radius (around the origin) certified to contain the level set."""
-    r = objective.level_set_radius()
-    return None if r is None else 1.1 * r
+    diam = objective.level_set_diameter()
+    return None if diam is None else 1.1 * (norm(objective.known_minimizer) + diam / 2.0)
 
 
 def derive_constants(cfg: ExperimentConfig, objective: Objective,
@@ -129,9 +129,7 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
         smooth, convex = objective.known_params
     else:
         radius = _effective_radius(objective)
-        p = ana.p
-        if p is None:
-            p = objective.exponent if isinstance(objective, PowerSum) else 2.0
+        p = ana.p if ana.p is not None else objective.exponent
         pair_radius = 2.0 * radius
         alpha_hat, beta_hat = estimate_condition_constants(
             objective, q, p, radius, 10 * ana.sample_count, sub_seed(cfg.seed, "analysis"),
@@ -265,6 +263,9 @@ def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> R
     if radius is None:
         raise ConfigError(f"moduli: a {cfg.objective['type']} objective without a "
                           "closed-form level-set radius has no bounded region to sample")
+    if radius == 0:
+        raise ConfigError("moduli: the minimizer is the origin, so the level set "
+                          "{E <= E(0)} is the single point 0 and has no region to sample")
     est = estimate_moduli(objective, radius, cfg.analysis.u_grid,
                           cfg.analysis.sample_count, cfg.analysis.lambda_grid_size,
                           sub_seed(cfg.seed, "analysis"))

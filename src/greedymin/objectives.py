@@ -16,10 +16,15 @@ from .core import ConvexityParams, SmoothnessParams, Vector, as_point, inner, no
 
 
 class Objective(ABC):
-    """A convex function on R^n with a computable gradient."""
+    """A convex function on R^n with a computable gradient.
 
-    known_smoothness: SmoothnessParams | None = None
-    known_convexity: ConvexityParams | None = None
+    ``exponent`` is the power type p of its uniform convexity, and
+    ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
+    that p, or None when those constants must be sampled.
+    """
+
+    curvature: tuple[float, float] | None = None
+    exponent = 2.0
     known_minimizer: Vector | None = None
 
     def __init__(self, dimension: int):
@@ -33,9 +38,13 @@ class Objective(ABC):
 
     @property
     def known_params(self) -> tuple[SmoothnessParams, ConvexityParams] | None:
-        if self.known_smoothness is None or self.known_convexity is None:
+        """``curvature`` with the level-set geometry; None without it or on a point."""
+        diam = self.level_set_diameter()
+        if self.curvature is None or not diam:
             return None
-        return self.known_smoothness, self.known_convexity
+        alpha, beta = self.curvature
+        return (SmoothnessParams(alpha, 2.0, diam, self.gradient_sup_bound()),
+                ConvexityParams(beta, self.exponent, diam))
 
     @abstractmethod
     def value(self, x: Vector) -> float:
@@ -55,12 +64,8 @@ class Objective(ABC):
         """Exact coefficients minimizing E over the span of ``basis`` columns, else None."""
         return None
 
-    def level_set_radius(self) -> float | None:
-        """Radius of a ball centered at the origin containing {E <= E(0)}, else None."""
-        return None
-
     def level_set_diameter(self) -> float | None:
-        """Upper bound on the diameter of {E <= E(0)}, else None."""
+        """Diameter of a ball around ``known_minimizer`` containing {E <= E(0)}, else None."""
         return None
 
     def gradient_sup_bound(self) -> float | None:
@@ -85,15 +90,8 @@ class DiagonalQuadratic(Objective):
         self.center = center
         self.weights = weights
         self.known_minimizer = center.copy()
-        e0 = self.value(np.zeros(self.dimension))
-        self._e0 = e0
-        if e0 > 0:
-            w_min = float(weights.min())
-            w_max = float(weights.max())
-            radius = 2.0 * np.sqrt(2.0 * e0 / w_min)      # level-set diameter
-            grad_bound = float(np.sqrt(2.0 * e0 * w_max))
-            self.known_smoothness = SmoothnessParams(w_max / 2.0, 2.0, radius, grad_bound)
-            self.known_convexity = ConvexityParams(w_min / 2.0, 2.0, radius)
+        self._e0 = self.value(np.zeros(self.dimension))
+        self.curvature = (float(weights.max()) / 2.0, float(weights.min()) / 2.0)
 
     def value(self, x: Vector) -> float:
         d = as_point(x, self.dimension) - self.center
@@ -106,13 +104,7 @@ class DiagonalQuadratic(Objective):
         return self.weights
 
     def argmin_in_span(self, basis: np.ndarray) -> Vector:
-        wb = self.weights[:, None] * basis
-        return np.linalg.solve(basis.T @ wb, wb.T @ self.center)
-
-    def level_set_radius(self) -> float:
-        if self._e0 == 0:
-            return float(norm(self.center))
-        return float(norm(self.center)) + np.sqrt(2.0 * self._e0 / self.weights.min())
+        return _weighted_argmin(self.weights, self.center, basis)
 
     def level_set_diameter(self) -> float:
         return 2.0 * np.sqrt(2.0 * self._e0 / self.weights.min())
@@ -146,15 +138,8 @@ class LeastSquares(Objective):
             xbar, *_ = np.linalg.lstsq(A, self.b, rcond=None)
             self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))
-            rho = float(np.sqrt(max(e0 - self.value(xbar), 0.0)))
-            self._rho = rho
-            if rho > 0:
-                alpha = self._sigma_max ** 2
-                beta = self._sigma_min ** 2
-                radius = 2.0 * rho / self._sigma_min
-                grad_bound = 2.0 * self._sigma_max * rho
-                self.known_smoothness = SmoothnessParams(alpha, 2.0, radius, grad_bound)
-                self.known_convexity = ConvexityParams(beta, 2.0, radius)
+            self._rho = float(np.sqrt(max(e0 - self.value(xbar), 0.0)))
+            self.curvature = (self._sigma_max ** 2, self._sigma_min ** 2)
 
     @classmethod
     def from_files(cls, matrix_file, rhs_file) -> "LeastSquares":
@@ -176,11 +161,6 @@ class LeastSquares(Objective):
             warnings.warn("restricted minimizer is not unique "
                           "(rank-deficient restricted system)", RuntimeWarning)
         return z
-
-    def level_set_radius(self) -> float | None:
-        if self._rho is None:
-            return None
-        return float(norm(self.known_minimizer)) + self._rho / self._sigma_min
 
     def level_set_diameter(self) -> float | None:
         if self._rho is None:
@@ -232,19 +212,12 @@ class PowerSum(Objective):
     def argmin_in_span(self, basis: np.ndarray) -> Vector | None:
         if self.exponent != 2.0:
             return None
-        wb = self.weights[:, None] * basis
-        return np.linalg.solve(basis.T @ wb, wb.T @ self.center)
-
-    def _center_ball(self) -> float:
-        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
-        n, p = self.dimension, self.exponent
-        return n ** (0.5 - 1.0 / p) * (self._e0 / self.weights.min()) ** (1.0 / p)
-
-    def level_set_radius(self) -> float:
-        return float(norm(self.center)) + self._center_ball()
+        return _weighted_argmin(self.weights, self.center, basis)
 
     def level_set_diameter(self) -> float:
-        return 2.0 * self._center_ball()
+        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
+        n, p = self.dimension, self.exponent
+        return 2.0 * n ** (0.5 - 1.0 / p) * (self._e0 / self.weights.min()) ** (1.0 / p)
 
     def gradient_sup_bound(self) -> float:
         p = self.exponent
@@ -253,6 +226,12 @@ class PowerSum(Objective):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _weighted_argmin(weights: Vector, center: Vector, basis: np.ndarray) -> Vector:
+    """Coefficients z minimizing sum_i w_i ((basis z)_i - c_i)^2 (normal equations)."""
+    wb = weights[:, None] * basis
+    return np.linalg.solve(basis.T @ wb, wb.T @ center)
 
 
 def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float:

@@ -32,19 +32,16 @@ def make_rotated_powersum(seed: int = 16, n: int = 50, s: int = 3,
     return gm.PowerSum(center, 4.0, weights), dictionary, coeffs
 
 
-def powersum_constants(objective: gm.PowerSum, seed: int,
-                       support_size: int) -> gm.RateConstants:
-    """Estimated rate constants following the harness recipe (safety-relaxed)."""
-    radius = 1.1 * objective.level_set_radius()
-    pair_radius = 2.0 * radius
-    a_hat, b_hat = gm.estimate_condition_constants(
-        objective, 2.0, objective.exponent, radius, 2000,
-        gm.sub_seed(seed, "analysis"), pair_radius=pair_radius)
-    smooth = gm.SmoothnessParams(1.1 * a_hat, 2.0, pair_radius,
-                                 objective.gradient_sup_bound())
-    convex = gm.ConvexityParams(0.9 * b_hat, objective.exponent, pair_radius)
-    return gm.rate_constants(objective, objective.known_minimizer, support_size,
-                             smooth, convex, 1.0)
+def powersum_constants(objective: gm.PowerSum, dictionary: gm.Dictionary,
+                       seed: int) -> gm.RateConstants:
+    """The rate constants the CLI derives for this problem under config ``seed``."""
+    cfg = gm.config_from_mapping({
+        "name": "fixture", "dimension": objective.dimension, "seed": seed,
+        "objective.type": "power_sum", "objective.exponent": objective.exponent,
+        "objective.center_sparsity": 0})
+    rc, reason = gm.derive_constants(cfg, objective, dictionary)
+    assert rc is not None, reason
+    return rc
 
 
 def synth_trace(errors, dim: int = 2) -> IterateTrace:

@@ -63,7 +63,7 @@ def test_criterion_03_per_step_recursion_fixture_suite():
     E, D, coeffs = make_rotated_powersum(seed=16)
     trace = gm.run_omp(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
-    rc = powersum_constants(E, 16, int(np.sum(coeffs != 0)))
+    rc = powersum_constants(E, D, 16)
     report = gm.check_error_recursion(trace, rc, tol=1e-9)
     assert report.violations == 0
     checked += len(report.ks)
@@ -75,7 +75,7 @@ def test_criterion_04_polynomial_rate_power_sum():
     E, D, coeffs = make_rotated_powersum(seed=16, n=50, s=3)
     trace = gm.run_omp(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
-    rc = powersum_constants(E, 16, 3)
+    rc = powersum_constants(E, D, 16)
     assert rc.convex_exponent == 4.0 and rc.smooth_exponent == 2.0
     for step in trace:
         if step.k >= 2:

@@ -60,7 +60,7 @@ def test_moduli_condition_consistency_known_alpha():
     rng = np.random.default_rng(3)
     for E in (gm.DiagonalQuadratic(rng.standard_normal(4), rng.uniform(0.5, 2, 4)),
               gm.LeastSquares(rng.standard_normal((7, 4)), rng.standard_normal(7))):
-        alpha = E.known_smoothness.alpha
+        alpha = E.known_params[0].alpha
         est = estimate_moduli(E, 2.0, HALVING_GRID, 50, 5, seed=4)
         assert np.all(est.rho <= alpha * est.u_grid ** 2 + 1e-9)
 
@@ -276,7 +276,7 @@ def test_recursion_check_power_sum_fixture():
     tr = gm.run_omp(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200,
         inner=gm.InnerConfig(max_inner_iters=3000)))
-    rc = powersum_constants(E, 16, int(np.sum(coeffs != 0)))
+    rc = powersum_constants(E, D, 16)
     report = check_error_recursion(tr, rc)
     assert report.violations == 0 and report.min_margin >= 0
 
@@ -378,7 +378,7 @@ def test_distance_bound_power_sum_fixture():
     E, D, coeffs = make_rotated_powersum(seed=16)
     tr = gm.run_omp(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
-    rc = powersum_constants(E, 16, int(np.sum(coeffs != 0)))
+    rc = powersum_constants(E, D, 16)
     for step in tr:
         assert step.dist <= distance_bound(rc, step.error) + 1e-8
 

@@ -86,8 +86,10 @@ def test_run_config_errors_exit_1(tmp_path, capsys):
     ("objective.rows = 10", "objective.rows"),
     ("objective.weights = 2.0", "objective.weights"),
     ("objective.center = " + str([1.0] * 40), "objective.center"),
+    ("objective.center_low = NaN", "objective.center_low"),
+    ("analysis.sample_count = 0", "analysis.sample_count"),
 ], ids=["typo", "bool-dimension", "bool-max-steps", "rows-on-quadratic",
-        "weights-with-range", "center-with-sparsity"])
+        "weights-with-range", "center-with-sparsity", "nan-center-low", "zero-sample-count"])
 def test_bad_key_exits_1_naming_it(quad_cfg, capsys, line, key):
     path, out = quad_cfg
     path.write_text(path.read_text() + line + "\n")
@@ -105,6 +107,15 @@ def test_moduli_unbounded_level_set_names_objective_type(tmp_path, capsys):
     assert main(["--quiet", "run", str(cfg)]) == 0
     assert main(["--quiet", "moduli", str(cfg)]) == 1
     assert "least_squares" in capsys.readouterr().err
+
+
+def test_moduli_origin_minimizer_names_the_point_level_set(quad_cfg, capsys):
+    path, _ = quad_cfg
+    path.write_text(path.read_text() + "objective.center_sparsity = 0\n")
+    assert main(["--quiet", "moduli", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: moduli:") and "single point 0" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,extra,report", [

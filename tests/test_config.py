@@ -117,6 +117,10 @@ def test_removed_l_mode_key_is_rejected():
 LSQ_MAPPING = {"name": "lsq", "dimension": 10, "seed": 2, "objective.type": "least_squares",
                "objective.rows": 20, "objective.center_sparsity": 2}
 
+# an explicit 2-point center, so objective.center can be set
+CENTER_TEXT = "name = c\ndimension = 2\nobjective.type = diagonal_quadratic\n"
+OVERRIDES = {"analysis.beta": 1.0, "analysis.radius": 1.0, "analysis.grad_bound": 1.0}
+
 REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_points",
                 "analysis.alpha_safety", "analysis.beta_safety", "analysis.omega_radius")
 
@@ -130,9 +134,22 @@ REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_
     (None, {"objective.weights": 2.0}, "objective.weights"),
     (QUAD_TEXT, {"objective.center": [1.0] * 20}, "objective.center"),   # conflicting pairs
     (QUAD_TEXT, {"objective.weights": 2.0}, "objective.weights"),
+    (QUAD_TEXT, {"objective.center_low": float("nan")}, "objective.center_low"),  # non-finite
+    (QUAD_TEXT, {"analysis.alpha": float("nan")} | OVERRIDES, "analysis.alpha"),
+    (CENTER_TEXT, {"objective.center": [float("nan"), 1.0]}, "objective.center"),
+    (CENTER_TEXT, {"objective.center": [1.0, 0.0], "objective.weights": float("inf")},
+     "objective.weights"),
+    (QUAD_TEXT, {"objective.type": "power_sum", "objective.exponent": float("inf")},
+     "objective.exponent"),
+    (QUAD_TEXT, {"analysis.u_grid": [0.5, float("inf")]}, "analysis.u_grid"),
+    (QUAD_TEXT, {"analysis.sample_count": 0}, "analysis.sample_count"),  # out of range
+    (QUAD_TEXT, {"analysis.lambda_grid_size": 1}, "analysis.lambda_grid_size"),
+    (QUAD_TEXT, {"analysis.u_grid": []}, "analysis.u_grid"),
 ], ids=[*REMOVED_KEYS, "typo", "bool-dimension", "bool-max-steps", "bool-stop-tol",
         "exponent-on-quadratic", "weights-on-least-squares", "center-with-sparsity",
-        "weights-with-range"])
+        "weights-with-range", "nan-center-low", "nan-alpha", "nan-center", "inf-weights",
+        "inf-exponent", "inf-u-grid", "zero-sample-count",
+        "one-lambda", "empty-u-grid"])
 def test_bad_key_names_itself(base, extra, key):
     data = LSQ_MAPPING if base is None else parse_config_text(base)
     with pytest.raises(ConfigError, match="^" + re.escape(key) + "[:,]"):

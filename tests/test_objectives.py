@@ -223,15 +223,15 @@ def test_least_squares_flags_ambiguous_restricted_minimizer():
 def test_level_set_geometry_bounds():
     rng = np.random.default_rng(16)
     for E in _library(seed=17):
-        if E.known_minimizer is None or E.level_set_radius() is None:
+        if E.known_minimizer is None or E.level_set_diameter() is None:
             continue
-        r = E.level_set_radius()
+        r = E.level_set_diameter() / 2.0
         e0 = E.value(np.zeros(E.dimension))
         m0 = E.gradient_sup_bound()
         for _ in range(200):
             x = gm.uniform_ball(rng, E.dimension, 3.0)
             if E.value(x) <= e0:
-                assert gm.norm(x) <= r + 1e-9
+                assert gm.norm(x - E.known_minimizer) <= r + 1e-9
                 assert gm.norm(E.gradient(x)) <= m0 + 1e-9
 
 
@@ -249,7 +249,7 @@ def test_monte_carlo_diameter_vs_closed_form():
 def test_monte_carlo_gradient_bound():
     rng = np.random.default_rng(20)
     E = gm.DiagonalQuadratic(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
-    r = E.level_set_radius()
+    r = gm.norm(E.known_minimizer) + E.level_set_diameter() / 2.0
     est = gm.estimate_gradient_bound(E, r, 500, seed=21)
     for _ in range(200):
         x = gm.uniform_ball(rng, 5, r)

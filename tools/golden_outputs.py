@@ -39,20 +39,28 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 VARIANTS = ["omp", "wcga:t=0.5,strategy=first_admissible",
             "wcga:t=0.7,strategy=random_admissible"]
 
-# label -> (base config, extra config lines)
+# label -> (base config, extra config lines, commands run on it)
 DERIVED = {
     "quadratic_wcga": ("quadratic", "solver.algorithm = wcga\n"
                                     "solver.weakness = [1.0, 0.5, 0.8]\n"
-                                    "solver.selection_strategy = random_admissible\n"),
+                                    "solver.selection_strategy = random_admissible\n",
+                       ("run",)),
     # overstated curvature: the claimed contraction cannot hold (exit 2)
     "quadratic_overstated": ("quadratic", "analysis.alpha = 1.0\nanalysis.beta = 4.0\n"
                                           "analysis.radius = 50.0\n"
-                                          "analysis.grad_bound = 10.0\n"),
-    # minimizer at the origin: the constants are skipped
-    "quadratic_origin": ("quadratic", "objective.center_sparsity = 0\n"),
+                                          "analysis.grad_bound = 10.0\n",
+                             ("run", "compare")),
+    # minimizer at the origin: the constants are skipped, moduli has nothing to sample
+    "quadratic_origin": ("quadratic", "objective.center_sparsity = 0\n",
+                         ("run", "moduli", "compare")),
     "powersum_override": ("powersum", "analysis.alpha = 2.0e7\nanalysis.beta = 1.0e-4\n"
                                       "analysis.radius = 10.0\n"
-                                      "analysis.grad_bound = 1.0e4\n"),
+                                      "analysis.grad_bound = 1.0e4\n",
+                          ("run",)),
+    # p = 2: the exact span solve and sampled constants at the objective's exponent
+    "powersum_p2": ("powersum", "objective.exponent = 2\nanalysis.p = 2.0\n", ("run",)),
+    # wide matrix: no closed-form level-set diameter
+    "least_squares_wide": ("least_squares", "objective.rows = 20\n", ("run", "moduli")),
 }
 
 
@@ -64,12 +72,12 @@ def commands(cfg_dir: Path) -> list[tuple[str, list[str]]]:
         out += [(f"run-{name}", ["run", path]),
                 (f"moduli-{name}", ["moduli", path]),
                 (f"compare-{name}", ["compare", path, "--algs", *VARIANTS])]
-    for label, (base, extra) in DERIVED.items():
+    for label, (base, extra, cmds) in DERIVED.items():
         path = cfg_dir / f"{label}.cfg"
         path.write_text((CONFIGS / f"{base}.cfg").read_text() + extra)
-        out.append((f"run-{label}", ["run", str(path)]))
-        if label in ("quadratic_overstated", "quadratic_origin"):
-            out.append((f"compare-{label}", ["compare", str(path), "--algs", *VARIANTS]))
+        for cmd in cmds:
+            algs = ["--algs", *VARIANTS] if cmd == "compare" else []
+            out.append((f"{cmd}-{label}", [cmd, str(path), *algs]))
     for rows, cols, sparsity, seed in ((50, 200, 4, 7), (16, 16, 0, 2)):
         out.append((f"demo-cs-{rows}x{cols}-s{sparsity}-seed{seed}",
                     ["demo-cs", "--rows", str(rows), "--cols", str(cols),
