@@ -5,11 +5,10 @@ the greedy error sequence e_k = E(x_k) - E(xbar):
 
 * sampled moduli of smoothness / uniform convexity of E on a ball,
 * the constants of the per-step error recursion
-  e_k <= e_{k-1} * (1 - (gain/scale) * t_k^(q/(q-1)) * e_{k-1}^eta),
-  with eta = (p-q)/((q-1)p),
-* closed-form bounds for any sequence satisfying such a recursion, and
-  their specialization to the greedy traces (polynomial for q < p,
-  geometric for p = q = 2),
+  e_k <= e_{k-1} * (1 - (gain/scale) * t_k^(q/(q-1)) * e_{k-1}^ell),
+  stated once by ``RateConstants.recursion``,
+* a closed-form bound for any sequence satisfying such a recursion; the
+  greedy bounds are this generic bound at ``rc.recursion``,
 * empirical rate fitting for comparing observed and guaranteed decay.
 
 Sup-type estimates (rho, rho1) are certified lower bounds of the true
@@ -185,15 +184,11 @@ def decrement_gain(grad_bound: float, radius: float, alpha: float, q: float) -> 
 
 @dataclass(frozen=True)
 class RateConstants:
-    """Everything needed to evaluate the per-step recursion and the rate bounds.
+    """The curvature constants and the per-step error recursion they imply.
 
-    The recursion reads
-      e_k <= e_{k-1} * (1 - (gain/scale) * t_k^(q/(q-1)) * e_{k-1}^eta)
-    with eta = (p-q)/((q-1)p).  For q < p the closed-form bound is
-      e_k <= poly_scale * (s' / (poly_offset*s' + gain*T_k))^(p(q-1)/(p-q)),
-    s' = support_size^(q/(2(q-1))), T_k = sum_{j=2..k} t_j^(q/(q-1));
-    for p = q = 2 it collapses to initial_gap * prod (1 - contraction_gain/
-    support_size * t_j^2), a geometric decay when t is constant.
+    Every bound on the greedy errors is the sequence bound at ``recursion``.
+    The report also prints the closed-form constants of that bound: the
+    contraction properties for p = q = 2, the poly properties for q < p.
     """
 
     alpha: float
@@ -208,22 +203,50 @@ class RateConstants:
     initial_gap: float
     gain: float
     scale: float
-    contraction_gain: float | None = None
-    contraction_factor: float | None = None
-    poly_scale: float | None = None
-    poly_offset: float | None = None
+
+    @property
+    def ell(self) -> float:
+        """Exponent (p-q)/(p(q-1)) of e_{k-1} in the recursion, 0 for p = q = 2."""
+        p, q = self.convex_exponent, self.smooth_exponent
+        return (p - q) / (p * (q - 1.0))
 
     @property
     def is_exponential(self) -> bool:
-        return self.contraction_factor is not None
+        return self.ell == 0.0
 
     @property
     def theoretical_slope(self) -> float | None:
         """Guaranteed power-law exponent of e_k, None in the geometric case."""
-        p, q = self.convex_exponent, self.smooth_exponent
-        if self.is_exponential:
-            return None
-        return -p * (q - 1.0) / (p - q)
+        return None if self.is_exponential else -1.0 / self.ell
+
+    def recursion(self, k: int, schedule: WeaknessSchedule | None = None
+                  ) -> SequenceBoundInput:
+        """The recursion through step k; ``schedule`` gives t_j, t = 1 without one."""
+        qq = self.smooth_exponent / (self.smooth_exponent - 1.0)
+        weights = tuple((1.0 if schedule is None else schedule.t(j)) ** qq
+                        for j in range(2, k + 1))
+        return SequenceBoundInput(self.initial_gap, self.scale / self.gain, self.ell, weights)
+
+    @property
+    def contraction_gain(self) -> float:
+        return self.support_size * self.gain / self.scale
+
+    @property
+    def contraction_factor(self) -> float:
+        return 1.0 - self.gain / self.scale
+
+    @property
+    def poly_scale(self) -> float:
+        return max(1.0, self.ell ** (-1.0 / self.ell)) * self._per_atom ** (1.0 / self.ell)
+
+    @property
+    def poly_offset(self) -> float:
+        return self._per_atom * self.initial_gap ** (-self.ell)
+
+    @property
+    def _per_atom(self) -> float:
+        q = self.smooth_exponent
+        return self.scale / self.support_size ** (q / (2.0 * (q - 1.0)))
 
 
 def rate_constants(objective: Objective, minimizer: Vector, support_size: int,
@@ -253,27 +276,16 @@ def rate_constants(objective: Objective, minimizer: Vector, support_size: int,
     qq = q / (q - 1.0)
     per_atom = alpha ** (1.0 / (q - 1.0)) * geom ** (-qq)
     scale = support_size ** (qq / 2.0) * per_atom
-    kwargs: dict = {}
-    if p == q == 2.0:
-        contraction_gain = 4.0 * beta_global * gain / alpha
-        factor = 1.0 - contraction_gain / support_size
-        if factor <= 0.0:
-            raise ValueError(
-                f"bound vacuous: contraction factor {factor:g} not in (0, 1)")
-        kwargs.update(contraction_gain=contraction_gain, contraction_factor=factor)
-    else:
-        ell = (p - q) / (p * (q - 1.0))
-        kwargs.update(
-            poly_scale=max(1.0, ell ** (-1.0 / ell)) * per_atom ** (1.0 / ell),
-            poly_offset=per_atom * initial_gap ** (-ell),
-        )
+    if p == q == 2.0 and gain >= scale:
+        raise ValueError(
+            f"bound vacuous: contraction factor {1.0 - gain / scale:g} not in (0, 1)")
     return RateConstants(alpha=alpha, smooth_exponent=q, beta=beta,
                          convex_exponent=p, radius=radius,
                          grad_bound=smoothness.grad_bound,
                          support_size=int(support_size),
                          diameter_ratio=float(diameter_ratio),
                          beta_global=beta_global, initial_gap=initial_gap,
-                         gain=gain, scale=scale, **kwargs)
+                         gain=gain, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +307,8 @@ class SequenceBoundInput:
             raise ValueError("start_bound must be positive")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-        if not self.exponent > 0:
-            raise ValueError("exponent must be positive")
+        if not self.exponent >= 0:
+            raise ValueError("exponent must be nonnegative")
         if any(g < 0 for g in self.gains):
             raise ValueError("gains must be nonnegative")
 
@@ -305,13 +317,17 @@ def recursive_sequence_bound(inp: SequenceBoundInput, m: int) -> float:
     """Closed-form bound on the m-th term of the recursive sequence.
 
     max(1, ell^(-1/ell)) * scale^(1/ell)
-        * (scale * start_bound^(-ell) + sum of gains through step m)^(-1/ell)
+        * (scale * start_bound^(-ell) + sum of gains through step m)^(-1/ell),
+    or start_bound * prod (1 - gain/scale) when the exponent ell is 0.
     """
     if m < 2:
         raise ValueError("bound applies from the second term on")
     if len(inp.gains) < m - 1:
         raise ValueError(f"need gains through step {m}, got {len(inp.gains) + 1}")
     ell = inp.exponent
+    if ell == 0.0:
+        factors = (1.0 - g / inp.scale for g in inp.gains[:m - 1])
+        return math.prod(factors, start=inp.start_bound)
     acc = inp.scale * inp.start_bound ** (-ell) + math.fsum(inp.gains[:m - 1])
     return max(1.0, ell ** (-1.0 / ell)) * inp.scale ** (1.0 / ell) * acc ** (-1.0 / ell)
 
@@ -344,10 +360,7 @@ def check_error_recursion(trace: IterateTrace, rc: RateConstants,
     ``schedule`` supplies the weakness parameters of a WCGA run; omit it for
     OMP (t = 1).  Violations are reported, not raised.
     """
-    p, q = rc.convex_exponent, rc.smooth_exponent
-    eta = (p - q) / ((q - 1.0) * p)
-    qq = q / (q - 1.0)
-    base = rc.gain / rc.scale
+    rec = rc.recursion(trace.final.k, schedule)
     ks: list[int] = []
     margins: list[float] = []
     prev = None
@@ -355,8 +368,7 @@ def check_error_recursion(trace: IterateTrace, rc: RateConstants,
         if step.error is None:
             raise ValueError("recursion check needs error data (known minimizer)")
         if prev is not None and step.k >= 2:
-            t = schedule.t(step.k) if schedule is not None else 1.0
-            factor = 1.0 - base * t ** qq * prev ** eta
+            factor = 1.0 - (rec.gains[step.k - 2] / rec.scale) * prev ** rec.exponent
             ks.append(step.k)
             margins.append(prev * factor + tol - step.error)
         prev = step.error
@@ -365,31 +377,14 @@ def check_error_recursion(trace: IterateTrace, rc: RateConstants,
 
 def error_bound(rc: RateConstants, k: int,
                 schedule: WeaknessSchedule | None = None) -> float:
-    """Guaranteed bound on e_k for k >= 2 under the derived constants.
+    """Guaranteed bound on e_k for k >= 2: the sequence bound at rc.recursion.
 
-    Without a schedule this is the pure-greedy bound; a schedule weights
-    each step by t_j^(q/(q-1)) (polynomial case) or shrinks the geometric
-    factor to 1 - contraction_gain/support * t_j^2 (p = q = 2).
+    ``schedule`` supplies the weakness parameters of a WCGA run; omit it for
+    OMP (t = 1).
     """
     if k < 2:
         raise ValueError("bound applies from step 2 on")
-    q = rc.smooth_exponent
-    qq = q / (q - 1.0)
-    if rc.is_exponential:
-        if schedule is None:
-            return rc.initial_gap * rc.contraction_factor ** (k - 1)
-        out = rc.initial_gap
-        for j in range(2, k + 1):
-            out *= 1.0 - (rc.contraction_gain / rc.support_size) * schedule.t(j) ** 2
-        return out
-    p = rc.convex_exponent
-    if schedule is None:
-        weight_sum = float(k - 1)
-    else:
-        weight_sum = math.fsum(schedule.t(j) ** qq for j in range(2, k + 1))
-    s_pow = rc.support_size ** (qq / 2.0)
-    expo = p * (q - 1.0) / (p - q)
-    return rc.poly_scale * (s_pow / (rc.poly_offset * s_pow + rc.gain * weight_sum)) ** expo
+    return recursive_sequence_bound(rc.recursion(k, schedule), k)
 
 
 @dataclass

@@ -247,6 +247,9 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         if analysis.get(key, low) < low:
             raise ConfigError(f"analysis.{key}: must be >= {low}, got {analysis[key]}")
     overrides = [k for k in ("alpha", "beta", "radius", "grad_bound") if k in analysis]
+    for key in overrides:
+        if not analysis[key] > 0:
+            raise ConfigError(f"analysis.{key}: must be positive, got {analysis[key]}")
     if 0 < len(overrides) < 4:
         raise ConfigError("analysis.alpha/beta/radius/grad_bound: "
                           "explicit curvature overrides must be given together")

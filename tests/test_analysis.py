@@ -232,6 +232,20 @@ def test_sequence_bound_validation():
         recursive_sequence_bound(inp, 3)
     with pytest.raises(ValueError):
         SequenceBoundInput(0.0, 1.0, 1.0, ())
+    with pytest.raises(ValueError, match="exponent"):
+        SequenceBoundInput(1.0, 1.0, -0.5, ())
+    # exponent 0: the geometric recursion, bounded by its product of factors
+    rng = np.random.default_rng(77)
+    start, scale = 3.0, 2.5
+    gains = rng.uniform(0.0, 2.0, size=60)
+    inp = SequenceBoundInput(start, scale, 0.0, tuple(gains))
+    a = start * rng.uniform(0.5, 1.0)
+    for m in range(2, 61):
+        expected = start * np.prod(1.0 - gains[:m - 1] / scale)
+        assert np.isclose(recursive_sequence_bound(inp, m), expected,
+                          rtol=1e-13, atol=0.0)
+        a = a * (1.0 - gains[m - 2] / scale) * rng.uniform(0.5, 1.0)
+        assert a <= recursive_sequence_bound(inp, m) * (1 + 1e-12)
 
 
 # -- recursion / bounds on traces ------------------------------------------------
@@ -316,8 +330,7 @@ def test_verify_trace_matches_direct_checks():
 def test_error_bound_exponential_example():
     _, _, rc = _quad_run()
     from dataclasses import replace
-    rc2 = replace(rc, initial_gap=4.5, contraction_gain=0.5 * rc.support_size,
-                  contraction_factor=0.5)
+    rc2 = replace(rc, initial_gap=4.5, gain=0.5 * rc.scale)
     assert np.isclose(error_bound(rc2, 3), 1.125, rtol=1e-12)
     with pytest.raises(ValueError, match="step 2"):
         error_bound(rc2, 1)
@@ -372,6 +385,18 @@ def test_error_bound_matches_generic_sequence_bound():
     for k in (2, 3, 10, 100):
         assert np.isclose(error_bound(rc, k, sched),
                           recursive_sequence_bound(inp_w, k), rtol=1e-12)
+    # p = q = 2: the geometric closed form, contraction 4*beta_global*gain/(alpha*s)
+    # per step, scaled by t_j^2 under a schedule
+    _, _, rc = _quad_run(seed=5)
+    shrink = 4.0 * rc.beta_global * rc.gain / (rc.alpha * rc.support_size)
+    assert 0.0 < shrink < 1.0
+    for k in (2, 3, 10, 30):
+        assert np.isclose(error_bound(rc, k), rc.initial_gap * (1.0 - shrink) ** (k - 1),
+                          rtol=1e-13)
+        product = rc.initial_gap
+        for j in range(2, k + 1):
+            product *= 1.0 - shrink * sched.t(j) ** 2
+        assert np.isclose(error_bound(rc, k, sched), product, rtol=1e-13)
 
 
 def test_distance_bound_power_sum_fixture():

@@ -79,6 +79,9 @@ def test_run_config_errors_exit_1(tmp_path, capsys):
     assert main(["--quiet", "run", str(tmp_path / "missing.cfg")]) == 1
 
 
+OVERRIDE_LINES = "analysis.beta = 1\nanalysis.radius = 1\nanalysis.grad_bound = 1\n"
+
+
 @pytest.mark.parametrize("line,key", [
     ("solver.max_step = 3", "solver.max_step"),
     ("dimension = true", "dimension"),
@@ -88,8 +91,11 @@ def test_run_config_errors_exit_1(tmp_path, capsys):
     ("objective.center = " + str([1.0] * 40), "objective.center"),
     ("objective.center_low = NaN", "objective.center_low"),
     ("analysis.sample_count = 0", "analysis.sample_count"),
+    ("analysis.alpha = -1\n" + OVERRIDE_LINES, "analysis.alpha"),
+    (OVERRIDE_LINES + "analysis.alpha = 1\nanalysis.radius = 0", "analysis.radius"),
 ], ids=["typo", "bool-dimension", "bool-max-steps", "rows-on-quadratic",
-        "weights-with-range", "center-with-sparsity", "nan-center-low", "zero-sample-count"])
+        "weights-with-range", "center-with-sparsity", "nan-center-low", "zero-sample-count",
+        "negative-alpha", "zero-radius"])
 def test_bad_key_exits_1_naming_it(quad_cfg, capsys, line, key):
     path, out = quad_cfg
     path.write_text(path.read_text() + line + "\n")

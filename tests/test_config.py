@@ -145,11 +145,18 @@ REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_
     (QUAD_TEXT, {"analysis.sample_count": 0}, "analysis.sample_count"),  # out of range
     (QUAD_TEXT, {"analysis.lambda_grid_size": 1}, "analysis.lambda_grid_size"),
     (QUAD_TEXT, {"analysis.u_grid": []}, "analysis.u_grid"),
+    (QUAD_TEXT, {"analysis.alpha": -1.0} | OVERRIDES, "analysis.alpha"),  # nonpositive curvature
+    (QUAD_TEXT, {"analysis.alpha": 1.0} | OVERRIDES | {"analysis.beta": 0.0}, "analysis.beta"),
+    (QUAD_TEXT, {"analysis.alpha": 1.0} | OVERRIDES | {"analysis.radius": 0.0},
+     "analysis.radius"),
+    (QUAD_TEXT, {"analysis.alpha": 1.0} | OVERRIDES | {"analysis.grad_bound": -2.0},
+     "analysis.grad_bound"),
 ], ids=[*REMOVED_KEYS, "typo", "bool-dimension", "bool-max-steps", "bool-stop-tol",
         "exponent-on-quadratic", "weights-on-least-squares", "center-with-sparsity",
         "weights-with-range", "nan-center-low", "nan-alpha", "nan-center", "inf-weights",
         "inf-exponent", "inf-u-grid", "zero-sample-count",
-        "one-lambda", "empty-u-grid"])
+        "one-lambda", "empty-u-grid", "negative-alpha", "zero-beta", "zero-radius",
+        "negative-grad-bound"])
 def test_bad_key_names_itself(base, extra, key):
     data = LSQ_MAPPING if base is None else parse_config_text(base)
     with pytest.raises(ConfigError, match="^" + re.escape(key) + "[:,]"):

@@ -45,6 +45,11 @@ DERIVED = {
                                     "solver.weakness = [1.0, 0.5, 0.8]\n"
                                     "solver.selection_strategy = random_admissible\n",
                        ("run",)),
+    # q < p with a schedule: the t_j^(q/(q-1))-weighted polynomial bound
+    "powersum_wcga": ("powersum", "solver.algorithm = wcga\n"
+                                  "solver.weakness = [1.0, 0.5, 0.8]\n"
+                                  "solver.selection_strategy = first_admissible\n",
+                      ("run",)),
     # overstated curvature: the claimed contraction cannot hold (exit 2)
     "quadratic_overstated": ("quadratic", "analysis.alpha = 1.0\nanalysis.beta = 4.0\n"
                                           "analysis.radius = 50.0\n"
