@@ -97,26 +97,22 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
         y /= np.linalg.norm(y)
         samples.append((x, y, objective.value(x)))
 
-    rho = np.empty_like(u)
-    rho1 = np.empty_like(u)
-    delta1 = np.empty_like(u)
+    # One value call per sample and u, on the stencil rows x + c*y with
+    # c = u, -u, -l*u..., (1-l)*u...; x + (-(l*u))*y has the bits of x - l*u*y.
+    lam = np.asarray(lambdas)
+    rho = np.full_like(u, -np.inf)
+    rho1 = np.full_like(u, -np.inf)
+    delta1 = np.full_like(u, np.inf)
     for i, ui in enumerate(u):
-        second_best = -np.inf
-        hi = -np.inf
-        lo = np.inf
+        steps = np.concatenate(([ui, -ui], -(lam * ui), (1.0 - lam) * ui))[:, None]
         for x, y, ex in samples:
-            second = 0.5 * (objective.value(x + ui * y)
-                            + objective.value(x - ui * y) - 2.0 * ex)
-            second_best = max(second_best, second)
-            for lam in lambdas:
-                a = objective.value(x - lam * ui * y)
-                b = objective.value(x + (1.0 - lam) * ui * y)
-                q = ((1.0 - lam) * a + lam * b - ex) / (lam * (1.0 - lam))
-                hi = max(hi, q)
-                lo = min(lo, q)
-        rho[i] = second_best
-        rho1[i] = hi
-        delta1[i] = lo
+            vals = objective.value(x + steps * y)
+            second = 0.5 * (vals[0] + vals[1] - 2.0 * ex)
+            a, b = vals[2:].reshape(2, -1)
+            q = ((1.0 - lam) * a + lam * b - ex) / (lam * (1.0 - lam))
+            rho[i] = np.maximum(rho[i], second)
+            rho1[i] = np.maximum(rho1[i], q.max())
+            delta1[i] = np.minimum(delta1[i], q.min())
     return ModulusEstimate(u, rho, rho1, delta1, sample_count, int(seed))
 
 

@@ -1,9 +1,9 @@
 """Vector arithmetic, parameter records, and the per-step solver trace.
 
 Everything here treats a point of the ambient space as a dense 1-D float64
-array.  The ambient dimension is finite and fixed per experiment; tests
-confirm that padding a problem with inactive coordinates does not change
-any result.
+array, and a stack of points as a 2-D array with one point per row.  The
+ambient dimension is finite and fixed per experiment; tests confirm that
+padding a problem with inactive coordinates does not change any result.
 """
 from __future__ import annotations
 
@@ -25,10 +25,21 @@ def as_point(x, dim: int | None = None) -> Vector:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {a.shape}")
+    return as_points(a, dim)
+
+
+def as_points(x, dim: int | None = None) -> Vector:
+    """Coerce a point (n,) or a stack of points (m, n) to finite float64.
+
+    With ``dim`` the last axis must have that length.
+    """
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a point (n,) or a stack (m, n), got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("point has non-finite entries")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[0]}")
+    if dim is not None and a.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[-1]}")
     return a
 
 

@@ -396,10 +396,9 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if sparsity:
         ratios = []
         for _ in range(1000):
-            z = np.zeros(cols)
             zi = rng.choice(cols, size=sparsity, replace=False)
-            z[zi] = rng.standard_normal(sparsity)
-            Az = A @ z
+            z = rng.standard_normal(sparsity)
+            Az = A[:, zi] @ z
             ratios.append(float(np.dot(Az, Az) / np.dot(z, z)))
         rip_low, rip_high = min(ratios), max(ratios)
 

@@ -3,7 +3,9 @@
 Each objective exposes ``value``/``gradient`` plus optional capability hooks
 the solver and the experiment harness exploit when available: a diagonal
 Hessian, an exact minimizer over a span, and closed-form geometry of the
-level set {x : E(x) <= E(0)}.
+level set {x : E(x) <= E(0)}.  ``value`` and ``gradient`` also take a stack
+of points, one per row, and give each row exactly the bits of a call on that
+row alone, so the Monte Carlo estimators evaluate a whole stencil per call.
 """
 from __future__ import annotations
 
@@ -12,11 +14,18 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import ConvexityParams, SmoothnessParams, Vector, as_point, inner, norm
+from .core import ConvexityParams, SmoothnessParams, Vector, as_point, as_points, norm
 
 
 class Objective(ABC):
     """A convex function on R^n with a computable gradient.
+
+    ``value`` and ``gradient`` take one point of shape (n,) or a stack of
+    shape (m, n).  ``value`` returns a Python float for a point and an (m,)
+    array for a stack; ``gradient`` returns the shape it was given.  Row i of
+    a stack result is bit-identical to the call on row i alone.  A subclass
+    passed to ``estimate_moduli`` or ``estimate_condition_constants`` must
+    honour the stack shape: both evaluate whole stencils in one call.
 
     ``exponent`` is the power type p of its uniform convexity, and
     ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
@@ -47,7 +56,7 @@ class Objective(ABC):
                 ConvexityParams(beta, self.exponent, diam))
 
     @abstractmethod
-    def value(self, x: Vector) -> float:
+    def value(self, x: Vector) -> float | Vector:
         ...
 
     @abstractmethod
@@ -93,12 +102,12 @@ class DiagonalQuadratic(Objective):
         self._e0 = self.value(np.zeros(self.dimension))
         self.curvature = (float(weights.max()) / 2.0, float(weights.min()) / 2.0)
 
-    def value(self, x: Vector) -> float:
-        d = as_point(x, self.dimension) - self.center
-        return 0.5 * float(np.dot(self.weights * d, d))
+    def value(self, x: Vector) -> float | Vector:
+        d = as_points(x, self.dimension) - self.center
+        return _per_point(0.5 * np.vecdot(self.weights * d, d))
 
     def gradient(self, x: Vector) -> Vector:
-        return self.weights * (as_point(x, self.dimension) - self.center)
+        return self.weights * (as_points(x, self.dimension) - self.center)
 
     def hessian_diag(self, x: Vector) -> Vector:
         return self.weights
@@ -148,12 +157,14 @@ class LeastSquares(Objective):
         b = np.loadtxt(rhs_file, delimiter=",", dtype=np.float64).reshape(-1)
         return cls(A, b)
 
-    def value(self, x: Vector) -> float:
-        r = self.A @ as_point(x, self.dimension) - self.b
-        return float(np.dot(r, r))
+    # np.matvec gives each row of a stack the bits of A @ x; X @ A.T does not
+    def value(self, x: Vector) -> float | Vector:
+        r = np.matvec(self.A, as_points(x, self.dimension)) - self.b
+        return _per_point(np.vecdot(r, r))
 
     def gradient(self, x: Vector) -> Vector:
-        return 2.0 * (self.A.T @ (self.A @ as_point(x, self.dimension) - self.b))
+        r = np.matvec(self.A, as_points(x, self.dimension)) - self.b
+        return 2.0 * np.matvec(self.A.T, r)
 
     def argmin_in_span(self, basis: np.ndarray) -> Vector:
         z, _, rank, _ = np.linalg.lstsq(self.A @ basis, self.b, rcond=None)
@@ -195,12 +206,12 @@ class PowerSum(Objective):
         self.known_minimizer = center.copy()
         self._e0 = self.value(np.zeros(self.dimension))
 
-    def value(self, x: Vector) -> float:
-        d = as_point(x, self.dimension) - self.center
-        return float(np.sum(self.weights * np.abs(d) ** self.exponent))
+    def value(self, x: Vector) -> float | Vector:
+        d = as_points(x, self.dimension) - self.center
+        return _per_point(np.sum(self.weights * np.abs(d) ** self.exponent, axis=-1))
 
     def gradient(self, x: Vector) -> Vector:
-        d = as_point(x, self.dimension) - self.center
+        d = as_points(x, self.dimension) - self.center
         p = self.exponent
         return p * self.weights * np.sign(d) * np.abs(d) ** (p - 1.0)
 
@@ -228,18 +239,26 @@ class PowerSum(Objective):
 # ---------------------------------------------------------------------------
 
 
+def _per_point(values):
+    """A Python float for the 0-d result of one point, the (m,) array of a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def _weighted_argmin(weights: Vector, center: Vector, basis: np.ndarray) -> Vector:
     """Coefficients z minimizing sum_i w_i ((basis z)_i - c_i)^2 (normal equations)."""
     wb = weights[:, None] * basis
     return np.linalg.solve(basis.T @ wb, wb.T @ center)
 
 
-def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float:
-    """E(x') - E(x) - <E'(x), x' - x>; nonnegative exactly when E is convex."""
-    x = as_point(x, objective.dimension)
-    x_prime = as_point(x_prime, objective.dimension)
-    return (objective.value(x_prime) - objective.value(x)
-            - inner(objective.gradient(x), x_prime - x))
+def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vector:
+    """E(x') - E(x) - <E'(x), x' - x>; nonnegative exactly when E is convex.
+
+    Stacks x, x' of shape (m, n) give the (m,) gaps of their rows.
+    """
+    x = as_points(x, objective.dimension)
+    x_prime = as_points(x_prime, objective.dimension)
+    return _per_point(objective.value(x_prime) - objective.value(x)
+                      - np.vecdot(objective.gradient(x), x_prime - x))
 
 
 def check_gradient(objective: Objective, x: Vector, step: float = 1e-5) -> float:
@@ -278,7 +297,8 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
     Every fourth pair is displaced along a coordinate axis instead of a
     random direction: for anisotropic separable objectives the extreme
     curvature lives in single coordinates, which isotropic directions in
-    high dimension essentially never hit.
+    high dimension essentially never hit.  The gaps of each such group of
+    four draws are evaluated as one stack.
     """
     if not 1.0 < q <= 2.0:
         raise ValueError(f"q={q} outside (1, 2]")
@@ -294,21 +314,28 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
     alpha_hat = -np.inf
     beta_hat = np.inf
     used = 0
-    for i in range(sample_count):
-        x = uniform_ball(rng, n, omega_radius)
-        if i % 4 == 3:
-            direction = np.zeros(n)
-            direction[(i // 4) % n] = rng.choice((-1.0, 1.0))
-        else:
-            direction = rng.standard_normal(n)
-            direction /= np.linalg.norm(direction)
-        u = pair_radius * rng.uniform()
-        if u < 1e-12:
+    for group in range(0, sample_count, 4):
+        pairs = []
+        for i in range(group, min(group + 4, sample_count)):
+            x = uniform_ball(rng, n, omega_radius)
+            if i % 4 == 3:
+                direction = np.zeros(n)
+                direction[(i // 4) % n] = rng.choice((-1.0, 1.0))
+            else:
+                direction = rng.standard_normal(n)
+                direction /= np.linalg.norm(direction)
+            u = pair_radius * rng.uniform()
+            if u < 1e-12:
+                continue
+            pairs.append((x, x + u * direction, u))
+        if not pairs:
             continue
-        gap = bregman_gap(objective, x, x + u * direction)
-        alpha_hat = max(alpha_hat, gap / u ** q)
-        beta_hat = min(beta_hat, gap / u ** p)
-        used += 1
+        xs, x_primes, us = zip(*pairs)
+        gaps = bregman_gap(objective, np.stack(xs), np.stack(x_primes))
+        for gap, u in zip(gaps, us):
+            alpha_hat = max(alpha_hat, gap / u ** q)
+            beta_hat = min(beta_hat, gap / u ** p)
+        used += len(pairs)
     if used == 0:
         raise ValueError("all sampled pairs were degenerate")
     return float(alpha_hat), float(beta_hat)

@@ -44,6 +44,36 @@ def powersum_constants(objective: gm.PowerSum, dictionary: gm.Dictionary,
     return rc
 
 
+class CountingObjective(gm.Objective):
+    """Delegates to ``inner`` and counts the ``value``/``gradient`` calls."""
+
+    def __init__(self, inner: gm.Objective):
+        super().__init__(inner.dimension)
+        self.inner = inner
+        self.value_calls = 0
+        self.gradient_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.gradient_calls += 1
+        return self.inner.gradient(x)
+
+
+def stack_library(n: int, seed: int = 0) -> dict[str, gm.Objective]:
+    """The three objective types, the power sum at p = 4 and p = 2, in dimension n."""
+    rng = np.random.default_rng(seed)
+    return {
+        "quadratic": gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n)),
+        "least_squares": gm.LeastSquares(rng.standard_normal((n + 4, n)),
+                                         rng.standard_normal(n + 4)),
+        "powersum4": gm.PowerSum(rng.standard_normal(n), 4.0, rng.uniform(0.5, 2.0, n)),
+        "powersum2": gm.PowerSum(rng.standard_normal(n), 2.0, rng.uniform(0.5, 2.0, n)),
+    }
+
+
 def synth_trace(errors, dim: int = 2) -> IterateTrace:
     """Trace with prescribed error values and placeholder iterates."""
     steps = []

@@ -9,7 +9,8 @@ from greedymin.analysis import (SequenceBoundInput, check_error_recursion,
                                 rate_constants, recursive_sequence_bound, verify_trace)
 from greedymin.objectives import Objective
 
-from conftest import make_rotated_powersum, make_sparse_quadratic, powersum_constants, synth_trace
+from conftest import (CountingObjective, make_rotated_powersum, make_sparse_quadratic,
+                      powersum_constants, stack_library, synth_trace)
 
 
 class ConstantObjective(Objective):
@@ -17,7 +18,8 @@ class ConstantObjective(Objective):
         super().__init__(dimension)
 
     def value(self, x):
-        return 1.0
+        ones = np.ones(np.shape(x)[:-1])
+        return float(ones) if ones.ndim == 0 else ones
 
     def gradient(self, x):
         return np.zeros(self.dimension)
@@ -91,6 +93,55 @@ def test_equivalence_least_squares():
     E = gm.LeastSquares(rng.standard_normal((8, 5)), rng.standard_normal(8))
     est = estimate_moduli(E, 2.0, HALVING_GRID, 60, 7, seed=10)
     assert check_moduli_equivalence(est).passed
+
+
+def _moduli_oracle(objective, s_radius, u_grid, sample_count, lambda_grid_size, seed):
+    """The per-point loops of estimate_moduli, one value call per point."""
+    u = np.asarray(sorted(float(v) for v in u_grid), dtype=np.float64)
+    lambdas = sorted({i / (lambda_grid_size + 1.0)
+                      for i in range(1, lambda_grid_size + 1)} | {0.5})
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(sample_count):
+        x = gm.uniform_ball(rng, objective.dimension, s_radius)
+        y = rng.standard_normal(objective.dimension)
+        y /= np.linalg.norm(y)
+        samples.append((x, y, objective.value(x)))
+    rho = np.empty_like(u)
+    rho1 = np.empty_like(u)
+    delta1 = np.empty_like(u)
+    for i, ui in enumerate(u):
+        second_best = -np.inf
+        hi = -np.inf
+        lo = np.inf
+        for x, y, ex in samples:
+            second = 0.5 * (objective.value(x + ui * y)
+                            + objective.value(x - ui * y) - 2.0 * ex)
+            second_best = max(second_best, second)
+            for lam in lambdas:
+                a = objective.value(x - lam * ui * y)
+                b = objective.value(x + (1.0 - lam) * ui * y)
+                q = ((1.0 - lam) * a + lam * b - ex) / (lam * (1.0 - lam))
+                hi = max(hi, q)
+                lo = min(lo, q)
+        rho[i] = second_best
+        rho1[i] = hi
+        delta1[i] = lo
+    return rho, rho1, delta1
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "least_squares", "powersum4"])
+def test_moduli_match_per_point_oracle(kind):
+    E = stack_library(6, seed=4)[kind]
+    counted = CountingObjective(E)
+    grid = [0.05, 0.1, 0.3, 1.0]
+    est = estimate_moduli(counted, 1.5, grid, 12, 4, seed=23)
+    rho, rho1, delta1 = _moduli_oracle(E, 1.5, grid, 12, 4, 23)
+    assert np.array_equal(est.rho, rho)
+    assert np.array_equal(est.rho1, rho1)
+    assert np.array_equal(est.delta1, delta1)
+    # one value call per sample for E(x), then one per sample and u for the stencil
+    assert counted.value_calls == 12 + 12 * len(grid)
 
 
 def test_equivalence_constant_objective():

@@ -13,6 +13,20 @@ finite_vec = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
                       min_size=1, max_size=12)
 
 
+def test_as_points_shapes():
+    from greedymin.core import as_points
+
+    stack = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(as_points(stack, 3), stack)
+    assert as_points([1.0, 2.0], 2).shape == (2,)
+    with pytest.raises(ValueError, match="or a stack"):
+        as_points(np.ones((2, 2, 3)), 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        as_points(stack, 2)
+    with pytest.raises(ValueError, match="1-D point"):
+        gm.as_point(stack, 3)
+
+
 def test_inner_orthogonal_pair():
     assert gm.inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 

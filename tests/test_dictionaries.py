@@ -35,6 +35,11 @@ def test_round_trip(basis):
         assert np.allclose(basis.synthesize(basis.analyze(x)), x, atol=1e-10)
 
 
+def test_analyze_rejects_stack(basis):
+    with pytest.raises(ValueError, match="1-D point"):
+        basis.analyze(np.ones((3, basis.size)))
+
+
 def test_sparse_synthesize_matches_dense(basis):
     coeffs = {2: 1.5, 7: -0.25}
     dense = np.zeros(basis.size)

@@ -4,6 +4,8 @@ import pytest
 import greedymin as gm
 from greedymin.objectives import bregman_gap, check_gradient, estimate_condition_constants
 
+from conftest import CountingObjective, stack_library
+
 
 def _library(seed=0, n=8):
     rng = np.random.default_rng(seed)
@@ -255,3 +257,89 @@ def test_monte_carlo_gradient_bound():
         x = gm.uniform_ball(rng, 5, r)
         if E.value(x) <= E.value(np.zeros(5)):
             assert gm.norm(E.gradient(x)) <= est * 1.05
+
+
+# -- stacks of points -----------------------------------------------------------
+
+STACK_KINDS = ["quadratic", "least_squares", "powersum4", "powersum2"]
+
+
+@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_stack_rows_bit_identical_to_points(kind, m, n):
+    E = stack_library(n)[kind]
+    rng = np.random.default_rng(m * n)
+    X = 3.0 * rng.standard_normal((m, n))
+    values = E.value(X)
+    assert isinstance(values, np.ndarray) and values.shape == (m,)
+    assert np.array_equal(values, [E.value(row) for row in X])
+    grads = E.gradient(X)
+    assert grads.shape == (m, n)
+    assert np.array_equal(grads, np.stack([E.gradient(row) for row in X]))
+    assert type(E.value(X[0])) is float
+    assert E.gradient(X[0]).shape == (n,)
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_gap_stack_bit_identical_to_pairs(kind, m):
+    E = stack_library(9, seed=1)[kind]
+    rng = np.random.default_rng(m)
+    X, XP = rng.standard_normal((2, m, 9))
+    gaps = bregman_gap(E, X, XP)
+    assert gaps.shape == (m,)
+    assert np.array_equal(gaps, [bregman_gap(E, x, xp) for x, xp in zip(X, XP)])
+    assert type(bregman_gap(E, X[0], XP[0])) is float
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_stack_validation(kind):
+    E = stack_library(5, seed=2)[kind]
+    X = np.ones((3, 5))
+    X[1, 2] = np.nan
+    for method in (E.value, E.gradient):
+        with pytest.raises(ValueError, match="non-finite"):
+            method(X)
+        with pytest.raises(ValueError, match="or a stack"):
+            method(np.ones((2, 3, 5)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            method(np.ones((3, 6)))
+
+
+def _constants_oracle(objective, q, p, omega_radius, sample_count, seed, pair_radius):
+    """The per-pair loop of estimate_condition_constants, one point per call."""
+    rng = np.random.default_rng(seed)
+    n = objective.dimension
+    alpha_hat = -np.inf
+    beta_hat = np.inf
+    for i in range(sample_count):
+        x = gm.uniform_ball(rng, n, omega_radius)
+        if i % 4 == 3:
+            direction = np.zeros(n)
+            direction[(i // 4) % n] = rng.choice((-1.0, 1.0))
+        else:
+            direction = rng.standard_normal(n)
+            direction /= np.linalg.norm(direction)
+        u = pair_radius * rng.uniform()
+        if u < 1e-12:
+            continue
+        gap = bregman_gap(objective, x, x + u * direction)
+        alpha_hat = max(alpha_hat, gap / u ** q)
+        beta_hat = min(beta_hat, gap / u ** p)
+    return float(alpha_hat), float(beta_hat)
+
+
+@pytest.mark.parametrize("pair_radius", [1.5, 2e-11])
+@pytest.mark.parametrize("kind,p", [("quadratic", 2.0), ("least_squares", 2.0),
+                                    ("powersum4", 4.0)])
+def test_estimate_constants_matches_pairwise_oracle(kind, p, pair_radius):
+    E = stack_library(6, seed=3)[kind]
+    counted = CountingObjective(E)
+    got = estimate_condition_constants(counted, 2.0, p, 2.0, 37, seed=22,
+                                       pair_radius=pair_radius)
+    assert got == _constants_oracle(E, 2.0, p, 2.0, 37, 22, pair_radius)
+    # one stacked bregman_gap per group of four draws (value at x' and x, gradient
+    # at x); with the small pair radius draw 2 is skipped, but no whole group
+    groups = -(-37 // 4)
+    assert counted.value_calls == 2 * groups and counted.gradient_calls == groups

@@ -62,8 +62,10 @@ DERIVED = {
                                       "analysis.radius = 10.0\n"
                                       "analysis.grad_bound = 1.0e4\n",
                           ("run",)),
-    # p = 2: the exact span solve and sampled constants at the objective's exponent
-    "powersum_p2": ("powersum", "objective.exponent = 2\nanalysis.p = 2.0\n", ("run",)),
+    # p = 2: the exact span solve, sampled constants and the moduli stencil
+    # at the objective's exponent
+    "powersum_p2": ("powersum", "objective.exponent = 2\nanalysis.p = 2.0\n",
+                    ("run", "moduli")),
     # wide matrix: no closed-form level-set diameter
     "least_squares_wide": ("least_squares", "objective.rows = 20\n", ("run", "moduli")),
 }
