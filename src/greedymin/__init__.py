@@ -20,7 +20,7 @@ from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis, weak_select
 from .harness import (build_dictionary, build_objective, derive_constants,
                       run_compare, run_demo_cs, run_experiment, run_moduli)
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
-                         bregman_gap, check_gradient, estimate_condition_constants,
+                         bregman_gap, estimate_condition_constants,
                          estimate_gradient_bound, estimate_level_set_diameter,
                          uniform_ball)
 from .solvers import (InnerConfig, InnerSolveError, SolverConfig, WeaknessSchedule,
@@ -37,7 +37,7 @@ __all__ = [
     "SequenceBoundInput", "SmoothnessParams", "SolverConfig", "SparseSupport",
     "TraceStep", "TraceVerification", "Vector", "WeaknessSchedule", "as_point",
     "bregman_gap", "build_dictionary", "build_objective", "check_error_recursion",
-    "check_gradient", "check_moduli_equivalence", "config_from_mapping",
+    "check_moduli_equivalence", "config_from_mapping",
     "decrement_gain", "derive_constants", "distance_bound", "error_bound",
     "estimate_condition_constants", "estimate_gradient_bound",
     "estimate_level_set_diameter", "estimate_moduli", "fit_rate",

@@ -22,7 +22,7 @@ TRACE_CSV_HEADER = "k,E_k,e_k,dist_to_min,selected_index,grad_coeff,grad_sup,sto
 
 def as_point(x, dim: int | None = None) -> Vector:
     """Coerce to a finite 1-D float64 vector, optionally checking its length."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {a.shape}")
     return as_points(a, dim)
@@ -31,11 +31,13 @@ def as_point(x, dim: int | None = None) -> Vector:
 def as_points(x, dim: int | None = None) -> Vector:
     """Coerce a point (n,) or a stack of points (m, n) to finite float64.
 
-    With ``dim`` the last axis must have that length.
+    With ``dim`` the last axis must have that length.  The shape is checked
+    before the copy to contiguous memory, which would make a scalar (1,).
     """
-    a = np.ascontiguousarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim not in (1, 2):
         raise ValueError(f"expected a point (n,) or a stack (m, n), got shape {a.shape}")
+    a = np.ascontiguousarray(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("point has non-finite entries")
     if dim is not None and a.shape[-1] != dim:

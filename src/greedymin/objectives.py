@@ -2,15 +2,17 @@
 
 Each objective exposes ``value``/``gradient`` plus optional capability hooks
 the solver and the experiment harness exploit when available: a diagonal
-Hessian, an exact minimizer over a span, and closed-form geometry of the
-level set {x : E(x) <= E(0)}.  ``value`` and ``gradient`` also take a stack
-of points, one per row, and give each row exactly the bits of a call on that
-row alone, so the Monte Carlo estimators evaluate a whole stencil per call.
+Hessian, a least-squares form that gives exact minimizers over a span, and
+closed-form geometry of the level set {x : E(x) <= E(0)}.  ``value`` and
+``gradient`` also take a stack of points, one per row, and give each row
+exactly the bits of a call on that row alone, so the Monte Carlo estimators
+evaluate a whole stencil per call.
 """
 from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +32,12 @@ class Objective(ABC):
     ``exponent`` is the power type p of its uniform convexity, and
     ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
     that p, or None when those constants must be sampled.
+
+    ``least_squares_form`` returns (S, y) with E(x) = c * ||S x - y||^2 +
+    const for some c > 0, where S maps an (n, j) block of columns to an
+    (m, j) block, or None when E has no such form.  ``argmin_in_span`` is
+    built on it once, here, through a :class:`SpanFactor`; a subclass
+    provides the form, not the solve.
     """
 
     curvature: tuple[float, float] | None = None
@@ -69,9 +77,29 @@ class Objective(ABC):
         """Diagonal of the Hessian when it is diagonal and cheap, else None."""
         return None
 
-    def argmin_in_span(self, basis: np.ndarray) -> Vector | None:
-        """Exact coefficients minimizing E over the span of ``basis`` columns, else None."""
+    def least_squares_form(self) -> tuple[Callable[[np.ndarray], np.ndarray], Vector] | None:
+        """(S, y) with E(x) = c * ||S x - y||^2 + const for some c > 0, else None."""
         return None
+
+    def argmin_in_span(self, basis: np.ndarray,
+                       factor: SpanFactor | None = None) -> Vector | None:
+        """Exact coefficients minimizing E over the span of ``basis`` columns, else None.
+
+        ``factor`` is a :class:`SpanFactor` of this objective's least-squares
+        form carried across calls whose columns are the leading columns of
+        ``basis``; only the columns after them are factored.  Without it the
+        whole basis is factored afresh.
+        """
+        if factor is None:
+            form = self.least_squares_form()
+            if form is None:
+                return None
+            factor = SpanFactor(*form, capacity=basis.shape[1])
+        if basis.shape[1] < factor.size:
+            raise ValueError(f"basis has {basis.shape[1]} columns, "
+                             f"the factor already holds {factor.size}")
+        factor.extend(basis[:, factor.size:])
+        return factor.coefficients()
 
     def level_set_diameter(self) -> float | None:
         """Diameter of a ball around ``known_minimizer`` containing {E <= E(0)}, else None."""
@@ -112,8 +140,8 @@ class DiagonalQuadratic(Objective):
     def hessian_diag(self, x: Vector) -> Vector:
         return self.weights
 
-    def argmin_in_span(self, basis: np.ndarray) -> Vector:
-        return _weighted_argmin(self.weights, self.center, basis)
+    def least_squares_form(self):
+        return _weighted_form(self.weights, self.center)
 
     def level_set_diameter(self) -> float:
         return 2.0 * np.sqrt(2.0 * self._e0 / self.weights.min())
@@ -166,12 +194,8 @@ class LeastSquares(Objective):
         r = np.matvec(self.A, as_points(x, self.dimension)) - self.b
         return 2.0 * np.matvec(self.A.T, r)
 
-    def argmin_in_span(self, basis: np.ndarray) -> Vector:
-        z, _, rank, _ = np.linalg.lstsq(self.A @ basis, self.b, rcond=None)
-        if rank < basis.shape[1]:
-            warnings.warn("restricted minimizer is not unique "
-                          "(rank-deficient restricted system)", RuntimeWarning)
-        return z
+    def least_squares_form(self):
+        return (lambda block: self.A @ block), self.b
 
     def level_set_diameter(self) -> float | None:
         if self._rho is None:
@@ -220,10 +244,10 @@ class PowerSum(Objective):
         p = self.exponent
         return p * (p - 1.0) * self.weights * np.abs(d) ** (p - 2.0)
 
-    def argmin_in_span(self, basis: np.ndarray) -> Vector | None:
+    def least_squares_form(self):
         if self.exponent != 2.0:
             return None
-        return _weighted_argmin(self.weights, self.center, basis)
+        return _weighted_form(self.weights, self.center)
 
     def level_set_diameter(self) -> float:
         # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
@@ -244,10 +268,78 @@ def _per_point(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _weighted_argmin(weights: Vector, center: Vector, basis: np.ndarray) -> Vector:
-    """Coefficients z minimizing sum_i w_i ((basis z)_i - c_i)^2 (normal equations)."""
-    wb = weights[:, None] * basis
-    return np.linalg.solve(basis.T @ wb, wb.T @ center)
+def _weighted_form(weights: Vector, center: Vector):
+    """(S, y) of sum_i w_i (x_i - c_i)^2: S scales rows by sqrt(w), y = sqrt(w) * c."""
+    root = np.sqrt(weights)
+    return (lambda block: root[:, None] * block), root * center
+
+
+class SpanFactor:
+    """Thin QR of S B for a least-squares form (S, y), grown a column at a time.
+
+    Minimizing ||S B z - y|| over z is solved as z = R^-1 (Q^T y) from S B =
+    Q R.  Each new column s = S b is orthogonalized against Q by classical
+    Gram-Schmidt run twice, which keeps Q orthonormal to working precision
+    (Giraud, Langou & Rozloznik 2005, "twice is enough"); this is the
+    updating of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008).  Q is stored
+    column-contiguous (row j of ``_qt`` is column j), with R^-1 (upper
+    triangular, grown by a column) and Q^T y, so appending a column costs
+    O(m k) and the coefficients O(k^2); nothing already factored is touched.
+
+    A column whose residual after both passes is at most ``DEPENDENT_TOL``
+    times ||s|| lies in the span of the earlier ones.  It takes no storage,
+    gets coefficient 0 (the others still minimize over the whole span) and
+    raises the "not unique" RuntimeWarning.  The storage for ``capacity``
+    independent columns, at most m, is allocated once.
+    """
+
+    # a column in the span keeps a residual near eps * ||s|| after two passes;
+    # 1e-12 drops only columns that would push cond(S B) past about 1e12,
+    # close to the eps * max(m, k) cutoff of lstsq
+    DEPENDENT_TOL = 1e-12
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], rhs: Vector,
+                 capacity: int):
+        self._apply = apply
+        self._y = rhs
+        capacity = min(int(capacity), rhs.shape[0])
+        self._qt = np.empty((capacity, rhs.shape[0]))
+        self._rinv = np.zeros((capacity, capacity))
+        self._qty = np.empty(capacity)
+        self._independent: list[int] = []
+        self.size = 0
+
+    def extend(self, columns: np.ndarray) -> None:
+        """Append the columns of an (n, j) block, applying S to it once."""
+        for s in self._apply(columns).T:
+            self._append(s)
+
+    def _append(self, s: Vector) -> None:
+        r = len(self._independent)
+        q = self._qt[:r]
+        h = q @ s
+        w = s - h @ q
+        h2 = q @ w
+        w -= h2 @ q
+        h += h2
+        rho = norm(w)
+        if rho <= self.DEPENDENT_TOL * norm(s):
+            warnings.warn("restricted minimizer is not unique "
+                          "(rank-deficient restricted system)", RuntimeWarning)
+        else:
+            self._qt[r] = w / rho
+            self._qty[r] = self._qt[r] @ self._y
+            self._rinv[:r, r] = (self._rinv[:r, :r] @ h) / -rho
+            self._rinv[r, r] = 1.0 / rho
+            self._independent.append(self.size)
+        self.size += 1
+
+    def coefficients(self) -> Vector:
+        """Least-squares coefficients of the columns appended so far."""
+        r = len(self._independent)
+        z = np.zeros(self.size)
+        z[self._independent] = self._rinv[:r, :r] @ self._qty[:r]
+        return z
 
 
 def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vector:
@@ -259,21 +351,6 @@ def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vec
     x_prime = as_points(x_prime, objective.dimension)
     return _per_point(objective.value(x_prime) - objective.value(x)
                       - np.vecdot(objective.gradient(x), x_prime - x))
-
-
-def check_gradient(objective: Objective, x: Vector, step: float = 1e-5) -> float:
-    """Max relative discrepancy between the gradient and central differences."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    x = as_point(x, objective.dimension)
-    g = objective.gradient(x)
-    worst = 0.0
-    for i in range(objective.dimension):
-        e = np.zeros(objective.dimension)
-        e[i] = step
-        cd = (objective.value(x + e) - objective.value(x - e)) / (2.0 * step)
-        worst = max(worst, abs(cd - g[i]) / (1.0 + abs(g[i])))
-    return worst
 
 
 def uniform_ball(rng: np.random.Generator, dimension: int, radius: float) -> Vector:

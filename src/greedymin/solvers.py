@@ -1,10 +1,12 @@
 """Greedy outer loops (OMP and WCGA) and the restricted inner minimizer.
 
 The inner solver re-minimizes the objective over the span of the selected
-atoms.  Exact restricted solves are used when the objective provides them
-(quadratics); otherwise descent with Armijo backtracking, preconditioned by
-the diagonal Hessian when available, runs until the restricted gradient
-coefficients drop below ``inner_tol``.  ``inner_tol`` must stay well below
+atoms.  Exact restricted solves are used when the objective has a
+least-squares form (quadratics); a greedy run carries one thin QR of that
+form across its steps and factors only the newly selected atom each step.
+Otherwise descent with Armijo backtracking, preconditioned by the diagonal
+Hessian when available, runs until the restricted gradient coefficients
+drop below ``inner_tol``.  ``inner_tol`` must stay well below
 ``stop_tol`` or selection could re-pick an already selected atom.
 """
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .core import IterateTrace, SparseSupport, TraceStep, Vector, norm
 from .dictionaries import SELECTION_STRATEGIES, Dictionary, weak_select
-from .objectives import Objective
+from .objectives import Objective, SpanFactor
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,20 @@ class InnerSolveError(RuntimeError):
 
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
                         support: SparseSupport, warm_start: Mapping[int, float] | None,
-                        cfg: InnerConfig) -> tuple[Vector, dict[int, float]]:
+                        cfg: InnerConfig, factor: SpanFactor | None = None,
+                        ) -> tuple[Vector, dict[int, float]]:
     """Minimize the objective over the span of the supported atoms.
 
     Returns a point whose restricted gradient coefficients are all at most
     ``inner_tol`` in magnitude, never worse than the warm start.  Restricted
     gradient coefficients are exactly <E'(x), phi_j> for j in the support
     because the dictionary is orthonormal.
+
+    ``factor`` is a :class:`SpanFactor` of the objective's least-squares
+    form carried across calls.  With it the atoms are ordered as the keys of
+    ``warm_start`` (the selection order), then the rest of the support, so
+    the columns the factor already holds stay leading; without it they are
+    in increasing order.
     """
     if support.size == 0:
         raise ValueError("support must be nonempty")
@@ -128,28 +137,33 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         extra = set(warm_start) - set(idx)
         if extra:
             raise ValueError(f"warm start touches indices outside the support: {sorted(extra)}")
+        if factor is not None:
+            idx = [*warm_start, *(j for j in idx if j not in warm_start)]
     basis = dictionary.subset(idx)
     z = np.array([float(warm_start.get(j, 0.0)) if warm_start else 0.0 for j in idx])
 
-    def pack(zv):
-        return basis @ zv, dict(zip(idx, (float(v) for v in zv)))
+    def coeffs_of(zv) -> dict[int, float]:
+        return dict(zip(idx, (float(v) for v in zv)))
 
-    def resid(zv) -> float:
-        return float(np.max(np.abs(basis.T @ objective.gradient(basis @ zv))))
+    # restricted gradient sup-norm at the point x = basis @ z, formed once per z
+    def resid(x) -> float:
+        return float(np.max(np.abs(basis.T @ objective.gradient(x))))
 
-    if resid(z) <= cfg.inner_tol:
-        return pack(z)
+    x = basis @ z
+    if resid(x) <= cfg.inner_tol:
+        return x, coeffs_of(z)
 
-    exact = objective.argmin_in_span(basis)
+    exact = objective.argmin_in_span(basis, factor)
     if exact is not None:
         # keep the warm start if the exact solve is numerically worse
-        if objective.value(basis @ exact) <= objective.value(basis @ z):
-            z = np.asarray(exact, dtype=np.float64)
-        if resid(z) <= cfg.inner_tol:
-            return pack(z)
+        x_exact = basis @ exact
+        if objective.value(x_exact) <= objective.value(x):
+            z, x = np.asarray(exact, dtype=np.float64), x_exact
+        if resid(x) <= cfg.inner_tol:
+            return x, coeffs_of(z)
 
     eps = float(np.finfo(np.float64).eps)
-    best_z, best_resid = z.copy(), resid(z)
+    best_z, best_resid = z.copy(), resid(x)
     for _ in range(cfg.max_inner_iters):
         x = basis @ z
         val = objective.value(x)
@@ -158,7 +172,7 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         if r < best_resid:
             best_z, best_resid = z.copy(), r
         if r <= cfg.inner_tol:
-            return pack(z)
+            return x, coeffs_of(z)
         direction = None
         hd = objective.hessian_diag(x)
         if hd is not None:
@@ -183,18 +197,17 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
             if objective.value(basis @ z_new) <= val - cfg.armijo_c * step * slope:
                 accepted = True
                 break
-            if cfg.armijo_c * step * slope <= floor and resid(z_new) < r:
+            if cfg.armijo_c * step * slope <= floor and resid(basis @ z_new) < r:
                 accepted = True
                 break
             step *= cfg.backtrack_factor
         if not accepted:
             break  # no resolvable progress in any direction
         z = z_new
-    x, coeffs = pack(best_z)
     raise InnerSolveError(
         f"restricted minimization did not reach tol {cfg.inner_tol:g} "
         f"within {cfg.max_inner_iters} iterations (residual {best_resid:g})",
-        x, coeffs, best_resid)
+        basis @ best_z, coeffs_of(best_z), best_resid)
 
 
 def run_omp(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
@@ -230,6 +243,8 @@ def _run_greedy(objective: Objective, dictionary: Dictionary, cfg: SolverConfig)
     def dist_of(x: Vector) -> float | None:
         return norm(x - xbar) if xbar is not None else None
 
+    form = objective.least_squares_form()
+    factor = None if form is None else SpanFactor(*form, capacity=min(cfg.max_steps, n))
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n)
     coeffs: dict[int, float] = {}
@@ -253,7 +268,7 @@ def _run_greedy(objective: Objective, dictionary: Dictionary, cfg: SolverConfig)
         warm = {**coeffs, j: 0.0}
         try:
             x, coeffs = restricted_minimize(
-                objective, dictionary, SparseSupport.of(warm), warm, cfg.inner)
+                objective, dictionary, SparseSupport.of(warm), warm, cfg.inner, factor)
         except InnerSolveError as exc:
             err = InnerSolveError(f"step {m}: {exc}", exc.x, exc.coeffs, exc.residual)
             err.step, err.support_size = m, len(warm)

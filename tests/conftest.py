@@ -44,6 +44,21 @@ def powersum_constants(objective: gm.PowerSum, dictionary: gm.Dictionary,
     return rc
 
 
+def check_gradient(objective: gm.Objective, x, step: float = 1e-5) -> float:
+    """Max relative discrepancy between the gradient and central differences."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    x = gm.as_point(x, objective.dimension)
+    g = objective.gradient(x)
+    worst = 0.0
+    for i in range(objective.dimension):
+        e = np.zeros(objective.dimension)
+        e[i] = step
+        cd = (objective.value(x + e) - objective.value(x - e)) / (2.0 * step)
+        worst = max(worst, abs(cd - g[i]) / (1.0 + abs(g[i])))
+    return worst
+
+
 class CountingObjective(gm.Objective):
     """Delegates to ``inner`` and counts the ``value``/``gradient`` calls."""
 

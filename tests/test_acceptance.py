@@ -11,7 +11,8 @@ import pytest
 import greedymin as gm
 from greedymin.cli import main
 
-from conftest import make_rotated_powersum, make_sparse_quadratic, powersum_constants
+from conftest import (check_gradient, make_rotated_powersum, make_sparse_quadratic,
+                      powersum_constants)
 
 
 def _report(num, text):
@@ -185,7 +186,7 @@ def test_criterion_09_gradient_correctness():
     for E in objectives:
         for _ in range(50):
             x = rng.standard_normal(n) * 2.0
-            worst = max(worst, gm.check_gradient(E, x))
+            worst = max(worst, check_gradient(E, x))
     assert worst < 1e-5
     _report(9, f"central differences agree on every objective, worst {worst:.2e}")
 

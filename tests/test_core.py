@@ -27,6 +27,18 @@ def test_as_points_shapes():
         gm.as_point(stack, 3)
 
 
+def test_scalar_is_not_a_point():
+    from greedymin.core import as_points
+
+    for scalar in (3.0, np.float64(1.0), np.array(2.0)):
+        with pytest.raises(ValueError, match=r"or a stack \(m, n\), got shape \(\)"):
+            as_points(scalar)
+        with pytest.raises(ValueError, match=r"1-D point, got shape \(\)"):
+            gm.as_point(scalar, 1)
+    with pytest.raises(ValueError, match=r"got shape \(\)"):
+        gm.DiagonalQuadratic([1.0], [1.0]).value(3.0)
+
+
 def test_inner_orthogonal_pair():
     assert gm.inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 

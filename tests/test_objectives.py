@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import greedymin as gm
-from greedymin.objectives import bregman_gap, check_gradient, estimate_condition_constants
+from greedymin.objectives import SpanFactor, bregman_gap, estimate_condition_constants
 
-from conftest import CountingObjective, stack_library
+from conftest import CountingObjective, check_gradient, stack_library
 
 
 def _library(seed=0, n=8):
@@ -343,3 +343,83 @@ def test_estimate_constants_matches_pairwise_oracle(kind, p, pair_radius):
     # at x); with the small pair radius draw 2 is skipped, but no whole group
     groups = -(-37 // 4)
     assert counted.value_calls == 2 * groups and counted.gradient_calls == groups
+
+
+# -- exact restricted solves through the least-squares form --------------------
+
+LSQ_FORMS = ("quadratic", "least_squares", "powersum2")
+
+
+def _bases(n: int, k: int) -> dict[str, np.ndarray]:
+    """k canonical columns out of order and k columns of a rotated basis."""
+    cols = [5, 1, 6, 3, 0, 7, 2, 4][:k]
+    return {"canonical": gm.CanonicalBasis(n).subset(cols),
+            "rotated": gm.RotatedBasis(n, seed=9).subset(cols)}
+
+
+def _lstsq(E, basis):
+    S, y = E.least_squares_form()
+    return np.linalg.lstsq(S(basis), y, rcond=None)[0]
+
+
+@pytest.mark.parametrize("kind", LSQ_FORMS)
+def test_least_squares_form_matches_objective(kind):
+    # E(x) - E(x0) = c * (f(x) - f(x0)) with one c > 0, f(x) = ||S x - y||^2
+    E = stack_library(8, seed=4)[kind]
+    S, y = E.least_squares_form()
+    rng = np.random.default_rng(5)
+    x0, *xs = rng.standard_normal((5, 8))
+    f = lambda x: float(np.sum((S(x[:, None])[:, 0] - y) ** 2))  # noqa: E731
+    ratios = [(E.value(x) - E.value(x0)) / (f(x) - f(x0)) for x in xs]
+    assert ratios[0] > 0
+    assert np.allclose(ratios, ratios[0], rtol=1e-10)
+
+
+def test_no_least_squares_form_without_quadratic_structure():
+    E = stack_library(8)["powersum4"]
+    assert E.least_squares_form() is None
+    assert E.argmin_in_span(np.eye(8)[:, :3]) is None
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+@pytest.mark.parametrize("k", [1, 5, 8])
+@pytest.mark.parametrize("kind", LSQ_FORMS)
+def test_argmin_in_span_matches_lstsq(kind, k, basis_kind):
+    E = stack_library(8, seed=6)[kind]
+    basis = _bases(8, k)[basis_kind]
+    z = E.argmin_in_span(basis)
+    ref = _lstsq(E, basis)
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+    # and it is E's own restricted minimizer: the restricted gradient vanishes
+    g = basis.T @ E.gradient(basis @ z)
+    assert np.max(np.abs(g)) <= 1e-10 * (1.0 + np.max(np.abs(E.gradient(np.zeros(8)))))
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+@pytest.mark.parametrize("kind", LSQ_FORMS)
+def test_grown_factor_matches_fresh_factor(kind, basis_kind):
+    E = stack_library(8, seed=7)[kind]
+    basis = _bases(8, 8)[basis_kind]
+    grown = SpanFactor(*E.least_squares_form(), capacity=8)
+    for j in range(1, 9):
+        z = E.argmin_in_span(basis[:, :j], grown)
+        assert grown.size == j and z.shape == (j,)
+        ref = _lstsq(E, basis[:, :j])
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+    fresh = E.argmin_in_span(basis)
+    assert np.linalg.norm(z - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    with pytest.raises(ValueError, match="already holds 8"):
+        E.argmin_in_span(basis[:, :3], grown)
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+@pytest.mark.parametrize("kind", LSQ_FORMS)
+def test_duplicated_column_warns_and_still_minimizes(kind, basis_kind):
+    E = stack_library(8, seed=8)[kind]
+    basis = _bases(8, 4)[basis_kind]
+    basis = np.column_stack([basis[:, :3], basis[:, 1], basis[:, 3]])
+    with pytest.warns(RuntimeWarning, match="not unique"):
+        z = E.argmin_in_span(basis)
+    assert z[3] == 0.0
+    best = E.value(basis @ _lstsq(E, basis))
+    assert abs(E.value(basis @ z) - best) <= 1e-12 * (1.0 + abs(best))

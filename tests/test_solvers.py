@@ -5,7 +5,8 @@ import pytest
 
 import greedymin as gm
 from greedymin.core import SparseSupport
-from greedymin.objectives import Objective
+import greedymin.solvers as solvers
+from greedymin.objectives import Objective, SpanFactor
 from greedymin.solvers import InnerSolveError, restricted_minimize
 
 from conftest import make_rotated_powersum, make_sparse_quadratic
@@ -42,8 +43,9 @@ class Conjugated(Objective):
     def gradient(self, z):
         return self.q.T @ self.base.gradient(self.q @ z)
 
-    def argmin_in_span(self, basis):
-        return self.base.argmin_in_span(self.q @ basis)
+    def least_squares_form(self):
+        S, y = self.base.least_squares_form()
+        return (lambda block: S(self.q @ block)), y
 
 
 def _cfg(**kw):
@@ -128,6 +130,23 @@ def test_restricted_validation(unit_quadratic4):
     with pytest.raises(ValueError, match="outside the support"):
         restricted_minimize(unit_quadratic4, D, SparseSupport((0,)), {1: 1.0},
                             gm.InnerConfig())
+
+
+def test_restricted_with_factor_orders_atoms_by_warm_start():
+    E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    D = gm.RotatedBasis(6, seed=3)
+    factor = SpanFactor(*E.least_squares_form(), capacity=6)
+    support = SparseSupport((1, 2, 4))
+    with pytest.raises(ValueError, match="outside the support"):
+        restricted_minimize(E, D, support, {4: 0.0, 5: 0.0}, gm.InnerConfig(), factor)
+    assert factor.size == 0
+    x, coeffs = restricted_minimize(E, D, support, {4: 0.0, 1: 0.0}, gm.InnerConfig(),
+                                    factor)
+    assert list(coeffs) == [4, 1, 2] and factor.size == 3
+    x_sorted, coeffs_sorted = restricted_minimize(E, D, support, {4: 0.0, 1: 0.0},
+                                                  gm.InnerConfig())
+    assert list(coeffs_sorted) == [1, 2, 4]
+    assert np.allclose(x, x_sorted, rtol=0, atol=1e-12)
 
 
 # -- greedy runs ---------------------------------------------------------------
@@ -318,3 +337,80 @@ def test_trace_csv_contents(tmp_path):
             assert row["selected_index"] == ""
         else:
             assert int(row["selected_index"]) == step.selected
+
+
+class CountedForm(Objective):
+    """The base objective, counting the columns its least-squares S is applied to."""
+
+    def __init__(self, base):
+        super().__init__(base.dimension)
+        self.base = base
+        self.known_minimizer = base.known_minimizer
+        self.columns = 0
+
+    def value(self, x):
+        return self.base.value(x)
+
+    def gradient(self, x):
+        return self.base.gradient(x)
+
+    def least_squares_form(self):
+        S, y = self.base.least_squares_form()
+
+        def counted(block):
+            self.columns += block.shape[1]
+            return S(block)
+
+        return counted, y
+
+
+class LstsqEachStep(Stripped):
+    """No least-squares form, so no carried factor: lstsq of S B at every call."""
+
+    def argmin_in_span(self, basis, factor=None):
+        S, y = self.base.least_squares_form()
+        return np.linalg.lstsq(S(basis), y, rcond=None)[0]
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "wcga"])
+@pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
+def test_greedy_factors_each_atom_once(kind, algorithm):
+    # the factor is carried across steps: S meets each selected atom once,
+    # k columns over k steps, where a per-step rebuild would need k(k+1)/2
+    rng = np.random.default_rng(11)
+    n = 30
+    base = (gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
+            if kind == "quadratic"
+            else gm.LeastSquares(rng.standard_normal((40, n)), rng.standard_normal(40)))
+    E = CountedForm(base)
+    D = gm.RotatedBasis(n, seed=12)
+    cfg = _cfg(algorithm=algorithm, max_steps=12, weakness=gm.WeaknessSchedule.constant(0.6),
+               selection_strategy="first_admissible")
+    tr = (gm.run_omp if algorithm == "omp" else gm.run_wcga)(E, D, cfg)
+    assert len(tr) - 1 == 12 and E.columns == 12
+    # and the run is the one a fresh lstsq solve per step gives
+    oracle = (gm.run_omp if algorithm == "omp" else gm.run_wcga)(LstsqEachStep(base), D, cfg)
+    assert tr.support == oracle.support
+    for a, b in zip(tr, oracle):
+        assert abs(a.error - b.error) <= 1e-9 * (1.0 + b.error)
+
+
+def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
+    made = []
+
+    class Recording(SpanFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self._qt.shape)
+
+    monkeypatch.setattr(solvers, "SpanFactor", Recording)
+    E4, D, _ = make_rotated_powersum(seed=16)
+    gm.run_omp(E4, D, _cfg(algorithm="omp", max_steps=3, max_inner_iters=3000))
+    assert made == []
+    E2 = gm.PowerSum(E4.center, 2.0, E4.weights)
+    tr = gm.run_omp(E2, D, _cfg(algorithm="omp", max_steps=7))
+    assert len(tr) - 1 == 7
+    assert made == [(7, 50)]      # min(rows of S, max_steps, n) columns of length 50
+    A = np.random.default_rng(13).standard_normal((5, 50))
+    gm.run_omp(gm.LeastSquares(A, A @ D.atom(4)), D, _cfg(algorithm="omp", max_steps=9))
+    assert made[1] == (5, 5)      # a wide A caps the factor at its 5 rows
