@@ -1,9 +1,9 @@
 """Greedy convex minimization over orthonormal dictionaries.
 
-Implements orthogonal-matching-pursuit and weak-Chebyshev greedy solvers
-for convex objectives, together with the analysis toolkit that derives
-their per-step error recursions and convergence-rate bounds from the
-smoothness and uniform-convexity behavior of the objective.
+Implements the weak Chebyshev greedy algorithm for convex objectives, with
+orthogonal matching pursuit as its t = 1 case, together with the analysis
+toolkit that derives its per-step error recursions and convergence-rate
+bounds from the smoothness and uniform-convexity behavior of the objective.
 """
 
 from .analysis import (EquivalenceRow, ModuliEquivalenceReport, ModulusEstimate,
@@ -24,7 +24,7 @@ from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
                          estimate_gradient_bound, estimate_level_set_diameter,
                          uniform_ball)
 from .solvers import (InnerConfig, InnerSolveError, SolverConfig, WeaknessSchedule,
-                      restricted_minimize, run_omp, run_wcga)
+                      restricted_minimize, run_wcga)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "global_convexity_constant", "inner", "load_config", "norm",
     "parse_config_text", "rate_constants", "recursive_sequence_bound",
     "restricted_minimize", "run_compare", "run_demo_cs", "run_experiment",
-    "run_moduli", "run_omp", "run_wcga", "sub_seed", "uniform_ball", "verify_trace",
+    "run_moduli", "run_wcga", "sub_seed", "uniform_ball", "verify_trace",
     "weak_select",
 ]

@@ -126,20 +126,22 @@ def check_moduli_equivalence(est: ModulusEstimate, slack: float = 1.05,
     pair u, u/2.
     """
     u = est.u_grid
+    halves = [halving_partner(u, ui) for ui in u]
+    if all(h is None for h in halves):
+        raise ValueError("u_grid contains no halving pair u, u/2")
     rows: list[EquivalenceRow] = []
-    have_pair = False
-    for i, ui in enumerate(u):
+    for i, (ui, h) in enumerate(zip(u, halves)):
         right = 2.0 * est.rho[i] + tol - est.rho1[i]
-        left = None
-        half = np.flatnonzero(np.abs(u - 0.5 * ui) <= 1e-9 * ui)
-        if half.size:
-            have_pair = True
-            left = slack * est.rho1[i] + tol - 4.0 * est.rho[half[0]]
+        left = None if h is None else slack * est.rho1[i] + tol - 4.0 * est.rho[h]
         rows.append(EquivalenceRow(float(ui), float(right),
                                    None if left is None else float(left)))
-    if not have_pair:
-        raise ValueError("u_grid contains no halving pair u, u/2")
     return ModuliEquivalenceReport(rows, slack, tol)
+
+
+def halving_partner(u_grid, u: float) -> int | None:
+    """Index of u/2 in ``u_grid`` (to 1e-9 relative), or None."""
+    half = np.flatnonzero(np.abs(np.asarray(u_grid, dtype=np.float64) - 0.5 * u) <= 1e-9 * u)
+    return int(half[0]) if half.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import halving_partner
 from .solvers import InnerConfig, SolverConfig, WeaknessSchedule
 
 OBJECTIVE_TYPES = ("diagonal_quadratic", "least_squares", "power_sum")
@@ -204,7 +205,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if dimension < 1:
         raise ConfigError(f"dimension: must be >= 1, got {dimension}")
     seed = _take(left, "seed", int, 0)
-    output_dir = str(left.pop("output_dir", "runs"))
+    output_dir = _take(left, "output_dir", str, "runs")
     objective = _objective(left, dimension)
 
     dict_type = _take(left, "dictionary.type", str, "canonical")
@@ -214,18 +215,14 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
     solver = _fields(left, "solver", {"algorithm": str, "max_steps": int, "stop_tol": float,
                                       "selection_strategy": str})
-    if solver.get("algorithm") not in (None, "omp", "wcga"):
-        raise ConfigError(f"solver.algorithm: expected omp or wcga, got {solver['algorithm']!r}")
     if "solver.weakness" in left:
         solver["weakness"] = _weakness(left.pop("solver.weakness"))
-    inner = _fields(left, "solver", {"inner_tol": float, "max_inner_iters": int,
-                                     "armijo_c": float, "backtrack_factor": float,
-                                     "initial_step": float})
+    inner = _fields(left, "solver", {"inner_tol": float, "max_inner_iters": int})
     try:
         solver = SolverConfig(inner=InnerConfig(**inner), seed=sub_seed(seed, "solver"),
                               **solver)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    except ValueError as exc:     # its messages start with the field name
+        raise ConfigError(f"solver.{exc}") from exc
 
     analysis = _fields(left, "analysis", {
         "sample_count": int, "lambda_grid_size": int, "tail_fraction": float,
@@ -258,6 +255,8 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         if (not isinstance(u_grid, list) or not u_grid
                 or any(not _is_number(v) or v <= 0 for v in u_grid)):
             raise ConfigError("analysis.u_grid: expected a non-empty list of positive numbers")
+        if all(halving_partner(u_grid, u) is None for u in u_grid):
+            raise ConfigError("analysis.u_grid: contains no halving pair u, u/2")
         analysis["u_grid"] = tuple(float(v) for v in u_grid)
 
     if left:

@@ -12,15 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (RateConstants, TraceVerification, check_moduli_equivalence,
-                       estimate_moduli, fit_rate, rate_constants, verify_trace)
+from .analysis import (RateConstants, check_moduli_equivalence, estimate_moduli,
+                       fit_rate, rate_constants, verify_trace)
 from .config import ConfigError, ExperimentConfig, sub_seed
-from .core import (ConvexityParams, IterateTrace, SmoothnessParams, SparseSupport,
-                   norm, write_csv)
+from .core import ConvexityParams, SmoothnessParams, SparseSupport, norm, write_csv
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
                          estimate_condition_constants)
-from .solvers import SolverConfig, WeaknessSchedule, run_omp, run_wcga
+from .solvers import SolverConfig, WeaknessSchedule, run_wcga
 
 BOUND_TOL = 1e-9
 
@@ -155,20 +154,6 @@ class Report:
     paths: list[Path]
 
 
-def _solve(objective: Objective, dictionary: Dictionary,
-           solver_cfg: SolverConfig) -> IterateTrace:
-    """Run ``run_omp`` or ``run_wcga``, looked up at call time so a rebinding is seen."""
-    runner = run_omp if solver_cfg.algorithm == "omp" else run_wcga
-    return runner(objective, dictionary, solver_cfg)
-
-
-def _verify(trace: IterateTrace, rc: RateConstants,
-            solver_cfg: SolverConfig) -> TraceVerification:
-    """Theory checks of a trace; OMP is WCGA with t_k = 1, so it has no schedule."""
-    schedule = solver_cfg.weakness if solver_cfg.algorithm == "wcga" else None
-    return verify_trace(trace, rc, schedule, BOUND_TOL)
-
-
 def _write_report(path: Path, name: str, status: str, lines: list[str],
                   paths: list[Path], quiet: bool) -> Report:
     """Write a text report headed by its STATUS and name; echo it unless quiet."""
@@ -201,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
     t0 = time.perf_counter()
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
-    trace = _solve(objective, dictionary, cfg.solver)
+    trace = run_wcga(objective, dictionary, cfg.solver)
 
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -210,7 +195,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
     trace.to_csv(trace_path)
 
     rc, reason = derive_constants(cfg, objective, dictionary)
-    check = None if rc is None else _verify(trace, rc, cfg.solver)
+    check = None if rc is None else verify_trace(trace, rc, cfg.solver.weakness, BOUND_TOL)
     write_csv(bounds_path, ("k", "e_k", "bound_k", "margin"),
               [] if check is None else check.bounds)
 
@@ -289,11 +274,16 @@ def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> R
 
 
 def parse_variant(descriptor: str, base: SolverConfig) -> SolverConfig:
-    """Solver variant from a descriptor like ``wcga:t=0.5,strategy=first_admissible``."""
+    """Solver variant from a descriptor like ``wcga:t=0.5,strategy=first_admissible``.
+
+    ``omp`` is WCGA at t = 1 with the exact strategy; naming other settings fails.
+    """
     name, _, rest = descriptor.partition(":")
     if name not in ("omp", "wcga"):
         raise ConfigError(f"--algs: unknown algorithm {name!r} in {descriptor!r}")
     kwargs: dict = {"algorithm": name}
+    if name == "omp":
+        kwargs |= {"weakness": WeaknessSchedule.constant(1.0), "selection_strategy": "exact"}
     try:
         if rest:
             for item in rest.split(","):
@@ -324,7 +314,7 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
     variants = [parse_variant(d, cfg.solver) for d in descriptors]
-    traces = [_solve(objective, dictionary, v) for v in variants]
+    traces = [run_wcga(objective, dictionary, v) for v in variants]
     rc, reason = derive_constants(cfg, objective, dictionary)
 
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
@@ -342,7 +332,7 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
         if t.has_errors:
             lines.append(f"  error_final: {t.final.error:.12g}")
         if rc is not None:
-            check = _verify(t, rc, v)
+            check = verify_trace(t, rc, v.weakness, BOUND_TOL)
             if not check.passed:
                 status = "VIOLATION"
             lines.append(f"  recursion_violations: {check.recursion.violations}  "
@@ -384,7 +374,7 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if objective.known_minimizer is None:
         objective.known_minimizer = xbar
     cfg = SolverConfig(algorithm="omp", max_steps=rows, seed=sub_seed(seed, "solver"))
-    trace = _solve(objective, CanonicalBasis(cols), cfg)
+    trace = run_wcga(objective, CanonicalBasis(cols), cfg)
 
     final = trace.final
     true_support = set(np.flatnonzero(np.abs(xbar) > 0.0))

@@ -1,13 +1,19 @@
-"""Greedy outer loops (OMP and WCGA) and the restricted inner minimizer.
+"""The greedy outer loop and the restricted inner minimizer.
+
+``run_wcga`` is the one greedy loop: the weak Chebyshev greedy algorithm,
+which picks an atom whose gradient coefficient is at least t_k times the
+largest.  OMP is the same loop with every t_k = 1 and the exact strategy;
+``SolverConfig(algorithm="omp")`` is held to those settings.
 
 The inner solver re-minimizes the objective over the span of the selected
-atoms.  Exact restricted solves are used when the objective has a
-least-squares form (quadratics); a greedy run carries one thin QR of that
-form across its steps and factors only the newly selected atom each step.
-Otherwise descent with Armijo backtracking, preconditioned by the diagonal
-Hessian when available, runs until the restricted gradient coefficients
-drop below ``inner_tol``.  ``inner_tol`` must stay well below
-``stop_tol`` or selection could re-pick an already selected atom.
+atoms, evaluating the restricted gradient once per iterate.  Exact
+restricted solves are used when the objective has a least-squares form
+(quadratics); a greedy run carries one thin QR of that form across its
+steps and factors only the newly selected atom each step.  Otherwise
+descent with Armijo backtracking, preconditioned by the diagonal Hessian
+when available, runs until the restricted gradient coefficients drop below
+``inner_tol``.  ``inner_tol`` must stay well below ``stop_tol`` or
+selection could re-pick an already selected atom.
 """
 from __future__ import annotations
 
@@ -59,21 +65,12 @@ class WeaknessSchedule:
 class InnerConfig:
     inner_tol: float = 1e-10
     max_inner_iters: int = 500
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
         if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
+            raise ValueError("inner_tol: must be positive")
         if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be >= 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
+            raise ValueError("max_inner_iters: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,20 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.algorithm not in ("omp", "wcga"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm: expected omp or wcga, got {self.algorithm!r}")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ValueError("max_steps: must be >= 1")
         if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
+            raise ValueError("stop_tol: must be positive")
         if self.selection_strategy not in SELECTION_STRATEGIES:
-            raise ValueError(f"unknown selection strategy {self.selection_strategy!r}")
+            raise ValueError(f"selection_strategy: unknown strategy "
+                             f"{self.selection_strategy!r}")
+        # OMP is WCGA at t = 1 with the exact strategy; other settings would misname the run
+        if self.algorithm == "omp" and self.weakness.ts != (1.0,):
+            raise ValueError(f"weakness: omp selects at t = 1, got {self.weakness.ts}")
+        if self.algorithm == "omp" and self.selection_strategy != "exact":
+            raise ValueError(f"selection_strategy: omp selects exactly, "
+                             f"got {self.selection_strategy!r}")
 
 
 class InnerSolveError(RuntimeError):
@@ -145,34 +149,26 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     def coeffs_of(zv) -> dict[int, float]:
         return dict(zip(idx, (float(v) for v in zv)))
 
-    # restricted gradient sup-norm at the point x = basis @ z, formed once per z
+    # restricted gradient sup-norm at the point x = basis @ z
     def resid(x) -> float:
         return float(np.max(np.abs(basis.T @ objective.gradient(x))))
 
-    x = basis @ z
-    if resid(x) <= cfg.inner_tol:
-        return x, coeffs_of(z)
-
     exact = objective.argmin_in_span(basis, factor)
-    if exact is not None:
-        # keep the warm start if the exact solve is numerically worse
-        x_exact = basis @ exact
-        if objective.value(x_exact) <= objective.value(x):
-            z, x = np.asarray(exact, dtype=np.float64), x_exact
-        if resid(x) <= cfg.inner_tol:
-            return x, coeffs_of(z)
+    # keep the warm start if the exact solve is numerically worse
+    if exact is not None and objective.value(basis @ exact) <= objective.value(basis @ z):
+        z = np.asarray(exact, dtype=np.float64)
 
     eps = float(np.finfo(np.float64).eps)
-    best_z, best_resid = z.copy(), resid(x)
+    best_z, best_resid = z.copy(), np.inf
     for _ in range(cfg.max_inner_iters):
         x = basis @ z
-        val = objective.value(x)
         g = basis.T @ objective.gradient(x)
         r = float(np.max(np.abs(g)))
         if r < best_resid:
             best_z, best_resid = z.copy(), r
         if r <= cfg.inner_tol:
             return x, coeffs_of(z)
+        val = objective.value(x)
         direction = None
         hd = objective.hessian_diag(x)
         if hd is not None:
@@ -185,22 +181,23 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         if direction is None or float(np.dot(g, direction)) <= 0.0:
             direction = g
         slope = float(np.dot(g, direction))
-        # Armijo on the value while the decrease is resolvable in double
-        # precision; below that floor accept on gradient-norm decrease,
-        # which damped Newton keeps shrinking long after value changes
-        # fall under roundoff.
+        # Armijo (c = 1e-4, halving from a unit step) on the value while the
+        # decrease is resolvable in double precision; below that floor accept
+        # on gradient-norm decrease, which damped Newton keeps shrinking long
+        # after value changes fall under roundoff.
         floor = 16.0 * eps * max(1.0, abs(val))
-        step = cfg.initial_step
+        step = 1.0
         accepted = False
         while step > 1e-20:
             z_new = z - step * direction
-            if objective.value(basis @ z_new) <= val - cfg.armijo_c * step * slope:
+            decrease = 1e-4 * step * slope
+            if objective.value(basis @ z_new) <= val - decrease:
                 accepted = True
                 break
-            if cfg.armijo_c * step * slope <= floor and resid(basis @ z_new) < r:
+            if decrease <= floor and resid(basis @ z_new) < r:
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= 0.5
         if not accepted:
             break  # no resolvable progress in any direction
         z = z_new
@@ -210,21 +207,11 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         basis @ best_z, coeffs_of(best_z), best_resid)
 
 
-def run_omp(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
-    """Greedy run selecting the largest-magnitude gradient coefficient each step."""
-    if cfg.algorithm != "omp":
-        raise ValueError(f"config requests algorithm {cfg.algorithm!r}, not omp")
-    return _run_greedy(objective, dictionary, cfg)
-
-
 def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
-    """Greedy run with weakness-relaxed selection; t_k = 1 reproduces the OMP run."""
-    if cfg.algorithm != "wcga":
-        raise ValueError(f"config requests algorithm {cfg.algorithm!r}, not wcga")
-    return _run_greedy(objective, dictionary, cfg)
+    """Greedy run: each step selects by ``weak_select`` at t_k, then re-minimizes.
 
-
-def _run_greedy(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
+    The one greedy entry point; an OMP config (t_k = 1, exact strategy) runs OMP.
+    """
     n = objective.dimension
     if dictionary.size != n:
         raise ValueError(f"dictionary size {dictionary.size} != objective dimension {n}")
@@ -257,10 +244,7 @@ def _run_greedy(objective: Objective, dictionary: Dictionary, cfg: SolverConfig)
     for m in range(1, cfg.max_steps + 1):
         if stopped:
             break
-        if cfg.algorithm == "omp":
-            j, coeff = weak_select(g, 1.0, "exact")
-        else:
-            j, coeff = weak_select(g, cfg.weakness.t(m), cfg.selection_strategy, rng)
+        j, coeff = weak_select(g, cfg.weakness.t(m), cfg.selection_strategy, rng)
         if j in coeffs:
             raise RuntimeError(
                 f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "

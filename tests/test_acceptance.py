@@ -22,7 +22,7 @@ def _report(num, text):
 def test_criterion_01_exact_sparse_recovery():
     t0 = time.perf_counter()
     E, D = make_sparse_quadratic(seed=1, n=100, s=5, w_low=1.0, w_high=1.0)
-    trace = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
+    trace = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
     elapsed = time.perf_counter() - t0
     assert trace.final.k == 5 and trace.final.stopped
     assert gm.norm(trace.final.x - E.known_minimizer) <= 1e-8
@@ -35,7 +35,7 @@ def test_criterion_02_exponential_rate_20_seeds():
     violations = 0
     for seed in range(20):
         E, D = make_sparse_quadratic(seed, n=100, s=5, w_low=0.5, w_high=2.0)
-        trace = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
+        trace = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
         smooth, convex = E.known_params
         rc = gm.rate_constants(E, E.known_minimizer, 5, smooth, convex, 1.0)
         dist_scale = np.sqrt(rc.initial_gap / rc.beta_global)
@@ -55,14 +55,14 @@ def test_criterion_03_per_step_recursion_fixture_suite():
     checked = 0
     for seed in range(20):
         E, D = make_sparse_quadratic(seed, n=100, s=5, w_low=0.5, w_high=2.0)
-        trace = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
+        trace = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
         smooth, convex = E.known_params
         rc = gm.rate_constants(E, E.known_minimizer, 5, smooth, convex, 1.0)
         report = gm.check_error_recursion(trace, rc, tol=1e-9)
         assert report.violations == 0
         checked += len(report.ks)
     E, D, coeffs = make_rotated_powersum(seed=16)
-    trace = gm.run_omp(E, D, gm.SolverConfig(
+    trace = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
     rc = powersum_constants(E, D, 16)
     report = gm.check_error_recursion(trace, rc, tol=1e-9)
@@ -74,7 +74,7 @@ def test_criterion_03_per_step_recursion_fixture_suite():
 def test_criterion_04_polynomial_rate_power_sum():
     t0 = time.perf_counter()
     E, D, coeffs = make_rotated_powersum(seed=16, n=50, s=3)
-    trace = gm.run_omp(E, D, gm.SolverConfig(
+    trace = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
     rc = powersum_constants(E, D, 16)
     assert rc.convex_exponent == 4.0 and rc.smooth_exponent == 2.0
@@ -93,7 +93,7 @@ def test_criterion_05_wcga_consistency():
     # t = 1 with exact selection reproduces the pure greedy trace
     for seed in range(10):
         E, D = make_sparse_quadratic(seed, n=60, s=5, w_low=0.5, w_high=2.0)
-        omp = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=60))
+        omp = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=60))
         wcga = gm.run_wcga(E, D, gm.SolverConfig(
             algorithm="wcga", weakness=gm.WeaknessSchedule.constant(1.0),
             selection_strategy="exact", max_steps=60))

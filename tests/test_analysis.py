@@ -304,7 +304,7 @@ def test_sequence_bound_validation():
 
 def _quad_run(seed=0, n=30, s=4):
     E, D = make_sparse_quadratic(seed, n=n, s=s)
-    tr = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=n))
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=n))
     smooth, convex = E.known_params
     rc = rate_constants(E, E.known_minimizer, s, smooth, convex, 1.0)
     return E, tr, rc
@@ -320,7 +320,7 @@ def test_recursion_check_quadratic():
 
 def test_recursion_check_unit_quadratic_halves():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0], np.ones(4))
-    tr = gm.run_omp(E, gm.CanonicalBasis(4), gm.SolverConfig(algorithm="omp"))
+    tr = gm.run_wcga(E, gm.CanonicalBasis(4), gm.SolverConfig(algorithm="omp"))
     smooth, convex = E.known_params
     rc = rate_constants(E, E.known_minimizer, 2, smooth, convex, 1.0)
     errs = tr.errors()
@@ -338,7 +338,7 @@ def test_recursion_check_short_trace_empty():
 
 def test_recursion_check_power_sum_fixture():
     E, D, coeffs = make_rotated_powersum(seed=16)
-    tr = gm.run_omp(E, D, gm.SolverConfig(
+    tr = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200,
         inner=gm.InnerConfig(max_inner_iters=3000)))
     rc = powersum_constants(E, D, 16)
@@ -354,7 +354,7 @@ def test_verify_trace_matches_direct_checks():
     # overstated constants: the recursion factor 1 - 4 t^2 is at most 0 for
     # every t used here, and every bound stays below 1e-6
     hot = replace(rc, gain=4.0 * rc.scale, initial_gap=1e-6)
-    omp = gm.run_omp(E, D, gm.SolverConfig(algorithm="omp", max_steps=30))
+    omp = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=30))
     sched = gm.WeaknessSchedule.from_sequence([1.0, 0.5, 0.8])
     wcga = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="wcga", weakness=sched, selection_strategy="random_admissible",
@@ -452,7 +452,7 @@ def test_error_bound_matches_generic_sequence_bound():
 
 def test_distance_bound_power_sum_fixture():
     E, D, coeffs = make_rotated_powersum(seed=16)
-    tr = gm.run_omp(E, D, gm.SolverConfig(
+    tr = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
     rc = powersum_constants(E, D, 16)
     for step in tr:

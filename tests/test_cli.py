@@ -93,9 +93,12 @@ OVERRIDE_LINES = "analysis.beta = 1\nanalysis.radius = 1\nanalysis.grad_bound = 
     ("analysis.sample_count = 0", "analysis.sample_count"),
     ("analysis.alpha = -1\n" + OVERRIDE_LINES, "analysis.alpha"),
     (OVERRIDE_LINES + "analysis.alpha = 1\nanalysis.radius = 0", "analysis.radius"),
+    ("solver.armijo_c = 0.3", "solver.armijo_c"),                  # a removed knob
+    ("solver.weakness = 0.5", "solver.weakness"),                  # omp selects at t = 1
+    ("solver.selection_strategy = first_admissible", "solver.selection_strategy"),
 ], ids=["typo", "bool-dimension", "bool-max-steps", "rows-on-quadratic",
         "weights-with-range", "center-with-sparsity", "nan-center-low", "zero-sample-count",
-        "negative-alpha", "zero-radius"])
+        "negative-alpha", "zero-radius", "armijo-c", "omp-weakness", "omp-strategy"])
 def test_bad_key_exits_1_naming_it(quad_cfg, capsys, line, key):
     path, out = quad_cfg
     path.write_text(path.read_text() + line + "\n")
@@ -218,7 +221,9 @@ def test_compare_bad_descriptor(quad_cfg, capsys):
     assert main(["--quiet", "compare", str(path), "--algs", "omp", "sgd"]) == 1
     assert "--algs" in capsys.readouterr().err
     for bad, why in [("wcga:t=abc", "could not convert"), ("wcga:t=2", r"outside \(0, 1\]"),
-                     ("omp:seed=x", "invalid literal"), ("wcga:strategy=bogus", "strategy")]:
+                     ("omp:seed=x", "invalid literal"), ("wcga:strategy=bogus", "strategy"),
+                     ("omp:t=0.2,strategy=first_admissible", "omp selects at t = 1"),
+                     ("omp:strategy=random_admissible", "omp selects exactly")]:
         assert main(["--quiet", "compare", str(path), "--algs", "omp", bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --algs: {bad!r}: ")

@@ -122,7 +122,8 @@ CENTER_TEXT = "name = c\ndimension = 2\nobjective.type = diagonal_quadratic\n"
 OVERRIDES = {"analysis.beta": 1.0, "analysis.radius": 1.0, "analysis.grad_bound": 1.0}
 
 REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_points",
-                "analysis.alpha_safety", "analysis.beta_safety", "analysis.omega_radius")
+                "analysis.alpha_safety", "analysis.beta_safety", "analysis.omega_radius",
+                "solver.armijo_c", "solver.backtrack_factor", "solver.initial_step")
 
 
 @pytest.mark.parametrize("base,extra,key", [(QUAD_TEXT, {k: 1}, k) for k in REMOVED_KEYS] + [
@@ -145,6 +146,9 @@ REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_
     (QUAD_TEXT, {"analysis.sample_count": 0}, "analysis.sample_count"),  # out of range
     (QUAD_TEXT, {"analysis.lambda_grid_size": 1}, "analysis.lambda_grid_size"),
     (QUAD_TEXT, {"analysis.u_grid": []}, "analysis.u_grid"),
+    (QUAD_TEXT, {"analysis.u_grid": [0.3, 0.5, 0.7]}, "analysis.u_grid"),  # no u, u/2 pair
+    (QUAD_TEXT, {"output_dir": [1, 2]}, "output_dir"),                  # not a string
+    (QUAD_TEXT, {"solver.max_steps": 0}, "solver.max_steps"),          # checked by SolverConfig
     (QUAD_TEXT, {"analysis.alpha": -1.0} | OVERRIDES, "analysis.alpha"),  # nonpositive curvature
     (QUAD_TEXT, {"analysis.alpha": 1.0} | OVERRIDES | {"analysis.beta": 0.0}, "analysis.beta"),
     (QUAD_TEXT, {"analysis.alpha": 1.0} | OVERRIDES | {"analysis.radius": 0.0},
@@ -155,8 +159,8 @@ REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_
         "exponent-on-quadratic", "weights-on-least-squares", "center-with-sparsity",
         "weights-with-range", "nan-center-low", "nan-alpha", "nan-center", "inf-weights",
         "inf-exponent", "inf-u-grid", "zero-sample-count",
-        "one-lambda", "empty-u-grid", "negative-alpha", "zero-beta", "zero-radius",
-        "negative-grad-bound"])
+        "one-lambda", "empty-u-grid", "no-halving-pair", "list-output-dir", "zero-max-steps",
+        "negative-alpha", "zero-beta", "zero-radius", "negative-grad-bound"])
 def test_bad_key_names_itself(base, extra, key):
     data = LSQ_MAPPING if base is None else parse_config_text(base)
     with pytest.raises(ConfigError, match="^" + re.escape(key) + "[:,]"):
@@ -168,9 +172,6 @@ FIELD_CASES = [
     ("objective.center_high", 5.0, lambda c: c.objective["center_high"]),
     ("solver.stop_tol", 1e-6, lambda c: c.solver.stop_tol),
     ("solver.inner_tol", 1e-12, lambda c: c.solver.inner.inner_tol),
-    ("solver.armijo_c", 0.3, lambda c: c.solver.inner.armijo_c),
-    ("solver.backtrack_factor", 0.25, lambda c: c.solver.inner.backtrack_factor),
-    ("solver.initial_step", 2.0, lambda c: c.solver.inner.initial_step),
     ("analysis.u_grid", [0.25, 0.5, 1.0], lambda c: list(c.analysis.u_grid)),
     ("analysis.lambda_grid_size", 5, lambda c: c.analysis.lambda_grid_size),
 ]

@@ -49,9 +49,7 @@ class Conjugated(Objective):
 
 
 def _cfg(**kw):
-    inner_keys = {k: kw.pop(k) for k in list(kw) if k in
-                  ("inner_tol", "max_inner_iters", "armijo_c",
-                   "backtrack_factor", "initial_step")}
+    inner_keys = {k: kw.pop(k) for k in list(kw) if k in ("inner_tol", "max_inner_iters")}
     return gm.SolverConfig(inner=gm.InnerConfig(**inner_keys), **kw)
 
 
@@ -117,7 +115,7 @@ def test_restricted_exhaustion_carries_best_iterate():
     D = gm.CanonicalBasis(2)
     with pytest.raises(InnerSolveError) as err:
         restricted_minimize(E, D, SparseSupport((0,)), {0: 0.0},
-                            gm.InnerConfig(max_inner_iters=1, initial_step=1e-3))
+                            gm.InnerConfig(max_inner_iters=1))
     assert err.value.residual > 0
     assert err.value.x.shape == (2,)
 
@@ -149,12 +147,50 @@ def test_restricted_with_factor_orders_atoms_by_warm_start():
     assert np.allclose(x, x_sorted, rtol=0, atol=1e-12)
 
 
+class GradientCounted(gm.DiagonalQuadratic):
+    """A diagonal quadratic counting its gradient calls."""
+
+    gradient_calls = 0
+
+    def gradient(self, x):
+        self.gradient_calls += 1
+        return super().gradient(x)
+
+
+def test_restricted_one_gradient_per_call_with_factor():
+    E = GradientCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    D = gm.RotatedBasis(6, seed=3)
+    factor = SpanFactor(*E.least_squares_form(), capacity=6)
+    coeffs = {}
+    for j in (4, 1, 2, 5):
+        warm = {**coeffs, j: 0.0}
+        E.gradient_calls = 0
+        _, coeffs = restricted_minimize(E, D, SparseSupport.of(warm), warm,
+                                        gm.InnerConfig(), factor)
+        assert E.gradient_calls == 1 and factor.size == len(warm)
+
+
+@pytest.mark.parametrize("iters", [1, 3, 8])
+def test_restricted_descent_one_gradient_per_iteration(iters):
+    # the residual check opens each iteration; nothing is evaluated before the loop
+    base = GradientCounted([40.0, -30.0, 20.0, 0.0], [0.5, 1.0, 2.0, 1.0])
+    with pytest.raises(InnerSolveError):
+        restricted_minimize(Stripped(base), gm.CanonicalBasis(4), SparseSupport((0, 1, 2)),
+                            None, gm.InnerConfig(max_inner_iters=iters))
+    assert base.gradient_calls == iters
+    # unit weights: one full gradient step lands on the minimizer, the second check returns
+    base = GradientCounted([5.0, -2.0], [1.0, 1.0])
+    x, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), SparseSupport((0, 1)),
+                               None, gm.InnerConfig(max_inner_iters=iters + 1))
+    assert np.array_equal(x, [5.0, -2.0]) and base.gradient_calls == 2
+
+
 # -- greedy runs ---------------------------------------------------------------
 
 
 def test_omp_hand_computed_trace(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    tr = gm.run_omp(unit_quadratic4, D, _cfg(algorithm="omp", max_steps=10))
+    tr = gm.run_wcga(unit_quadratic4, D, _cfg(algorithm="omp", max_steps=10))
     assert tr.support == [0, 2]
     assert [s.k for s in tr] == [0, 1, 2]
     assert abs(tr[1].error - 0.5) <= 1e-12
@@ -167,7 +203,7 @@ def test_omp_hand_computed_trace(unit_quadratic4):
 
 def test_omp_stops_at_step_zero_when_centered():
     E = gm.DiagonalQuadratic([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-    tr = gm.run_omp(E, gm.CanonicalBasis(3), _cfg(algorithm="omp"))
+    tr = gm.run_wcga(E, gm.CanonicalBasis(3), _cfg(algorithm="omp"))
     assert len(tr) == 1 and tr[0].stopped and tr[0].k == 0
 
 
@@ -190,7 +226,7 @@ def test_omp_orthonormal_rows_two_sparse_recovery():
             if r < best[0]:
                 best = (r, tuple(cols))
     assert best[1] == (5, 17)
-    tr = gm.run_omp(E, gm.CanonicalBasis(n), _cfg(algorithm="omp", max_steps=10))
+    tr = gm.run_wcga(E, gm.CanonicalBasis(n), _cfg(algorithm="omp", max_steps=10))
     assert sorted(tr.support) == [5, 17]
     assert tr.final.k == 2 and tr[2].error <= 1e-10
 
@@ -198,7 +234,7 @@ def test_omp_orthonormal_rows_two_sparse_recovery():
 def test_wcga_t1_exact_matches_omp():
     for seed in range(3):
         E, D = make_sparse_quadratic(seed, n=30, s=4)
-        omp = gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=30))
+        omp = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=30))
         wcga = gm.run_wcga(E, D, _cfg(algorithm="wcga", max_steps=30,
                                       weakness=gm.WeaknessSchedule.constant(1.0)))
         assert omp.support == wcga.support
@@ -224,26 +260,33 @@ def test_wcga_random_admissible_deterministic():
     assert all(x.error == y.error for x, y in zip(a, b))
 
 
-def test_algorithm_config_mismatch(unit_quadratic4):
-    with pytest.raises(ValueError, match="not omp"):
-        gm.run_omp(unit_quadratic4, gm.CanonicalBasis(4), _cfg(algorithm="wcga"))
-    with pytest.raises(ValueError, match="not wcga"):
-        gm.run_wcga(unit_quadratic4, gm.CanonicalBasis(4), _cfg(algorithm="omp"))
+def test_algorithm_config_mismatch():
+    # OMP is WCGA at t = 1 with the exact strategy; any other setting is refused
+    with pytest.raises(ValueError, match=r"^weakness: omp selects at t = 1, got \(0.5,\)"):
+        _cfg(algorithm="omp", weakness=gm.WeaknessSchedule.constant(0.5))
+    with pytest.raises(ValueError, match="^weakness: "):
+        _cfg(algorithm="omp", weakness=gm.WeaknessSchedule.from_sequence([1.0, 0.5]))
+    with pytest.raises(ValueError, match="^selection_strategy: omp selects exactly"):
+        _cfg(algorithm="omp", selection_strategy="first_admissible")
+    assert _cfg(algorithm="omp", weakness=gm.WeaknessSchedule.constant(1.0),
+                selection_strategy="exact") == _cfg(algorithm="omp")
+    with pytest.raises(ValueError, match="^algorithm: expected omp or wcga"):
+        _cfg(algorithm="sgd")
 
 
 def test_dimension_mismatch_raises(unit_quadratic4):
     with pytest.raises(ValueError, match="dictionary size"):
-        gm.run_omp(unit_quadratic4, gm.CanonicalBasis(5), _cfg(algorithm="omp"))
+        gm.run_wcga(unit_quadratic4, gm.CanonicalBasis(5), _cfg(algorithm="omp"))
 
 
 def test_monotonicity_orthogonality_freshness():
     runs = []
     for seed in range(3):
         E, D = make_sparse_quadratic(seed, n=30, s=6)
-        runs.append((E, D, gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=30))))
+        runs.append((E, D, gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=30))))
     E, D, _ = make_rotated_powersum(seed=16)
-    runs.append((E, D, gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=60,
-                                             max_inner_iters=3000))))
+    runs.append((E, D, gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=60,
+                                              max_inner_iters=3000))))
     for E, D, tr in runs:
         vals = tr.values()
         assert np.all(np.diff(vals) <= 1e-10 * (1 + np.abs(vals[:-1])))
@@ -261,7 +304,7 @@ def test_monotonicity_orthogonality_freshness():
 def test_finite_recovery_sparse_quadratic():
     for seed in range(5):
         E, D = make_sparse_quadratic(seed, n=60, s=7)
-        tr = gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=60))
+        tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=60))
         assert tr.final.k == 7 and tr.final.stopped
         assert gm.norm(tr.final.x - E.known_minimizer) <= 1e-8
 
@@ -270,8 +313,8 @@ def test_padding_independence():
     E, D = make_sparse_quadratic(1, n=6, s=2, w_low=1.0, w_high=1.0)
     padded_center = np.concatenate([E.center, np.zeros(6)])
     E2 = gm.DiagonalQuadratic(padded_center, np.ones(12))
-    tr1 = gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=10))
-    tr2 = gm.run_omp(E2, gm.CanonicalBasis(12), _cfg(algorithm="omp", max_steps=10))
+    tr1 = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=10))
+    tr2 = gm.run_wcga(E2, gm.CanonicalBasis(12), _cfg(algorithm="omp", max_steps=10))
     assert tr1.support == tr2.support
     for a, b in zip(tr1, tr2):
         assert abs(a.error - b.error) <= 1e-12
@@ -284,9 +327,9 @@ def test_rotation_invariance():
     coeffs[[2, 5, 9]] = [1.5, -2.0, 1.0]
     center = basis.synthesize(coeffs)
     E = gm.DiagonalQuadratic(center, rng.uniform(0.5, 2.0, 12))
-    rotated_run = gm.run_omp(E, basis, _cfg(algorithm="omp", max_steps=20))
-    conj_run = gm.run_omp(Conjugated(E, basis.q), gm.CanonicalBasis(12),
-                          _cfg(algorithm="omp", max_steps=20))
+    rotated_run = gm.run_wcga(E, basis, _cfg(algorithm="omp", max_steps=20))
+    conj_run = gm.run_wcga(Conjugated(E, basis.q), gm.CanonicalBasis(12),
+                           _cfg(algorithm="omp", max_steps=20))
     assert rotated_run.support == conj_run.support
     for a, b in zip(rotated_run, conj_run):
         assert abs(a.error - b.error) <= 1e-8
@@ -295,7 +338,7 @@ def test_rotation_invariance():
 def test_per_step_recursion_invariant_quadratic():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0, 2.0], np.ones(5))
     D = gm.CanonicalBasis(5)
-    tr = gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=10))
+    tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=10))
     smooth, convex = E.known_params
     rc = gm.rate_constants(E, E.known_minimizer, 3, smooth, convex, 1.0)
     errs = tr.errors()
@@ -307,7 +350,7 @@ def test_per_step_recursion_invariant_quadratic():
 def test_inner_failure_reports_step_index():
     E, D, _ = make_rotated_powersum(seed=16)
     with pytest.raises(InnerSolveError, match="^step 1: restricted minimization") as err:
-        gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=5, max_inner_iters=1))
+        gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=5, max_inner_iters=1))
     assert err.value.step == 1 and err.value.support_size == 1
 
 
@@ -324,7 +367,7 @@ def test_weakness_schedule():
 
 def test_trace_csv_contents(tmp_path):
     E, D = make_sparse_quadratic(2, n=20, s=3)
-    tr = gm.run_omp(E, D, _cfg(algorithm="omp", max_steps=20))
+    tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=20))
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     with open(path) as fh:
@@ -384,12 +427,13 @@ def test_greedy_factors_each_atom_once(kind, algorithm):
             else gm.LeastSquares(rng.standard_normal((40, n)), rng.standard_normal(40)))
     E = CountedForm(base)
     D = gm.RotatedBasis(n, seed=12)
-    cfg = _cfg(algorithm=algorithm, max_steps=12, weakness=gm.WeaknessSchedule.constant(0.6),
-               selection_strategy="first_admissible")
-    tr = (gm.run_omp if algorithm == "omp" else gm.run_wcga)(E, D, cfg)
+    weak = {"weakness": gm.WeaknessSchedule.constant(0.6),
+            "selection_strategy": "first_admissible"}
+    cfg = _cfg(algorithm=algorithm, max_steps=12, **(weak if algorithm == "wcga" else {}))
+    tr = gm.run_wcga(E, D, cfg)
     assert len(tr) - 1 == 12 and E.columns == 12
     # and the run is the one a fresh lstsq solve per step gives
-    oracle = (gm.run_omp if algorithm == "omp" else gm.run_wcga)(LstsqEachStep(base), D, cfg)
+    oracle = gm.run_wcga(LstsqEachStep(base), D, cfg)
     assert tr.support == oracle.support
     for a, b in zip(tr, oracle):
         assert abs(a.error - b.error) <= 1e-9 * (1.0 + b.error)
@@ -405,12 +449,12 @@ def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
 
     monkeypatch.setattr(solvers, "SpanFactor", Recording)
     E4, D, _ = make_rotated_powersum(seed=16)
-    gm.run_omp(E4, D, _cfg(algorithm="omp", max_steps=3, max_inner_iters=3000))
+    gm.run_wcga(E4, D, _cfg(algorithm="omp", max_steps=3, max_inner_iters=3000))
     assert made == []
     E2 = gm.PowerSum(E4.center, 2.0, E4.weights)
-    tr = gm.run_omp(E2, D, _cfg(algorithm="omp", max_steps=7))
+    tr = gm.run_wcga(E2, D, _cfg(algorithm="omp", max_steps=7))
     assert len(tr) - 1 == 7
     assert made == [(7, 50)]      # min(rows of S, max_steps, n) columns of length 50
     A = np.random.default_rng(13).standard_normal((5, 50))
-    gm.run_omp(gm.LeastSquares(A, A @ D.atom(4)), D, _cfg(algorithm="omp", max_steps=9))
+    gm.run_wcga(gm.LeastSquares(A, A @ D.atom(4)), D, _cfg(algorithm="omp", max_steps=9))
     assert made[1] == (5, 5)      # a wide A caps the factor at its 5 rows
