@@ -14,8 +14,8 @@ from .analysis import (EquivalenceRow, ModuliEquivalenceReport, ModulusEstimate,
                        recursive_sequence_bound, verify_trace)
 from .config import (AnalysisSettings, ConfigError, ExperimentConfig,
                      config_from_mapping, load_config, parse_config_text, sub_seed)
-from .core import (ConvexityParams, IterateTrace, SmoothnessParams, SparseSupport,
-                   TraceStep, Vector, as_point, inner, norm)
+from .core import (ConvexityParams, IterateTrace, SmoothnessParams, TraceStep, Vector,
+                   as_point, inner, norm)
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis, weak_select
 from .harness import (build_dictionary, build_objective, derive_constants,
                       run_compare, run_demo_cs, run_experiment, run_moduli)
@@ -34,7 +34,7 @@ __all__ = [
     "InnerConfig", "InnerSolveError", "IterateTrace", "LeastSquares",
     "ModuliEquivalenceReport", "ModulusEstimate", "Objective", "PowerSum",
     "RateConstants", "RateFit", "RecursionReport", "RotatedBasis",
-    "SequenceBoundInput", "SmoothnessParams", "SolverConfig", "SparseSupport",
+    "SequenceBoundInput", "SmoothnessParams", "SolverConfig",
     "TraceStep", "TraceVerification", "Vector", "WeaknessSchedule", "as_point",
     "bregman_gap", "build_dictionary", "build_objective", "check_error_recursion",
     "check_moduli_equivalence", "config_from_mapping",

@@ -410,10 +410,11 @@ def verify_trace(trace: IterateTrace, rc: RateConstants,
     for OMP (t = 1).  Needs error data (a known minimizer).
     """
     recursion = check_error_recursion(trace, rc, schedule, tol=tol)
+    rec = rc.recursion(trace.final.k, schedule)
     bounds = []
     for step in trace:
         if step.k >= 2:
-            b = error_bound(rc, step.k, schedule)
+            b = recursive_sequence_bound(rec, step.k)
             bounds.append((step.k, step.error, b, b - step.error))
     violations = sum(1 for row in bounds if row[3] < -tol)
     return TraceVerification(recursion, bounds, violations)

@@ -59,43 +59,10 @@ def norm(a: Vector) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
 
-@dataclass(frozen=True)
-class SparseSupport:
-    """Strictly increasing dictionary indices of a sparse representation."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise ValueError("support indices must be nonnegative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("support indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def of(cls, indices) -> "SparseSupport":
-        return cls(tuple(sorted({int(i) for i in indices})))
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Vector, tol: float = 1e-10) -> "SparseSupport":
-        """Indices whose coefficient magnitude exceeds tol (relative to the largest)."""
-        c = np.abs(np.asarray(coeffs, dtype=np.float64))
-        cut = tol * max(1.0, float(c.max(initial=0.0)))
-        return cls(tuple(int(i) for i in np.flatnonzero(c > cut)))
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, j: int) -> bool:
-        return int(j) in self.indices
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
+def support_of(coeffs: Vector, tol: float) -> NDArray[np.intp]:
+    """Indices whose coefficient magnitude exceeds tol * max(1, max |c|)."""
+    c = np.abs(np.asarray(coeffs, dtype=np.float64))
+    return np.flatnonzero(c > tol * max(1.0, float(c.max(initial=0.0))))
 
 
 @dataclass(frozen=True)

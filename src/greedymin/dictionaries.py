@@ -25,10 +25,6 @@ class Dictionary(ABC):
         """Number of atoms (equals the ambient dimension)."""
 
     @abstractmethod
-    def atom(self, j: int) -> Vector:
-        ...
-
-    @abstractmethod
     def analyze(self, x: Vector) -> Vector:
         """Inner products of x against every atom."""
 
@@ -36,9 +32,9 @@ class Dictionary(ABC):
     def synthesize(self, coeffs) -> Vector:
         """Linear combination of atoms from a sparse index->value map or a dense vector."""
 
+    @abstractmethod
     def subset(self, indices: Sequence[int]) -> np.ndarray:
-        """Matrix (n x k) whose columns are the requested atoms."""
-        return np.column_stack([self.atom(j) for j in indices])
+        """Matrix (n x k) whose columns are the requested atoms, in that order."""
 
     def _dense_coeffs(self, coeffs) -> Vector:
         if isinstance(coeffs, Mapping):
@@ -60,11 +56,6 @@ class CanonicalBasis(Dictionary):
     @property
     def size(self) -> int:
         return self._n
-
-    def atom(self, j: int) -> Vector:
-        e = np.zeros(self._n)
-        e[j] = 1.0
-        return e
 
     def analyze(self, x: Vector) -> Vector:
         return as_point(x, self._n).copy()
@@ -101,9 +92,6 @@ class RotatedBasis(Dictionary):
     @property
     def size(self) -> int:
         return self._n
-
-    def atom(self, j: int) -> Vector:
-        return self.q[:, j].copy()
 
     def analyze(self, x: Vector) -> Vector:
         return self.q.T @ as_point(x, self._n)

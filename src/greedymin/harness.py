@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import (RateConstants, check_moduli_equivalence, estimate_moduli,
                        fit_rate, rate_constants, verify_trace)
 from .config import ConfigError, ExperimentConfig, sub_seed
-from .core import ConvexityParams, SmoothnessParams, SparseSupport, norm, write_csv
+from .core import ConvexityParams, SmoothnessParams, norm, support_of, write_csv
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
                          estimate_condition_constants)
@@ -113,7 +113,7 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
     if xbar is None:
         return None, "minimizer unknown"
     coeffs = dictionary.analyze(xbar)
-    support = SparseSupport.from_coefficients(coeffs, 1e-10)
+    support = support_of(coeffs, 1e-10)
     if support.size == 0:
         return None, "minimizer is the origin"
     ana = cfg.analysis
@@ -378,7 +378,7 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
 
     final = trace.final
     true_support = set(np.flatnonzero(np.abs(xbar) > 0.0))
-    found_support = set(SparseSupport.from_coefficients(final.x, 1e-8))
+    found_support = set(support_of(final.x, 1e-8))
     recovered = found_support == true_support
     distance = norm(final.x - xbar)
 

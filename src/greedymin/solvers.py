@@ -6,14 +6,14 @@ largest.  OMP is the same loop with every t_k = 1 and the exact strategy;
 ``SolverConfig(algorithm="omp")`` is held to those settings.
 
 The inner solver re-minimizes the objective over the span of the selected
-atoms, evaluating the restricted gradient once per iterate.  Exact
-restricted solves are used when the objective has a least-squares form
-(quadratics); a greedy run carries one thin QR of that form across its
-steps and factors only the newly selected atom each step.  Otherwise
-descent with Armijo backtracking, preconditioned by the diagonal Hessian
-when available, runs until the restricted gradient coefficients drop below
-``inner_tol``.  ``inner_tol`` must stay well below ``stop_tol`` or
-selection could re-pick an already selected atom.
+atoms, as basis columns in selection order, evaluating the restricted
+gradient once per iterate.  Exact restricted solves are used when the
+objective has a least-squares form (quadratics); a greedy run carries one
+thin QR of that form across its steps and factors only the newly selected
+atom each step.  Otherwise descent with Armijo backtracking, preconditioned
+by the diagonal Hessian when available, runs until the restricted gradient
+coefficients drop below ``inner_tol``.  ``inner_tol`` must stay well below
+``stop_tol`` or selection could re-pick an already selected atom.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IterateTrace, SparseSupport, TraceStep, Vector, norm
+from .core import IterateTrace, TraceStep, Vector, norm
 from .dictionaries import SELECTION_STRATEGIES, Dictionary, weak_select
 from .objectives import Objective, SpanFactor
 
@@ -118,33 +118,27 @@ class InnerSolveError(RuntimeError):
 
 
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
-                        support: SparseSupport, warm_start: Mapping[int, float] | None,
-                        cfg: InnerConfig, factor: SpanFactor | None = None,
+                        start: Mapping[int, float], cfg: InnerConfig,
+                        factor: SpanFactor | None = None,
                         ) -> tuple[Vector, dict[int, float]]:
-    """Minimize the objective over the span of the supported atoms.
+    """Minimize the objective over the span of the atoms keyed in ``start``.
 
-    Returns a point whose restricted gradient coefficients are all at most
-    ``inner_tol`` in magnitude, never worse than the warm start.  Restricted
-    gradient coefficients are exactly <E'(x), phi_j> for j in the support
+    ``start`` maps each atom to its starting coefficient; its keys, in their
+    order (the selection order in a greedy run), are the basis columns on
+    both solve paths and the keys of the returned coefficients.  Returns a
+    point whose restricted gradient coefficients are all at most
+    ``inner_tol`` in magnitude, never worse than the start.  Restricted
+    gradient coefficients are exactly <E'(x), phi_j> for the keyed atoms
     because the dictionary is orthonormal.
 
     ``factor`` is a :class:`SpanFactor` of the objective's least-squares
-    form carried across calls.  With it the atoms are ordered as the keys of
-    ``warm_start`` (the selection order), then the rest of the support, so
-    the columns the factor already holds stay leading; without it they are
-    in increasing order.
+    form carried across calls, holding the leading columns already.
     """
-    if support.size == 0:
-        raise ValueError("support must be nonempty")
-    idx = list(support)
-    if warm_start:
-        extra = set(warm_start) - set(idx)
-        if extra:
-            raise ValueError(f"warm start touches indices outside the support: {sorted(extra)}")
-        if factor is not None:
-            idx = [*warm_start, *(j for j in idx if j not in warm_start)]
+    if not start:
+        raise ValueError("start must be nonempty")
+    idx = list(start)
     basis = dictionary.subset(idx)
-    z = np.array([float(warm_start.get(j, 0.0)) if warm_start else 0.0 for j in idx])
+    z = np.array([float(v) for v in start.values()])
 
     def coeffs_of(zv) -> dict[int, float]:
         return dict(zip(idx, (float(v) for v in zv)))
@@ -154,13 +148,13 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         return float(np.max(np.abs(basis.T @ objective.gradient(x))))
 
     exact = objective.argmin_in_span(basis, factor)
-    # keep the warm start if the exact solve is numerically worse
+    # keep the start if the exact solve is numerically worse
     if exact is not None and objective.value(basis @ exact) <= objective.value(basis @ z):
         z = np.asarray(exact, dtype=np.float64)
 
     eps = float(np.finfo(np.float64).eps)
     best_z, best_resid = z.copy(), np.inf
-    for _ in range(cfg.max_inner_iters):
+    for it in range(cfg.max_inner_iters):
         x = basis @ z
         g = basis.T @ objective.gradient(x)
         r = float(np.max(np.abs(g)))
@@ -168,6 +162,8 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
             best_z, best_resid = z.copy(), r
         if r <= cfg.inner_tol:
             return x, coeffs_of(z)
+        if it + 1 == cfg.max_inner_iters:
+            break  # no iteration left to check a further step
         val = objective.value(x)
         direction = None
         hd = objective.hessian_diag(x)
@@ -238,8 +234,8 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     g = dictionary.analyze(objective.gradient(x))
     g_sup = float(np.max(np.abs(g)))
     stopped = g_sup <= cfg.stop_tol
-    steps = [TraceStep(0, x.copy(), objective.value(x), error_of(objective.value(x)),
-                       dist_of(x), None, None, g_sup, stopped)]
+    val = objective.value(x)
+    steps = [TraceStep(0, x.copy(), val, error_of(val), dist_of(x), None, None, g_sup, stopped)]
 
     for m in range(1, cfg.max_steps + 1):
         if stopped:
@@ -249,13 +245,12 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
             raise RuntimeError(
                 f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "
                 f"must stay above inner_tol ({cfg.inner.inner_tol:g})")
-        warm = {**coeffs, j: 0.0}
+        start = {**coeffs, j: 0.0}
         try:
-            x, coeffs = restricted_minimize(
-                objective, dictionary, SparseSupport.of(warm), warm, cfg.inner, factor)
+            x, coeffs = restricted_minimize(objective, dictionary, start, cfg.inner, factor)
         except InnerSolveError as exc:
             err = InnerSolveError(f"step {m}: {exc}", exc.x, exc.coeffs, exc.residual)
-            err.step, err.support_size = m, len(warm)
+            err.step, err.support_size = m, len(start)
             raise err from exc
         val = objective.value(x)
         sel_sup = g_sup

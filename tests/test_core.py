@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greedymin as gm
-from greedymin.core import SparseSupport, TraceStep, _csv_num
+from greedymin.core import TraceStep, _csv_num, support_of
 
 finite_vec = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
                       min_size=1, max_size=12)
@@ -111,19 +111,13 @@ def test_as_point_rejects_bad_input():
         gm.as_point(np.zeros((2, 2)))
 
 
-def test_sparse_support_validation():
-    s = SparseSupport((0, 3, 7))
-    assert s.size == 3 and 3 in s and 2 not in s
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SparseSupport((3, 3))
-    with pytest.raises(ValueError, match="nonnegative"):
-        SparseSupport((-1, 2))
-    assert SparseSupport.of([7, 0, 3, 3]).indices == (0, 3, 7)
-
-
 def test_sparse_support_from_coefficients():
     c = np.array([0.0, 2.0, 1e-14, -0.5])
-    assert SparseSupport.from_coefficients(c).indices == (1, 3)
+    assert support_of(c, 1e-10).tolist() == [1, 3]
+    # the cut is tol * max(1, max |c|): relative above 1, absolute below
+    assert support_of(np.array([1e3, 2e-8, 0.0]), 1e-10).tolist() == [0]
+    assert support_of(np.array([1e-3, 2e-10, 0.0]), 1e-10).tolist() == [0, 1]
+    assert support_of(np.zeros(4), 1e-10).size == 0
 
 
 def test_param_records_validate():

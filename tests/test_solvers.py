@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import greedymin as gm
-from greedymin.core import SparseSupport
 import greedymin.solvers as solvers
 from greedymin.objectives import Objective, SpanFactor
 from greedymin.solvers import InnerSolveError, restricted_minimize
@@ -58,8 +57,7 @@ def _cfg(**kw):
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    x, coeffs = restricted_minimize(unit_quadratic4, D, SparseSupport((0,)),
-                                    {0: 0.0}, gm.InnerConfig())
+    x, coeffs = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.InnerConfig())
     assert np.allclose(x, [3.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
     assert coeffs == {0: 3.0}
@@ -68,8 +66,7 @@ def test_restricted_single_coordinate(unit_quadratic4):
 def test_restricted_warm_start_already_optimal(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     warm = {0: 3.0, 2: 1.0}
-    x, coeffs = restricted_minimize(unit_quadratic4, D, SparseSupport((0, 2)),
-                                    warm, gm.InnerConfig())
+    x, coeffs = restricted_minimize(unit_quadratic4, D, warm, gm.InnerConfig())
     assert coeffs == warm
     assert np.allclose(x, unit_quadratic4.known_minimizer)
 
@@ -80,8 +77,7 @@ def test_restricted_full_support_matches_normal_equations():
     b = rng.standard_normal(10)
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
-    x, _ = restricted_minimize(E, D, SparseSupport(tuple(range(6))), None,
-                               gm.InnerConfig())
+    x, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.InnerConfig())
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
 
@@ -91,8 +87,7 @@ def test_restricted_descent_path_matches_oracle():
     E = Stripped(gm.DiagonalQuadratic(rng.standard_normal(5),
                                       rng.uniform(0.5, 2.0, 5)))
     D = gm.CanonicalBasis(5)
-    support = SparseSupport((0, 2, 4))
-    x, _ = restricted_minimize(E, D, support, None,
+    x, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
                                gm.InnerConfig(inner_tol=1e-9, max_inner_iters=5000))
     expected = np.zeros(5)
     expected[[0, 2, 4]] = E.base.center[[0, 2, 4]]
@@ -102,11 +97,9 @@ def test_restricted_descent_path_matches_oracle():
 def test_restricted_never_worse_than_warm_start():
     E, D, _ = make_rotated_powersum(seed=1)
     rng = np.random.default_rng(2)
-    support = SparseSupport((3, 10, 17))
     warm = {3: rng.uniform(), 10: rng.uniform(), 17: rng.uniform()}
     start_val = E.value(D.synthesize(warm))
-    x, _ = restricted_minimize(E, D, support, warm,
-                               gm.InnerConfig(max_inner_iters=3000))
+    x, _ = restricted_minimize(E, D, warm, gm.InnerConfig(max_inner_iters=3000))
     assert E.value(x) <= start_val + 1e-12 * (1 + abs(start_val))
 
 
@@ -114,37 +107,48 @@ def test_restricted_exhaustion_carries_best_iterate():
     E = Stripped(gm.DiagonalQuadratic([5.0, 0.0], [1.0, 1.0]))
     D = gm.CanonicalBasis(2)
     with pytest.raises(InnerSolveError) as err:
-        restricted_minimize(E, D, SparseSupport((0,)), {0: 0.0},
-                            gm.InnerConfig(max_inner_iters=1))
+        restricted_minimize(E, D, {0: 0.0}, gm.InnerConfig(max_inner_iters=1))
     assert err.value.residual > 0
     assert err.value.x.shape == (2,)
+
+
+class ValueCounted(Stripped):
+    """A stripped objective counting its value calls."""
+
+    value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return super().value(x)
+
+
+def test_restricted_last_iteration_takes_no_unchecked_step():
+    # the one allowed iteration checks the start and stops: no value, no line search
+    E = ValueCounted(gm.DiagonalQuadratic([5.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(InnerSolveError) as err:
+        restricted_minimize(E, gm.CanonicalBasis(2), {0: 0.5},
+                            gm.InnerConfig(max_inner_iters=1))
+    assert E.value_calls == 0
+    assert np.array_equal(err.value.x, [0.5, 0.0]) and err.value.coeffs == {0: 0.5}
+    assert err.value.residual == 4.5
 
 
 def test_restricted_validation(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     with pytest.raises(ValueError, match="nonempty"):
-        restricted_minimize(unit_quadratic4, D, SparseSupport(()), None,
-                            gm.InnerConfig())
-    with pytest.raises(ValueError, match="outside the support"):
-        restricted_minimize(unit_quadratic4, D, SparseSupport((0,)), {1: 1.0},
-                            gm.InnerConfig())
+        restricted_minimize(unit_quadratic4, D, {}, gm.InnerConfig())
 
 
 def test_restricted_with_factor_orders_atoms_by_warm_start():
     E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
-    support = SparseSupport((1, 2, 4))
-    with pytest.raises(ValueError, match="outside the support"):
-        restricted_minimize(E, D, support, {4: 0.0, 5: 0.0}, gm.InnerConfig(), factor)
-    assert factor.size == 0
-    x, coeffs = restricted_minimize(E, D, support, {4: 0.0, 1: 0.0}, gm.InnerConfig(),
-                                    factor)
+    start = {4: 0.0, 1: 0.0, 2: 0.0}
+    x, coeffs = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
-    x_sorted, coeffs_sorted = restricted_minimize(E, D, support, {4: 0.0, 1: 0.0},
-                                                  gm.InnerConfig())
-    assert list(coeffs_sorted) == [1, 2, 4]
-    assert np.allclose(x, x_sorted, rtol=0, atol=1e-12)
+    x_plain, coeffs_plain = restricted_minimize(E, D, start, gm.InnerConfig())
+    assert list(coeffs_plain) == [4, 1, 2]
+    assert np.allclose(x, x_plain, rtol=0, atol=1e-12)
 
 
 class GradientCounted(gm.DiagonalQuadratic):
@@ -163,11 +167,10 @@ def test_restricted_one_gradient_per_call_with_factor():
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
     coeffs = {}
     for j in (4, 1, 2, 5):
-        warm = {**coeffs, j: 0.0}
+        start = {**coeffs, j: 0.0}
         E.gradient_calls = 0
-        _, coeffs = restricted_minimize(E, D, SparseSupport.of(warm), warm,
-                                        gm.InnerConfig(), factor)
-        assert E.gradient_calls == 1 and factor.size == len(warm)
+        _, coeffs = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
+        assert E.gradient_calls == 1 and factor.size == len(start)
 
 
 @pytest.mark.parametrize("iters", [1, 3, 8])
@@ -175,13 +178,13 @@ def test_restricted_descent_one_gradient_per_iteration(iters):
     # the residual check opens each iteration; nothing is evaluated before the loop
     base = GradientCounted([40.0, -30.0, 20.0, 0.0], [0.5, 1.0, 2.0, 1.0])
     with pytest.raises(InnerSolveError):
-        restricted_minimize(Stripped(base), gm.CanonicalBasis(4), SparseSupport((0, 1, 2)),
-                            None, gm.InnerConfig(max_inner_iters=iters))
+        restricted_minimize(Stripped(base), gm.CanonicalBasis(4), {0: 0.0, 1: 0.0, 2: 0.0},
+                            gm.InnerConfig(max_inner_iters=iters))
     assert base.gradient_calls == iters
     # unit weights: one full gradient step lands on the minimizer, the second check returns
     base = GradientCounted([5.0, -2.0], [1.0, 1.0])
-    x, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), SparseSupport((0, 1)),
-                               None, gm.InnerConfig(max_inner_iters=iters + 1))
+    x, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
+                               gm.InnerConfig(max_inner_iters=iters + 1))
     assert np.array_equal(x, [5.0, -2.0]) and base.gradient_calls == 2
 
 
@@ -456,5 +459,6 @@ def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
     assert len(tr) - 1 == 7
     assert made == [(7, 50)]      # min(rows of S, max_steps, n) columns of length 50
     A = np.random.default_rng(13).standard_normal((5, 50))
-    gm.run_wcga(gm.LeastSquares(A, A @ D.atom(4)), D, _cfg(algorithm="omp", max_steps=9))
+    gm.run_wcga(gm.LeastSquares(A, A @ D.subset([4])[:, 0]), D,
+                _cfg(algorithm="omp", max_steps=9))
     assert made[1] == (5, 5)      # a wide A caps the factor at its 5 rows
