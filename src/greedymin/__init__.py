@@ -6,16 +6,13 @@ toolkit that derives its per-step error recursions and convergence-rate
 bounds from the smoothness and uniform-convexity behavior of the objective.
 """
 
-from .analysis import (EquivalenceRow, ModuliEquivalenceReport, ModulusEstimate,
-                       RateConstants, RateFit, RecursionReport, SequenceBoundInput,
-                       TraceVerification, check_error_recursion, check_moduli_equivalence,
-                       decrement_gain, distance_bound, error_bound, estimate_moduli,
-                       fit_rate, global_convexity_constant, rate_constants,
-                       recursive_sequence_bound, verify_trace)
-from .config import (AnalysisSettings, ConfigError, ExperimentConfig,
-                     config_from_mapping, load_config, parse_config_text, sub_seed)
-from .core import (ConvexityParams, IterateTrace, SmoothnessParams, TraceStep, Vector,
-                   as_point, inner, norm)
+from .analysis import (RateConstants, SequenceBoundInput, check_error_recursion,
+                       check_moduli_equivalence, error_bound, estimate_moduli, fit_rate,
+                       rate_constants, recursive_sequence_bound, verify_trace)
+from .config import (ConfigError, config_from_mapping, load_config, parse_config_text,
+                     sub_seed)
+from .core import (ConvexityParams, IterateTrace, SmoothnessParams, TraceStep, as_point,
+                   inner, norm)
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis, weak_select
 from .harness import (build_dictionary, build_objective, derive_constants,
                       run_compare, run_demo_cs, run_experiment, run_moduli)
@@ -29,21 +26,15 @@ from .solvers import (InnerConfig, InnerSolveError, SolverConfig, WeaknessSchedu
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisSettings", "CanonicalBasis", "ConfigError", "ConvexityParams",
-    "DiagonalQuadratic", "Dictionary", "EquivalenceRow", "ExperimentConfig",
-    "InnerConfig", "InnerSolveError", "IterateTrace", "LeastSquares",
-    "ModuliEquivalenceReport", "ModulusEstimate", "Objective", "PowerSum",
-    "RateConstants", "RateFit", "RecursionReport", "RotatedBasis",
-    "SequenceBoundInput", "SmoothnessParams", "SolverConfig",
-    "TraceStep", "TraceVerification", "Vector", "WeaknessSchedule", "as_point",
-    "bregman_gap", "build_dictionary", "build_objective", "check_error_recursion",
-    "check_moduli_equivalence", "config_from_mapping",
-    "decrement_gain", "derive_constants", "distance_bound", "error_bound",
+    "CanonicalBasis", "ConfigError", "ConvexityParams", "DiagonalQuadratic", "Dictionary",
+    "InnerConfig", "InnerSolveError", "IterateTrace", "LeastSquares", "Objective",
+    "PowerSum", "RateConstants", "RotatedBasis", "SequenceBoundInput", "SmoothnessParams",
+    "SolverConfig", "TraceStep", "WeaknessSchedule", "as_point", "bregman_gap",
+    "build_dictionary", "build_objective", "check_error_recursion",
+    "check_moduli_equivalence", "config_from_mapping", "derive_constants", "error_bound",
     "estimate_condition_constants", "estimate_gradient_bound",
-    "estimate_level_set_diameter", "estimate_moduli", "fit_rate",
-    "global_convexity_constant", "inner", "load_config", "norm",
-    "parse_config_text", "rate_constants", "recursive_sequence_bound",
-    "restricted_minimize", "run_compare", "run_demo_cs", "run_experiment",
-    "run_moduli", "run_wcga", "sub_seed", "uniform_ball", "verify_trace",
-    "weak_select",
+    "estimate_level_set_diameter", "estimate_moduli", "fit_rate", "inner", "load_config",
+    "norm", "parse_config_text", "rate_constants", "recursive_sequence_bound",
+    "restricted_minimize", "run_compare", "run_demo_cs", "run_experiment", "run_moduli",
+    "run_wcga", "sub_seed", "uniform_ball", "verify_trace", "weak_select",
 ]

@@ -117,7 +117,6 @@ class TraceStep:
     """
 
     k: int
-    x: Vector
     value: float
     error: float | None          # value - min value, when the minimizer is known
     dist: float | None           # distance to the known minimizer
@@ -136,10 +135,11 @@ def _csv_num(v) -> str:
 
 
 class IterateTrace:
-    """Ordered per-step records of a single greedy run."""
+    """Ordered per-step records of a single greedy run and its final iterate ``x``."""
 
-    def __init__(self, steps: Sequence[TraceStep]):
+    def __init__(self, steps: Sequence[TraceStep], x: Vector):
         self.steps = list(steps)
+        self.x = x
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -7,7 +7,7 @@ atom set relative to keeping ``+phi`` and ``-phi`` separately.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,20 +29,12 @@ class Dictionary(ABC):
         """Inner products of x against every atom."""
 
     @abstractmethod
-    def synthesize(self, coeffs) -> Vector:
-        """Linear combination of atoms from a sparse index->value map or a dense vector."""
+    def synthesize(self, coeffs: Vector) -> Vector:
+        """Linear combination of atoms from a dense coefficient vector."""
 
     @abstractmethod
     def subset(self, indices: Sequence[int]) -> np.ndarray:
         """Matrix (n x k) whose columns are the requested atoms, in that order."""
-
-    def _dense_coeffs(self, coeffs) -> Vector:
-        if isinstance(coeffs, Mapping):
-            c = np.zeros(self.size)
-            for j, v in coeffs.items():
-                c[int(j)] = float(v)
-            return c
-        return as_point(coeffs, self.size)
 
 
 class CanonicalBasis(Dictionary):
@@ -60,8 +52,8 @@ class CanonicalBasis(Dictionary):
     def analyze(self, x: Vector) -> Vector:
         return as_point(x, self._n).copy()
 
-    def synthesize(self, coeffs) -> Vector:
-        return self._dense_coeffs(coeffs).copy()
+    def synthesize(self, coeffs: Vector) -> Vector:
+        return as_point(coeffs, self._n).copy()
 
     def subset(self, indices: Sequence[int]) -> np.ndarray:
         B = np.zeros((self._n, len(indices)))
@@ -96,12 +88,8 @@ class RotatedBasis(Dictionary):
     def analyze(self, x: Vector) -> Vector:
         return self.q.T @ as_point(x, self._n)
 
-    def synthesize(self, coeffs) -> Vector:
-        if isinstance(coeffs, Mapping) and coeffs:
-            idx = sorted(int(j) for j in coeffs)
-            vals = np.array([float(coeffs[j]) for j in idx])
-            return self.q[:, idx] @ vals
-        return self.q @ self._dense_coeffs(coeffs)
+    def synthesize(self, coeffs: Vector) -> Vector:
+        return self.q @ as_point(coeffs, self._n)
 
     def subset(self, indices: Sequence[int]) -> np.ndarray:
         return self.q[:, list(indices)].copy()

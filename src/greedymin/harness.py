@@ -364,6 +364,8 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if sparsity < 0 or 2 * sparsity > rows:
         raise ConfigError(f"--sparsity: must satisfy 0 <= 2*sparsity <= rows, "
                           f"got {sparsity}")
+    if seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
     xbar = np.zeros(cols)
@@ -378,9 +380,9 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
 
     final = trace.final
     true_support = set(np.flatnonzero(np.abs(xbar) > 0.0))
-    found_support = set(support_of(final.x, 1e-8))
+    found_support = set(support_of(trace.x, 1e-8))
     recovered = found_support == true_support
-    distance = norm(final.x - xbar)
+    distance = norm(trace.x - xbar)
 
     rip_low = rip_high = None
     if sparsity:

@@ -120,16 +120,16 @@ class InnerSolveError(RuntimeError):
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
                         start: Mapping[int, float], cfg: InnerConfig,
                         factor: SpanFactor | None = None,
-                        ) -> tuple[Vector, dict[int, float]]:
+                        ) -> tuple[Vector, dict[int, float], Vector]:
     """Minimize the objective over the span of the atoms keyed in ``start``.
 
     ``start`` maps each atom to its starting coefficient; its keys, in their
     order (the selection order in a greedy run), are the basis columns on
     both solve paths and the keys of the returned coefficients.  Returns a
-    point whose restricted gradient coefficients are all at most
-    ``inner_tol`` in magnitude, never worse than the start.  Restricted
-    gradient coefficients are exactly <E'(x), phi_j> for the keyed atoms
-    because the dictionary is orthonormal.
+    point x whose restricted gradient coefficients are all at most
+    ``inner_tol`` in magnitude, its coefficients, and the gradient E'(x)
+    that certified it.  Restricted gradient coefficients are exactly
+    <E'(x), phi_j> for the keyed atoms because the dictionary is orthonormal.
 
     ``factor`` is a :class:`SpanFactor` of the objective's least-squares
     form carried across calls, holding the leading columns already.
@@ -148,20 +148,20 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         return float(np.max(np.abs(basis.T @ objective.gradient(x))))
 
     exact = objective.argmin_in_span(basis, factor)
-    # keep the start if the exact solve is numerically worse
-    if exact is not None and objective.value(basis @ exact) <= objective.value(basis @ z):
+    if exact is not None:
         z = np.asarray(exact, dtype=np.float64)
 
     eps = float(np.finfo(np.float64).eps)
     best_z, best_resid = z.copy(), np.inf
     for it in range(cfg.max_inner_iters):
         x = basis @ z
-        g = basis.T @ objective.gradient(x)
+        grad = objective.gradient(x)
+        g = basis.T @ grad
         r = float(np.max(np.abs(g)))
         if r < best_resid:
             best_z, best_resid = z.copy(), r
         if r <= cfg.inner_tol:
-            return x, coeffs_of(z)
+            return x, coeffs_of(z), grad
         if it + 1 == cfg.max_inner_iters:
             break  # no iteration left to check a further step
         val = objective.value(x)
@@ -206,6 +206,8 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
 def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
     """Greedy run: each step selects by ``weak_select`` at t_k, then re-minimizes.
 
+    Selection reads the gradient that certified the previous iterate.
+
     The one greedy entry point; an OMP config (t_k = 1, exact strategy) runs OMP.
     """
     n = objective.dimension
@@ -235,7 +237,7 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     g_sup = float(np.max(np.abs(g)))
     stopped = g_sup <= cfg.stop_tol
     val = objective.value(x)
-    steps = [TraceStep(0, x.copy(), val, error_of(val), dist_of(x), None, None, g_sup, stopped)]
+    steps = [TraceStep(0, val, error_of(val), dist_of(x), None, None, g_sup, stopped)]
 
     for m in range(1, cfg.max_steps + 1):
         if stopped:
@@ -247,16 +249,15 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
                 f"must stay above inner_tol ({cfg.inner.inner_tol:g})")
         start = {**coeffs, j: 0.0}
         try:
-            x, coeffs = restricted_minimize(objective, dictionary, start, cfg.inner, factor)
+            x, coeffs, grad = restricted_minimize(objective, dictionary, start, cfg.inner, factor)
         except InnerSolveError as exc:
             err = InnerSolveError(f"step {m}: {exc}", exc.x, exc.coeffs, exc.residual)
             err.step, err.support_size = m, len(start)
             raise err from exc
         val = objective.value(x)
         sel_sup = g_sup
-        g = dictionary.analyze(objective.gradient(x))
+        g = dictionary.analyze(grad)
         g_sup = float(np.max(np.abs(g)))
         stopped = g_sup <= cfg.stop_tol
-        steps.append(TraceStep(m, x.copy(), val, error_of(val), dist_of(x),
-                               j, coeff, sel_sup, stopped))
-    return IterateTrace(steps)
+        steps.append(TraceStep(m, val, error_of(val), dist_of(x), j, coeff, sel_sup, stopped))
+    return IterateTrace(steps, x)

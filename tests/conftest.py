@@ -90,13 +90,13 @@ def stack_library(n: int, seed: int = 0) -> dict[str, gm.Objective]:
 
 
 def synth_trace(errors, dim: int = 2) -> IterateTrace:
-    """Trace with prescribed error values and placeholder iterates."""
+    """Trace with prescribed error values and a placeholder final iterate."""
     steps = []
     for k, e in enumerate(errors):
-        steps.append(TraceStep(k=k, x=np.zeros(dim), value=float(e), error=float(e),
+        steps.append(TraceStep(k=k, value=float(e), error=float(e),
                                dist=None, selected=None if k == 0 else k - 1,
                                grad_coeff=None, grad_sup=0.0, stopped=False))
-    return IterateTrace(steps)
+    return IterateTrace(steps, np.zeros(dim))
 
 
 @pytest.fixture

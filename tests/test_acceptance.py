@@ -25,7 +25,7 @@ def test_criterion_01_exact_sparse_recovery():
     trace = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
     elapsed = time.perf_counter() - t0
     assert trace.final.k == 5 and trace.final.stopped
-    assert gm.norm(trace.final.x - E.known_minimizer) <= 1e-8
+    assert gm.norm(trace.x - E.known_minimizer) <= 1e-8
     assert elapsed < 1.0
     _report(1, f"5-sparse center recovered in exactly 5 steps ({elapsed:.3f}s)")
 

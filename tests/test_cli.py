@@ -261,6 +261,13 @@ def test_demo_cs_square_matrix_recovers(tmp_path):
     assert dist <= 1e-7
 
 
+def test_demo_cs_negative_seed_names_the_flag(tmp_path, capsys):
+    assert main(["--quiet", "--output-dir", str(tmp_path / "runs"), "demo-cs",
+                 "--rows", "10", "--cols", "20", "--sparsity", "2", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_demo_cs_shape_validation(capsys):
     assert main(["--quiet", "demo-cs", "--rows", "30", "--cols", "20",
                  "--sparsity", "2", "--seed", "0"]) == 1

@@ -132,11 +132,11 @@ def test_param_records_validate():
 
 def test_trace_csv_round_trip(tmp_path):
     steps = [
-        TraceStep(0, np.zeros(2), 5.0, 5.0, 2.0, None, None, 3.0, False),
-        TraceStep(1, np.ones(2), 0.5, 0.5, 1.0, 4, -3.0, 3.0, True),
+        TraceStep(0, 5.0, 5.0, 2.0, None, None, 3.0, False),
+        TraceStep(1, 0.5, 0.5, 1.0, 4, -3.0, 3.0, True),
     ]
     path = tmp_path / "t.csv"
-    gm.IterateTrace(steps).to_csv(path)
+    gm.IterateTrace(steps, np.ones(2)).to_csv(path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["k"] for r in rows] == ["0", "1"]
@@ -149,9 +149,9 @@ def test_trace_csv_round_trip(tmp_path):
 
 def test_trace_accessors():
     tr = gm.IterateTrace([
-        TraceStep(0, np.zeros(1), 2.0, None, None, None, None, 1.0, False),
-        TraceStep(1, np.zeros(1), 1.0, None, None, 0, 1.0, 1.0, True),
-    ])
+        TraceStep(0, 2.0, None, None, None, None, 1.0, False),
+        TraceStep(1, 1.0, None, None, 0, 1.0, 1.0, True),
+    ], np.ones(1))
     assert tr.support == [0]
     assert not tr.has_errors
     with pytest.raises(ValueError, match="no error data"):

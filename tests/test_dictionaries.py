@@ -41,13 +41,6 @@ def test_analyze_rejects_stack(basis):
         basis.analyze(np.ones((3, basis.size)))
 
 
-def test_sparse_synthesize_matches_dense(basis):
-    coeffs = {2: 1.5, 7: -0.25}
-    dense = np.zeros(basis.size)
-    dense[2], dense[7] = 1.5, -0.25
-    assert np.allclose(basis.synthesize(coeffs), basis.synthesize(dense), atol=1e-12)
-
-
 def test_subset_columns(basis):
     B = basis.subset([1, 4, 9])
     for col, j in enumerate([1, 4, 9]):

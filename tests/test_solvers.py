@@ -57,7 +57,7 @@ def _cfg(**kw):
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    x, coeffs = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.InnerConfig())
+    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.InnerConfig())
     assert np.allclose(x, [3.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
     assert coeffs == {0: 3.0}
@@ -66,7 +66,7 @@ def test_restricted_single_coordinate(unit_quadratic4):
 def test_restricted_warm_start_already_optimal(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     warm = {0: 3.0, 2: 1.0}
-    x, coeffs = restricted_minimize(unit_quadratic4, D, warm, gm.InnerConfig())
+    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, warm, gm.InnerConfig())
     assert coeffs == warm
     assert np.allclose(x, unit_quadratic4.known_minimizer)
 
@@ -77,7 +77,7 @@ def test_restricted_full_support_matches_normal_equations():
     b = rng.standard_normal(10)
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
-    x, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.InnerConfig())
+    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.InnerConfig())
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
 
@@ -87,8 +87,8 @@ def test_restricted_descent_path_matches_oracle():
     E = Stripped(gm.DiagonalQuadratic(rng.standard_normal(5),
                                       rng.uniform(0.5, 2.0, 5)))
     D = gm.CanonicalBasis(5)
-    x, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
-                               gm.InnerConfig(inner_tol=1e-9, max_inner_iters=5000))
+    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
+                                  gm.InnerConfig(inner_tol=1e-9, max_inner_iters=5000))
     expected = np.zeros(5)
     expected[[0, 2, 4]] = E.base.center[[0, 2, 4]]
     assert np.allclose(x, expected, atol=1e-8)
@@ -98,8 +98,10 @@ def test_restricted_never_worse_than_warm_start():
     E, D, _ = make_rotated_powersum(seed=1)
     rng = np.random.default_rng(2)
     warm = {3: rng.uniform(), 10: rng.uniform(), 17: rng.uniform()}
-    start_val = E.value(D.synthesize(warm))
-    x, _ = restricted_minimize(E, D, warm, gm.InnerConfig(max_inner_iters=3000))
+    dense = np.zeros(D.size)
+    dense[list(warm)] = list(warm.values())
+    start_val = E.value(D.synthesize(dense))
+    x, _, _ = restricted_minimize(E, D, warm, gm.InnerConfig(max_inner_iters=3000))
     assert E.value(x) <= start_val + 1e-12 * (1 + abs(start_val))
 
 
@@ -144,9 +146,9 @@ def test_restricted_with_factor_orders_atoms_by_warm_start():
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
     start = {4: 0.0, 1: 0.0, 2: 0.0}
-    x, coeffs = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
+    x, coeffs, _ = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
-    x_plain, coeffs_plain = restricted_minimize(E, D, start, gm.InnerConfig())
+    x_plain, coeffs_plain, _ = restricted_minimize(E, D, start, gm.InnerConfig())
     assert list(coeffs_plain) == [4, 1, 2]
     assert np.allclose(x, x_plain, rtol=0, atol=1e-12)
 
@@ -161,16 +163,37 @@ class GradientCounted(gm.DiagonalQuadratic):
         return super().gradient(x)
 
 
+class EvalCounted(GradientCounted):
+    """A diagonal quadratic counting its value and gradient calls."""
+
+    value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return super().value(x)
+
+
 def test_restricted_one_gradient_per_call_with_factor():
-    E = GradientCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    # the exact path trusts the solve: one gradient certifies it, no value is taken
+    E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
-    coeffs = {}
+    coeffs, E.value_calls = {}, 0
     for j in (4, 1, 2, 5):
         start = {**coeffs, j: 0.0}
         E.gradient_calls = 0
-        _, coeffs = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
+        _, coeffs, _ = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
         assert E.gradient_calls == 1 and factor.size == len(start)
+    assert E.value_calls == 0
+
+
+@pytest.mark.parametrize("path", ["exact", "descent"])
+def test_restricted_returns_the_gradient_at_its_point(path):
+    base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    E = base if path == "exact" else Stripped(base)
+    x, _, grad = restricted_minimize(E, gm.RotatedBasis(6, seed=3), {4: 0.0, 1: 0.0},
+                                     gm.InnerConfig(max_inner_iters=3000))
+    assert np.array_equal(grad, E.gradient(x))
 
 
 @pytest.mark.parametrize("iters", [1, 3, 8])
@@ -183,8 +206,8 @@ def test_restricted_descent_one_gradient_per_iteration(iters):
     assert base.gradient_calls == iters
     # unit weights: one full gradient step lands on the minimizer, the second check returns
     base = GradientCounted([5.0, -2.0], [1.0, 1.0])
-    x, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
-                               gm.InnerConfig(max_inner_iters=iters + 1))
+    x, _, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
+                                  gm.InnerConfig(max_inner_iters=iters + 1))
     assert np.array_equal(x, [5.0, -2.0]) and base.gradient_calls == 2
 
 
@@ -199,7 +222,7 @@ def test_omp_hand_computed_trace(unit_quadratic4):
     assert abs(tr[1].error - 0.5) <= 1e-12
     assert tr[2].error <= 1e-12
     assert tr.final.stopped
-    assert np.allclose(tr.final.x, unit_quadratic4.known_minimizer, atol=1e-10)
+    assert np.allclose(tr.x, unit_quadratic4.known_minimizer, atol=1e-10)
     # selection data: gradient at 0 is (-3, 0, -1, 0)
     assert tr[1].grad_coeff == -3.0 and tr[1].grad_sup == 3.0
 
@@ -282,26 +305,43 @@ def test_dimension_mismatch_raises(unit_quadratic4):
         gm.run_wcga(unit_quadratic4, gm.CanonicalBasis(5), _cfg(algorithm="omp"))
 
 
-def test_monotonicity_orthogonality_freshness():
-    runs = []
-    for seed in range(3):
-        E, D = make_sparse_quadratic(seed, n=30, s=6)
-        runs.append((E, D, gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=30))))
+def test_greedy_one_value_per_step_and_no_second_gradient():
+    # K exact steps: E at the minimizer and at the origin, then one value per step;
+    # the gradient at the origin, then the one each restricted solve certified
+    E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    E.value_calls = E.gradient_calls = 0
+    tr = gm.run_wcga(E, gm.RotatedBasis(6, seed=3), _cfg(algorithm="omp", max_steps=4))
+    K = tr.final.k
+    assert K == 4
+    assert E.value_calls == K + 2 and E.gradient_calls == K + 1
+
+
+def test_monotonicity_orthogonality_freshness(monkeypatch):
+    solve, iterates = solvers.restricted_minimize, []
+
+    def recording_solve(*args, **kwargs):
+        x, coeffs, grad = solve(*args, **kwargs)
+        iterates.append(x)
+        return x, coeffs, grad
+
+    monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
+    problems = [make_sparse_quadratic(seed, n=30, s=6) + (_cfg(algorithm="omp", max_steps=30),)
+                for seed in range(3)]
     E, D, _ = make_rotated_powersum(seed=16)
-    runs.append((E, D, gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=60,
-                                              max_inner_iters=3000))))
-    for E, D, tr in runs:
+    problems.append((E, D, _cfg(algorithm="omp", max_steps=60, max_inner_iters=3000)))
+    for E, D, cfg in problems:
+        iterates.clear()
+        tr = gm.run_wcga(E, D, cfg)
         vals = tr.values()
         assert np.all(np.diff(vals) <= 1e-10 * (1 + np.abs(vals[:-1])))
         # distinct selections
         sel = tr.support
         assert len(sel) == len(set(sel))
         # restricted gradient vanishes at every iterate over its support
-        for step in tr:
-            if step.k == 0:
-                continue
-            g = D.analyze(E.gradient(step.x))
-            assert max(abs(g[j]) for j in sel[:step.k]) <= 1e-9
+        assert len(iterates) == tr.final.k and np.array_equal(iterates[-1], tr.x)
+        for k, x in enumerate(iterates, start=1):
+            g = D.analyze(E.gradient(x))
+            assert max(abs(g[j]) for j in sel[:k]) <= 1e-9
 
 
 def test_finite_recovery_sparse_quadratic():
@@ -309,7 +349,7 @@ def test_finite_recovery_sparse_quadratic():
         E, D = make_sparse_quadratic(seed, n=60, s=7)
         tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=60))
         assert tr.final.k == 7 and tr.final.stopped
-        assert gm.norm(tr.final.x - E.known_minimizer) <= 1e-8
+        assert gm.norm(tr.x - E.known_minimizer) <= 1e-8
 
 
 def test_padding_independence():
