@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import ConvexityParams, IterateTrace, SmoothnessParams, Vector
+from .core import CurvatureParams, IterateTrace, Vector
 from .objectives import Objective, uniform_ball
 from .solvers import WeaknessSchedule
 
@@ -152,12 +151,9 @@ def global_convexity_constant(beta: float, p: float, diameter_ratio: float) -> f
     """Convexity constant valid for every pair in the level set.
 
     The radius-limited constant beta degrades to beta * L^(1-p) when pairs
-    can be up to L times the condition radius apart (L >= 1).
+    can be up to L times the condition radius apart (L >= 1).  beta and p
+    are those of a :class:`CurvatureParams`, which checked them.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if not p >= 2:
-        raise ValueError("p must be >= 2")
     if diameter_ratio < 1.0:
         raise ValueError(f"diameter ratio {diameter_ratio} below 1")
     return beta * min(1.0, diameter_ratio ** (1.0 - p))
@@ -168,13 +164,9 @@ def decrement_gain(grad_bound: float, radius: float, alpha: float, q: float) -> 
 
     Equals the maximum of g(mu) = (mu - 1) * mu^(-q/(q-1)) over admissible
     mu > max(1, grad_bound * radius^(1-q) / alpha): the unconstrained
-    maximizer mu = q when admissible, otherwise the boundary value.
+    maximizer mu = q when admissible, otherwise the boundary value.  The
+    arguments are fields of a :class:`CurvatureParams`, which checked them.
     """
-    for name, v in (("grad_bound", grad_bound), ("radius", radius), ("alpha", alpha)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive")
-    if not 1.0 < q <= 2.0:
-        raise ValueError(f"q={q} outside (1, 2]")
     ratio = grad_bound * radius ** (1.0 - q) / alpha
     mu = q if ratio < q else ratio
     return (mu - 1.0) * mu ** (-q / (q - 1.0))
@@ -182,19 +174,14 @@ def decrement_gain(grad_bound: float, radius: float, alpha: float, q: float) -> 
 
 @dataclass(frozen=True)
 class RateConstants:
-    """The curvature constants and the per-step error recursion they imply.
+    """The curvature record and the per-step error recursion it implies.
 
     Every bound on the greedy errors is the sequence bound at ``recursion``.
     The report also prints the closed-form constants of that bound: the
     contraction properties for p = q = 2, the poly properties for q < p.
     """
 
-    alpha: float
-    smooth_exponent: float       # q in (1, 2]
-    beta: float
-    convex_exponent: float       # p >= 2
-    radius: float
-    grad_bound: float
+    params: CurvatureParams
     support_size: int
     diameter_ratio: float
     beta_global: float
@@ -205,7 +192,7 @@ class RateConstants:
     @property
     def ell(self) -> float:
         """Exponent (p-q)/(p(q-1)) of e_{k-1} in the recursion, 0 for p = q = 2."""
-        p, q = self.convex_exponent, self.smooth_exponent
+        p, q = self.params.p, self.params.q
         return (p - q) / (p * (q - 1.0))
 
     @property
@@ -220,7 +207,7 @@ class RateConstants:
     def recursion(self, k: int, schedule: WeaknessSchedule | None = None
                   ) -> SequenceBoundInput:
         """The recursion through step k; ``schedule`` gives t_j, t = 1 without one."""
-        qq = self.smooth_exponent / (self.smooth_exponent - 1.0)
+        qq = self.params.q / (self.params.q - 1.0)
         weights = tuple((1.0 if schedule is None else schedule.t(j)) ** qq
                         for j in range(2, k + 1))
         return SequenceBoundInput(self.initial_gap, self.scale / self.gain, self.ell, weights)
@@ -243,47 +230,39 @@ class RateConstants:
 
     @property
     def _per_atom(self) -> float:
-        q = self.smooth_exponent
+        q = self.params.q
         return self.scale / self.support_size ** (q / (2.0 * (q - 1.0)))
 
 
 def rate_constants(objective: Objective, minimizer: Vector, support_size: int,
-                   smoothness: SmoothnessParams, convexity: ConvexityParams,
-                   diameter_ratio: float = 1.0) -> RateConstants:
+                   params: CurvatureParams, diameter_ratio: float = 1.0) -> RateConstants:
     """Derive every recursion and bound constant from the curvature parameters.
 
-    Covers q < p and p = q = 2; raises "bound vacuous" when the geometric
-    contraction factor would leave (0, 1).
+    A :class:`CurvatureParams` has q <= 2 <= p, so q < p or p = q = 2.  Valid
+    constants give gain <= scale when p = q = 2 (beta <= alpha), with
+    equality when one step reaches the minimum; a gain above scale beyond
+    round-off raises "bound vacuous".
     """
-    alpha, q = smoothness.alpha, smoothness.exponent
-    beta, p = convexity.beta, convexity.exponent
-    if abs(smoothness.radius - convexity.radius) > 1e-9 * max(smoothness.radius, 1.0):
-        raise ValueError("smoothness and convexity radii disagree")
-    if p == q and p != 2.0:
-        raise ValueError("rate theory covers q < p or p = q = 2")
+    alpha, q, beta, p = params.alpha, params.q, params.beta, params.p
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    radius = smoothness.radius
     beta_global = global_convexity_constant(beta, p, diameter_ratio)
     initial_gap = objective.value(np.zeros(objective.dimension)) - objective.value(minimizer)
     if not initial_gap > 0:
         raise ValueError("objective is already minimized at the origin")
-    gain = decrement_gain(smoothness.grad_bound, radius, alpha, q)
+    gain = decrement_gain(params.grad_bound, params.radius, alpha, q)
     # weighted mean inequality constant tying the gap to the distance
     geom = p * beta_global ** (1.0 / p) * (p - 1.0) ** ((1.0 - p) / p)
     qq = q / (q - 1.0)
     per_atom = alpha ** (1.0 / (q - 1.0)) * geom ** (-qq)
     scale = support_size ** (qq / 2.0) * per_atom
-    if p == q == 2.0 and gain >= scale:
-        raise ValueError(
-            f"bound vacuous: contraction factor {1.0 - gain / scale:g} not in (0, 1)")
-    return RateConstants(alpha=alpha, smooth_exponent=q, beta=beta,
-                         convex_exponent=p, radius=radius,
-                         grad_bound=smoothness.grad_bound,
-                         support_size=int(support_size),
-                         diameter_ratio=float(diameter_ratio),
-                         beta_global=beta_global, initial_gap=initial_gap,
-                         gain=gain, scale=scale)
+    if p == q == 2.0:
+        if gain > scale * (1.0 + 4.0 * np.finfo(np.float64).eps):
+            raise ValueError(
+                f"bound vacuous: contraction factor {1.0 - gain / scale:g} not in [0, 1)")
+        gain = min(gain, scale)
+    return RateConstants(params, int(support_size), float(diameter_ratio), beta_global,
+                         initial_gap, gain, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +403,7 @@ def distance_bound(rc: RateConstants, error: float) -> float:
     """Bound on the distance to the minimizer implied by an error value."""
     if error < 0:
         raise ValueError("error must be nonnegative")
-    return (error / rc.beta_global) ** (1.0 / rc.convex_exponent)
+    return (error / rc.beta_global) ** (1.0 / rc.params.p)
 
 
 @dataclass

@@ -45,21 +45,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "demo-cs":
-            report = run_demo_cs(args.rows, args.cols, args.sparsity, args.seed,
+            status = run_demo_cs(args.rows, args.cols, args.sparsity, args.seed,
                                  output_dir=args.output_dir or "runs", quiet=args.quiet)
         else:
             cfg = load_config(args.config)
             if args.command == "run":
-                report = run_experiment(cfg, output_dir=args.output_dir, quiet=args.quiet)
+                status = run_experiment(cfg, output_dir=args.output_dir, quiet=args.quiet)
             elif args.command == "moduli":
-                report = run_moduli(cfg, output_dir=args.output_dir, quiet=args.quiet)
+                status = run_moduli(cfg, output_dir=args.output_dir, quiet=args.quiet)
             else:
-                report = run_compare(cfg, args.algs, output_dir=args.output_dir,
+                status = run_compare(cfg, args.algs, output_dir=args.output_dir,
                                      quiet=args.quiet)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0 if report.status == "OK" else 2
+    return 0 if status == "OK" else 2
 
 
 if __name__ == "__main__":

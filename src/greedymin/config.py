@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import halving_partner
-from .solvers import InnerConfig, SolverConfig, WeaknessSchedule
+from .solvers import SolverConfig, WeaknessSchedule
 
 OBJECTIVE_TYPES = ("diagonal_quadratic", "least_squares", "power_sum")
 DICTIONARY_TYPES = ("canonical", "rotated")
@@ -214,13 +214,12 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
                           f"expected one of {DICTIONARY_TYPES}")
 
     solver = _fields(left, "solver", {"algorithm": str, "max_steps": int, "stop_tol": float,
+                                      "inner_tol": float, "max_inner_iters": int,
                                       "selection_strategy": str})
     if "solver.weakness" in left:
         solver["weakness"] = _weakness(left.pop("solver.weakness"))
-    inner = _fields(left, "solver", {"inner_tol": float, "max_inner_iters": int})
     try:
-        solver = SolverConfig(inner=InnerConfig(**inner), seed=sub_seed(seed, "solver"),
-                              **solver)
+        solver = SolverConfig(seed=sub_seed(seed, "solver"), **solver)
     except ValueError as exc:     # its messages start with the field name
         raise ConfigError(f"solver.{exc}") from exc
 

@@ -1,9 +1,11 @@
-"""Vector arithmetic, parameter records, and the per-step solver trace.
+"""Vector arithmetic, the curvature record, and the per-step solver trace.
 
 Everything here treats a point of the ambient space as a dense 1-D float64
 array, and a stack of points as a 2-D array with one point per row.  The
 ambient dimension is finite and fixed per experiment; tests confirm that
 padding a problem with inactive coordinates does not change any result.
+``CurvatureParams`` is the one hypothesis of the rate theorems: both power
+bounds on the Bregman gap and the region where they hold.
 """
 from __future__ import annotations
 
@@ -66,45 +68,29 @@ def support_of(coeffs: Vector, tol: float) -> NDArray[np.intp]:
 
 
 @dataclass(frozen=True)
-class SmoothnessParams:
-    """Upper power bound on the Bregman gap.
+class CurvatureParams:
+    """Power bounds on the Bregman gap over one region.
 
-    gap(x, x') <= alpha * ||x' - x||**exponent whenever x is in the level set
-    and ||x' - x|| <= radius; grad_bound bounds the gradient norm over the
-    level set.
+    beta * ||x' - x||**p <= gap(x, x') <= alpha * ||x' - x||**q whenever x
+    is in the level set and ||x' - x|| <= radius; grad_bound bounds the
+    gradient norm over the level set.
     """
 
     alpha: float
-    exponent: float
+    q: float                     # smoothness exponent in (1, 2]
+    beta: float
+    p: float                     # convexity exponent >= 2
     radius: float
     grad_bound: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not 1.0 < self.exponent <= 2.0:
-            raise ValueError(f"smoothness exponent {self.exponent} outside (1, 2]")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not self.grad_bound > 0:
-            raise ValueError("grad_bound must be positive")
-
-
-@dataclass(frozen=True)
-class ConvexityParams:
-    """Lower power bound on the Bregman gap: gap >= beta * ||x' - x||**exponent."""
-
-    beta: float
-    exponent: float
-    radius: float
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.exponent >= 2.0:
-            raise ValueError(f"convexity exponent {self.exponent} below 2")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        for name in ("alpha", "beta", "radius", "grad_bound"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 1.0 < self.q <= 2.0:
+            raise ValueError(f"smoothness exponent {self.q} outside (1, 2]")
+        if not self.p >= 2.0:
+            raise ValueError(f"convexity exponent {self.p} below 2")
 
 
 @dataclass

@@ -7,7 +7,7 @@ component name, so each component is independently reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import (RateConstants, check_moduli_equivalence, estimate_moduli,
                        fit_rate, rate_constants, verify_trace)
 from .config import ConfigError, ExperimentConfig, sub_seed
-from .core import ConvexityParams, SmoothnessParams, norm, support_of, write_csv
+from .core import CurvatureParams, norm, support_of, write_csv
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis
 from .objectives import (DiagonalQuadratic, LeastSquares, Objective, PowerSum,
                          estimate_condition_constants)
@@ -121,11 +121,10 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
     ratio = 1.0
     if ana.alpha is not None:
         p = ana.p if ana.p is not None else 2.0
-        smooth = SmoothnessParams(ana.alpha, q, ana.radius, ana.grad_bound)
-        convex = ConvexityParams(ana.beta, p, ana.radius)
+        params = CurvatureParams(ana.alpha, q, ana.beta, p, ana.radius, ana.grad_bound)
         ratio = max(1.0, diam / ana.radius)
     elif objective.known_params is not None:
-        smooth, convex = objective.known_params
+        params = objective.known_params
     else:
         radius = _effective_radius(objective)
         p = ana.p if ana.p is not None else objective.exponent
@@ -137,38 +136,32 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
         beta = BETA_SAFETY * beta_hat
         if not beta > 0:
             return None, "estimated convexity constant is not positive"
-        smooth = SmoothnessParams(alpha, q, pair_radius, objective.gradient_sup_bound())
-        convex = ConvexityParams(beta, p, pair_radius)
-    return rate_constants(objective, xbar, support.size, smooth, convex, ratio), None
+        params = CurvatureParams(alpha, q, beta, p, pair_radius,
+                                 objective.gradient_sup_bound())
+    return rate_constants(objective, xbar, support.size, params, ratio), None
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    """Outcome of one command: its name, its STATUS and the files it wrote."""
-
-    name: str
-    status: str
-    paths: list[Path]
-
-
 def _write_report(path: Path, name: str, status: str, lines: list[str],
-                  paths: list[Path], quiet: bool) -> Report:
-    """Write a text report headed by its STATUS and name; echo it unless quiet."""
+                  quiet: bool) -> str:
+    """Write a text report headed by its STATUS and name; echo it unless quiet.
+
+    Returns the STATUS, which each command returns in turn.
+    """
     text = "\n".join([f"STATUS: {status}", f"name: {name}", *lines]) + "\n"
     path.write_text(text)
     if not quiet:
         print(text, end="")
-    return Report(name, status, [*paths, path])
+    return status
 
 
 def _constants_lines(rc: RateConstants) -> list[str]:
+    cp = rc.params
     lines = [
-        f"alpha: {rc.alpha:.6g}  q: {rc.smooth_exponent:g}  "
-        f"beta: {rc.beta:.6g}  p: {rc.convex_exponent:g}",
-        f"radius: {rc.radius:.6g}  grad_bound: {rc.grad_bound:.6g}  "
+        f"alpha: {cp.alpha:.6g}  q: {cp.q:g}  beta: {cp.beta:.6g}  p: {cp.p:g}",
+        f"radius: {cp.radius:.6g}  grad_bound: {cp.grad_bound:.6g}  "
         f"diameter_ratio: {rc.diameter_ratio:.6g}",
         f"support_size: {rc.support_size}  beta_global: {rc.beta_global:.6g}  "
         f"initial_gap: {rc.initial_gap:.6g}",
@@ -182,7 +175,7 @@ def _constants_lines(rc: RateConstants) -> list[str]:
     return lines
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> Report:
+def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> str:
     t0 = time.perf_counter()
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
@@ -190,13 +183,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
 
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    trace_path = outdir / f"{cfg.name}.trace.csv"
-    bounds_path = outdir / f"{cfg.name}.bounds.csv"
-    trace.to_csv(trace_path)
+    trace.to_csv(outdir / f"{cfg.name}.trace.csv")
 
     rc, reason = derive_constants(cfg, objective, dictionary)
     check = None if rc is None else verify_trace(trace, rc, cfg.solver.weakness, BOUND_TOL)
-    write_csv(bounds_path, ("k", "e_k", "bound_k", "margin"),
+    write_csv(outdir / f"{cfg.name}.bounds.csv", ("k", "e_k", "bound_k", "margin"),
               [] if check is None else check.bounds)
 
     status = "OK" if check is None or check.passed else "VIOLATION"
@@ -234,14 +225,13 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
         else:
             lines.append(f"theoretical_rate: k^{rc.theoretical_slope:.6g}")
     lines.append(f"wall_time_s: {time.perf_counter() - t0:.3f}")
-    return _write_report(outdir / f"{cfg.name}.report.txt", cfg.name, status, lines,
-                         [trace_path, bounds_path], quiet)
+    return _write_report(outdir / f"{cfg.name}.report.txt", cfg.name, status, lines, quiet)
 
 
 # ---------------------------------------------------------------------------
 
 
-def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> Report:
+def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> str:
     dictionary = build_dictionary(cfg)
     objective = build_objective(cfg, dictionary)
     radius = _effective_radius(objective)
@@ -257,8 +247,7 @@ def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> R
     eq = check_moduli_equivalence(est)
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"{cfg.name}.moduli.csv"
-    write_csv(csv_path, ("u", "rho", "rho1", "delta1"),
+    write_csv(outdir / f"{cfg.name}.moduli.csv", ("u", "rho", "rho1", "delta1"),
               zip(est.u_grid, est.rho, est.rho1, est.delta1))
     lines = [f"samples: {est.sample_count}  seed: {est.seed}",
              f"two-sided comparison (slack {eq.slack:g}, tol {eq.tol:g}):"]
@@ -267,7 +256,7 @@ def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> R
         lines.append(f"  u={row.u:.6g}  right_margin={row.right_margin:.6g}  "
                      f"left_margin={left}  {'pass' if row.passed else 'FAIL'}")
     return _write_report(outdir / f"{cfg.name}.moduli.txt", cfg.name,
-                         "OK" if eq.passed else "VIOLATION", lines, [csv_path], quiet)
+                         "OK" if eq.passed else "VIOLATION", lines, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +297,7 @@ def parse_variant(descriptor: str, base: SolverConfig) -> SolverConfig:
 
 
 def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
-                quiet: bool = False) -> Report:
+                quiet: bool = False) -> str:
     if len(descriptors) < 2:
         raise ConfigError("--algs: need at least two solver variants")
     dictionary = build_dictionary(cfg)
@@ -319,8 +308,7 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
 
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"{cfg.name}.compare.csv"
-    write_csv(csv_path, ["k"] + [f"e_k({d})" for d in descriptors],
+    write_csv(outdir / f"{cfg.name}.compare.csv", ["k"] + [f"e_k({d})" for d in descriptors],
               ([k] + [t[k].error if k < len(t) else None for t in traces]
                for k in range(max(len(t) for t in traces))))
 
@@ -343,15 +331,14 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
             lines.append(f"  fitted_slope: skipped ({exc})")
         else:
             lines.append(f"  fitted_slope: {fit.slope:.6g}")
-    return _write_report(outdir / f"{cfg.name}.compare.txt", cfg.name, status, lines,
-                         [csv_path], quiet)
+    return _write_report(outdir / f"{cfg.name}.compare.txt", cfg.name, status, lines, quiet)
 
 
 # ---------------------------------------------------------------------------
 
 
 def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
-                output_dir="runs", quiet: bool = False) -> Report:
+                output_dir="runs", quiet: bool = False) -> str:
     """Compressed-sensing style demo: plant a sparse solution, recover with OMP.
 
     Also samples the near-isometry ratio ||Az||^2 / ||z||^2 over seeded
@@ -397,8 +384,7 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = f"demo_cs_r{rows}_c{cols}_s{sparsity}_seed{seed}"
-    trace_path = outdir / f"{name}.trace.csv"
-    trace.to_csv(trace_path)
+    trace.to_csv(outdir / f"{name}.trace.csv")
     lines = [f"matrix: {rows}x{cols} gaussian, scaled by 1/sqrt(rows)",
              f"planted sparsity: {sparsity}",
              f"steps: {final.k}  stopped: {'true' if final.stopped else 'false'}",
@@ -407,4 +393,4 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if rip_low is not None:
         lines.append(f"sampled_isometry_ratio: [{rip_low:.6g}, {rip_high:.6g}] "
                      f"over 1000 random {sparsity}-sparse vectors")
-    return _write_report(outdir / f"{name}.report.txt", name, "OK", lines, [trace_path], quiet)
+    return _write_report(outdir / f"{name}.report.txt", name, "OK", lines, quiet)

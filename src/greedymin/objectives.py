@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConvexityParams, SmoothnessParams, Vector, as_point, as_points, norm
+from .core import CurvatureParams, Vector, as_point, as_points, norm
 
 
 class Objective(ABC):
@@ -54,14 +54,14 @@ class Objective(ABC):
         return self._dimension
 
     @property
-    def known_params(self) -> tuple[SmoothnessParams, ConvexityParams] | None:
+    def known_params(self) -> CurvatureParams | None:
         """``curvature`` with the level-set geometry; None without it or on a point."""
         diam = self.level_set_diameter()
         if self.curvature is None or not diam:
             return None
         alpha, beta = self.curvature
-        return (SmoothnessParams(alpha, 2.0, diam, self.gradient_sup_bound()),
-                ConvexityParams(beta, self.exponent, diam))
+        return CurvatureParams(alpha, 2.0, beta, self.exponent, diam,
+                               self.gradient_sup_bound())
 
     @abstractmethod
     def value(self, x: Vector) -> float | Vector:

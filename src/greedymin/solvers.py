@@ -62,24 +62,13 @@ class WeaknessSchedule:
 
 
 @dataclass(frozen=True)
-class InnerConfig:
-    inner_tol: float = 1e-10
-    max_inner_iters: int = 500
-
-    def __post_init__(self):
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol: must be positive")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters: must be >= 1")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     algorithm: str = "omp"
     weakness: WeaknessSchedule = field(default_factory=lambda: WeaknessSchedule.constant(1.0))
     max_steps: int = 100
     stop_tol: float = 1e-8
-    inner: InnerConfig = field(default_factory=InnerConfig)
+    inner_tol: float = 1e-10
+    max_inner_iters: int = 500
     selection_strategy: str = "exact"
     seed: int = 0
 
@@ -90,6 +79,10 @@ class SolverConfig:
             raise ValueError("max_steps: must be >= 1")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol: must be positive")
+        if not self.inner_tol > 0:
+            raise ValueError("inner_tol: must be positive")
+        if self.max_inner_iters < 1:
+            raise ValueError("max_inner_iters: must be >= 1")
         if self.selection_strategy not in SELECTION_STRATEGIES:
             raise ValueError(f"selection_strategy: unknown strategy "
                              f"{self.selection_strategy!r}")
@@ -104,21 +97,19 @@ class SolverConfig:
 class InnerSolveError(RuntimeError):
     """Restricted minimization ran out of iterations.
 
-    Carries the best iterate reached and its residual gradient sup-norm;
-    raised from a greedy run, also its step and support size (else None).
+    Carries the least residual gradient sup-norm reached; raised from a
+    greedy run, also its step and support size (else None).
     """
 
-    def __init__(self, message: str, x: Vector, coeffs: dict[int, float], residual: float):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
-        self.x = x
-        self.coeffs = coeffs
         self.residual = residual
         self.step: int | None = None
         self.support_size: int | None = None
 
 
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
-                        start: Mapping[int, float], cfg: InnerConfig,
+                        start: Mapping[int, float], cfg: SolverConfig,
                         factor: SpanFactor | None = None,
                         ) -> tuple[Vector, dict[int, float], Vector]:
     """Minimize the objective over the span of the atoms keyed in ``start``.
@@ -127,9 +118,10 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     order (the selection order in a greedy run), are the basis columns on
     both solve paths and the keys of the returned coefficients.  Returns a
     point x whose restricted gradient coefficients are all at most
-    ``inner_tol`` in magnitude, its coefficients, and the gradient E'(x)
-    that certified it.  Restricted gradient coefficients are exactly
-    <E'(x), phi_j> for the keyed atoms because the dictionary is orthonormal.
+    ``cfg.inner_tol`` in magnitude, within ``cfg.max_inner_iters`` iterates,
+    its coefficients, and the gradient E'(x) that certified it.  Restricted
+    gradient coefficients are exactly <E'(x), phi_j> for the keyed atoms
+    because the dictionary is orthonormal.
 
     ``factor`` is a :class:`SpanFactor` of the objective's least-squares
     form carried across calls, holding the leading columns already.
@@ -140,9 +132,6 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     basis = dictionary.subset(idx)
     z = np.array([float(v) for v in start.values()])
 
-    def coeffs_of(zv) -> dict[int, float]:
-        return dict(zip(idx, (float(v) for v in zv)))
-
     # restricted gradient sup-norm at the point x = basis @ z
     def resid(x) -> float:
         return float(np.max(np.abs(basis.T @ objective.gradient(x))))
@@ -152,16 +141,15 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         z = np.asarray(exact, dtype=np.float64)
 
     eps = float(np.finfo(np.float64).eps)
-    best_z, best_resid = z.copy(), np.inf
+    best_resid = np.inf
     for it in range(cfg.max_inner_iters):
         x = basis @ z
         grad = objective.gradient(x)
         g = basis.T @ grad
         r = float(np.max(np.abs(g)))
-        if r < best_resid:
-            best_z, best_resid = z.copy(), r
+        best_resid = min(best_resid, r)
         if r <= cfg.inner_tol:
-            return x, coeffs_of(z), grad
+            return x, dict(zip(idx, (float(v) for v in z))), grad
         if it + 1 == cfg.max_inner_iters:
             break  # no iteration left to check a further step
         val = objective.value(x)
@@ -199,8 +187,7 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         z = z_new
     raise InnerSolveError(
         f"restricted minimization did not reach tol {cfg.inner_tol:g} "
-        f"within {cfg.max_inner_iters} iterations (residual {best_resid:g})",
-        basis @ best_z, coeffs_of(best_z), best_resid)
+        f"within {cfg.max_inner_iters} iterations (residual {best_resid:g})", best_resid)
 
 
 def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
@@ -246,12 +233,12 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
         if j in coeffs:
             raise RuntimeError(
                 f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "
-                f"must stay above inner_tol ({cfg.inner.inner_tol:g})")
+                f"must stay above inner_tol ({cfg.inner_tol:g})")
         start = {**coeffs, j: 0.0}
         try:
-            x, coeffs, grad = restricted_minimize(objective, dictionary, start, cfg.inner, factor)
+            x, coeffs, grad = restricted_minimize(objective, dictionary, start, cfg, factor)
         except InnerSolveError as exc:
-            err = InnerSolveError(f"step {m}: {exc}", exc.x, exc.coeffs, exc.residual)
+            err = InnerSolveError(f"step {m}: {exc}", exc.residual)
             err.step, err.support_size = m, len(start)
             raise err from exc
         val = objective.value(x)

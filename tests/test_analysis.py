@@ -62,7 +62,7 @@ def test_moduli_condition_consistency_known_alpha():
     rng = np.random.default_rng(3)
     for E in (gm.DiagonalQuadratic(rng.standard_normal(4), rng.uniform(0.5, 2, 4)),
               gm.LeastSquares(rng.standard_normal((7, 4)), rng.standard_normal(7))):
-        alpha = E.known_params[0].alpha
+        alpha = E.known_params.alpha
         est = estimate_moduli(E, 2.0, HALVING_GRID, 50, 5, seed=4)
         assert np.all(est.rho <= alpha * est.u_grid ** 2 + 1e-9)
 
@@ -187,10 +187,8 @@ def test_decrement_gain_examples():
 
 
 def test_rate_constants_quadratic_example(unit_quadratic4):
-    smooth = gm.SmoothnessParams(0.5, 2.0, 2.0, 1.0)   # ratio 1 < 2
-    convex = gm.ConvexityParams(0.5, 2.0, 2.0)
-    rc = rate_constants(unit_quadratic4, unit_quadratic4.known_minimizer, 2,
-                        smooth, convex, 1.0)
+    params = gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0)   # ratio 1 < 2
+    rc = rate_constants(unit_quadratic4, unit_quadratic4.known_minimizer, 2, params, 1.0)
     assert rc.is_exponential
     assert np.isclose(rc.contraction_gain, 1.0, rtol=1e-12)
     assert np.isclose(rc.contraction_factor, 0.5, rtol=1e-12)
@@ -202,9 +200,8 @@ def test_rate_constants_quadratic_example(unit_quadratic4):
 
 def test_rate_constants_polynomial_fixture():
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
-    smooth = gm.SmoothnessParams(1.0, 2.0, 4.0, 1.0)
-    convex = gm.ConvexityParams(1.0, 4.0, 4.0)
-    rc = rate_constants(E, E.known_minimizer, 1, smooth, convex, 1.0)
+    params = gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0)
+    rc = rate_constants(E, E.known_minimizer, 1, params, 1.0)
     # direct substitution as its own oracle
     expected_scale = (4.0 * 1.0 ** 0.25 * 3.0 ** -0.75) ** -2.0
     assert np.isclose(rc.scale, expected_scale, rtol=1e-12)
@@ -214,23 +211,19 @@ def test_rate_constants_polynomial_fixture():
 
 def test_rate_constants_vacuous():
     E = gm.DiagonalQuadratic([2.0], [1.0])
-    smooth = gm.SmoothnessParams(0.5, 2.0, 2.0, 1.0)
-    convex = gm.ConvexityParams(0.5, 2.0, 2.0)
-    with pytest.raises(ValueError, match="bound vacuous"):
-        rate_constants(E, E.known_minimizer, 1, smooth, convex, 1.0)
+    # beta > alpha overstates the convexity: gain = 2 * scale
+    with pytest.raises(ValueError, match=r"bound vacuous: .* not in \[0, 1\)"):
+        rate_constants(E, E.known_minimizer, 1, gm.CurvatureParams(0.5, 2, 1.0, 2, 2, 1))
+    # alpha = beta on one atom: one step reaches the minimum, gain = scale up to round-off
+    rc = rate_constants(E, E.known_minimizer, 1, gm.CurvatureParams(0.5, 2, 0.5, 2, 2, 1))
+    assert rc.contraction_factor == 0.0
 
 
-def test_rate_constants_validation(unit_quadratic4):
-    xbar = unit_quadratic4.known_minimizer
-    with pytest.raises(ValueError, match="radii disagree"):
-        rate_constants(unit_quadratic4, xbar, 2,
-                       gm.SmoothnessParams(0.5, 2.0, 2.0, 1.0),
-                       gm.ConvexityParams(0.5, 2.0, 3.0), 1.0)
+def test_rate_constants_validation():
     origin = gm.DiagonalQuadratic([0.0], [1.0])
     with pytest.raises(ValueError, match="minimized at the origin"):
         rate_constants(origin, np.zeros(1), 1,
-                       gm.SmoothnessParams(0.5, 2.0, 2.0, 1.0),
-                       gm.ConvexityParams(0.5, 2.0, 2.0), 1.0)
+                       gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0), 1.0)
 
 
 # -- sequence bound --------------------------------------------------------------
@@ -305,8 +298,7 @@ def test_sequence_bound_validation():
 def _quad_run(seed=0, n=30, s=4):
     E, D = make_sparse_quadratic(seed, n=n, s=s)
     tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=n))
-    smooth, convex = E.known_params
-    rc = rate_constants(E, E.known_minimizer, s, smooth, convex, 1.0)
+    rc = rate_constants(E, E.known_minimizer, s, E.known_params)
     return E, tr, rc
 
 
@@ -321,8 +313,7 @@ def test_recursion_check_quadratic():
 def test_recursion_check_unit_quadratic_halves():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0], np.ones(4))
     tr = gm.run_wcga(E, gm.CanonicalBasis(4), gm.SolverConfig(algorithm="omp"))
-    smooth, convex = E.known_params
-    rc = rate_constants(E, E.known_minimizer, 2, smooth, convex, 1.0)
+    rc = rate_constants(E, E.known_minimizer, 2, E.known_params)
     errs = tr.errors()
     for k in range(2, len(errs)):
         assert errs[k] <= 0.5 * errs[k - 1] + 1e-12
@@ -340,7 +331,7 @@ def test_recursion_check_power_sum_fixture():
     E, D, coeffs = make_rotated_powersum(seed=16)
     tr = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="omp", max_steps=200,
-        inner=gm.InnerConfig(max_inner_iters=3000)))
+        max_inner_iters=3000))
     rc = powersum_constants(E, D, 16)
     report = check_error_recursion(tr, rc)
     assert report.violations == 0 and report.min_margin >= 0
@@ -349,8 +340,7 @@ def test_recursion_check_power_sum_fixture():
 def test_verify_trace_matches_direct_checks():
     from dataclasses import replace
     E, D = make_sparse_quadratic(3, n=30, s=4)
-    smooth, convex = E.known_params
-    rc = rate_constants(E, E.known_minimizer, 4, smooth, convex, 1.0)
+    rc = rate_constants(E, E.known_minimizer, 4, E.known_params)
     # overstated constants: the recursion factor 1 - 4 t^2 is at most 0 for
     # every t used here, and every bound stays below 1e-6
     hot = replace(rc, gain=4.0 * rc.scale, initial_gap=1e-6)
@@ -394,8 +384,7 @@ def test_error_bound_schedule_identity():
         assert np.isclose(error_bound(rc, k), error_bound(rc, k, ones), rtol=1e-14)
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
     rc_poly = rate_constants(E, E.known_minimizer, 1,
-                             gm.SmoothnessParams(1.0, 2.0, 4.0, 1.0),
-                             gm.ConvexityParams(1.0, 4.0, 4.0), 1.0)
+                             gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0), 1.0)
     for k in range(2, 12):
         assert np.isclose(error_bound(rc_poly, k), error_bound(rc_poly, k, ones),
                           rtol=1e-14)
@@ -404,8 +393,7 @@ def test_error_bound_schedule_identity():
 def test_error_bound_polynomial_shape():
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
     rc = rate_constants(E, E.known_minimizer, 1,
-                        gm.SmoothnessParams(1.0, 2.0, 4.0, 1.0),
-                        gm.ConvexityParams(1.0, 4.0, 4.0), 1.0)
+                        gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0), 1.0)
     ks = np.arange(2, 10001)
     vals = np.array([error_bound(rc, int(k)) for k in ks])
     assert np.all(vals > 0)
@@ -420,9 +408,8 @@ def test_error_bound_matches_generic_sequence_bound():
     # recursive-sequence bound under the defining substitutions
     E = gm.PowerSum([1.0, 2.0, 1.0], 4.0, [1.0, 0.5, 2.0])
     rc = rate_constants(E, E.known_minimizer, 2,
-                        gm.SmoothnessParams(3.0, 2.0, 6.0, 2.0),
-                        gm.ConvexityParams(0.1, 4.0, 6.0), 1.0)
-    p, q = rc.convex_exponent, rc.smooth_exponent
+                        gm.CurvatureParams(3.0, 2.0, 0.1, 4.0, 6.0, 2.0), 1.0)
+    p, q = rc.params.p, rc.params.q
     ell = (p - q) / (p * (q - 1.0))
     inp = SequenceBoundInput(rc.initial_gap, rc.scale, ell,
                              tuple([rc.gain] * 200))
@@ -439,7 +426,7 @@ def test_error_bound_matches_generic_sequence_bound():
     # p = q = 2: the geometric closed form, contraction 4*beta_global*gain/(alpha*s)
     # per step, scaled by t_j^2 under a schedule
     _, _, rc = _quad_run(seed=5)
-    shrink = 4.0 * rc.beta_global * rc.gain / (rc.alpha * rc.support_size)
+    shrink = 4.0 * rc.beta_global * rc.gain / (rc.params.alpha * rc.support_size)
     assert 0.0 < shrink < 1.0
     for k in (2, 3, 10, 30):
         assert np.isclose(error_bound(rc, k), rc.initial_gap * (1.0 - shrink) ** (k - 1),
@@ -453,7 +440,7 @@ def test_error_bound_matches_generic_sequence_bound():
 def test_distance_bound_power_sum_fixture():
     E, D, coeffs = make_rotated_powersum(seed=16)
     tr = gm.run_wcga(E, D, gm.SolverConfig(
-        algorithm="omp", max_steps=200, inner=gm.InnerConfig(max_inner_iters=3000)))
+        algorithm="omp", max_steps=200, max_inner_iters=3000))
     rc = powersum_constants(E, D, 16)
     for step in tr:
         assert step.dist <= distance_bound(rc, step.error) + 1e-8
@@ -471,7 +458,7 @@ def test_distance_bound_examples():
     _, tr, rc = _quad_run(seed=4)
     assert distance_bound(rc, 0.0) == 0.0
     from dataclasses import replace
-    rc_unit = replace(rc, beta_global=0.5, convex_exponent=2.0)
+    rc_unit = replace(rc, beta_global=0.5, params=replace(rc.params, p=2.0))
     assert np.isclose(distance_bound(rc_unit, 0.5), 1.0, rtol=1e-12)
     for step in tr:
         if step.error is not None and step.dist is not None:

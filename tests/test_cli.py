@@ -143,6 +143,21 @@ def test_run_violation_exits_2(tmp_path, command, extra, report):
     assert (out / report).read_text().startswith("STATUS: VIOLATION")
 
 
+@pytest.mark.parametrize("weights", ["", "objective.weights = 2\n"], ids=["w1", "w2"])
+def test_run_one_step_problem_contracts_to_zero(tmp_path, weights):
+    # equal weights on a 1-sparse center: alpha = beta, so gain = scale and
+    # the contraction factor is 0 (up to round-off in the computed scale)
+    out = tmp_path / "out"
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"name = one\ndimension = 3\noutput_dir = {out}\n"
+                   "objective.type = diagonal_quadratic\nobjective.center = [1, 0, 0]\n"
+                   + weights + "solver.algorithm = omp\n")
+    assert main(["--quiet", "run", str(cfg)]) == 0
+    report = (out / "one.report.txt").read_text()
+    assert report.startswith("STATUS: OK")
+    assert "contraction_factor: 0\n" in report
+
+
 def test_moduli_quadratic_exact(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "m.cfg"

@@ -171,7 +171,7 @@ FIELD_CASES = [
     ("objective.center_low", 3.0, lambda c: c.objective["center_low"]),
     ("objective.center_high", 5.0, lambda c: c.objective["center_high"]),
     ("solver.stop_tol", 1e-6, lambda c: c.solver.stop_tol),
-    ("solver.inner_tol", 1e-12, lambda c: c.solver.inner.inner_tol),
+    ("solver.inner_tol", 1e-12, lambda c: c.solver.inner_tol),
     ("analysis.u_grid", [0.25, 0.5, 1.0], lambda c: list(c.analysis.u_grid)),
     ("analysis.lambda_grid_size", 5, lambda c: c.analysis.lambda_grid_size),
 ]

@@ -121,13 +121,19 @@ def test_sparse_support_from_coefficients():
 
 
 def test_param_records_validate():
-    gm.SmoothnessParams(1.0, 2.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gm.SmoothnessParams(-1.0, 2.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match=r"outside \(1, 2\]"):
-        gm.SmoothnessParams(1.0, 2.5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="below 2"):
-        gm.ConvexityParams(1.0, 1.5, 1.0)
+    good = dict(alpha=1.0, q=2.0, beta=1.0, p=2.0, radius=1.0, grad_bound=1.0)
+    gm.CurvatureParams(**good)
+    for name in ("alpha", "beta", "radius", "grad_bound"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                gm.CurvatureParams(**good | {name: bad})
+    gm.CurvatureParams(**good | {"q": 1.5})
+    for q in (1.0, 2.5):
+        with pytest.raises(ValueError, match=r"^smoothness exponent .* outside \(1, 2\]$"):
+            gm.CurvatureParams(**good | {"q": q})
+    gm.CurvatureParams(**good | {"p": 4.0})
+    with pytest.raises(ValueError, match="^convexity exponent 1.5 below 2$"):
+        gm.CurvatureParams(**good | {"p": 1.5})
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -108,9 +108,9 @@ def test_quadratic_minimizer_has_zero_gradient():
 
 def test_quadratic_known_params():
     E = gm.DiagonalQuadratic([2.0, 0.0], [1.0, 4.0])
-    smooth, convex = E.known_params
-    assert smooth.alpha == 2.0 and convex.beta == 0.5
-    assert smooth.exponent == convex.exponent == 2.0
+    params = E.known_params
+    assert params.alpha == 2.0 and params.beta == 0.5
+    assert params.q == params.p == 2.0
     # degenerate level set: center at the origin carries no params
     assert gm.DiagonalQuadratic([0.0, 0.0], [1.0, 1.0]).known_params is None
 
@@ -119,10 +119,10 @@ def test_least_squares_known_params_match_svd_oracle():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((10, 4))
     E = gm.LeastSquares(A, rng.standard_normal(10))
-    smooth, convex = E.known_params
+    params = E.known_params
     eigs = np.linalg.eigvalsh(A.T @ A)
-    assert np.isclose(smooth.alpha, eigs[-1], rtol=1e-10)
-    assert np.isclose(convex.beta, eigs[0], rtol=1e-10)
+    assert np.isclose(params.alpha, eigs[-1], rtol=1e-10)
+    assert np.isclose(params.beta, eigs[0], rtol=1e-10)
     # gradient of the minimizer vanishes
     assert gm.norm(E.gradient(E.known_minimizer)) < 1e-10
     # wide matrix: not strictly convex, no params

@@ -47,17 +47,12 @@ class Conjugated(Objective):
         return (lambda block: S(self.q @ block)), y
 
 
-def _cfg(**kw):
-    inner_keys = {k: kw.pop(k) for k in list(kw) if k in ("inner_tol", "max_inner_iters")}
-    return gm.SolverConfig(inner=gm.InnerConfig(**inner_keys), **kw)
-
-
 # -- restricted minimization -------------------------------------------------
 
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.InnerConfig())
+    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig())
     assert np.allclose(x, [3.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
     assert coeffs == {0: 3.0}
@@ -66,7 +61,7 @@ def test_restricted_single_coordinate(unit_quadratic4):
 def test_restricted_warm_start_already_optimal(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     warm = {0: 3.0, 2: 1.0}
-    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, warm, gm.InnerConfig())
+    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, warm, gm.SolverConfig())
     assert coeffs == warm
     assert np.allclose(x, unit_quadratic4.known_minimizer)
 
@@ -77,7 +72,7 @@ def test_restricted_full_support_matches_normal_equations():
     b = rng.standard_normal(10)
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
-    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.InnerConfig())
+    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig())
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
 
@@ -88,7 +83,7 @@ def test_restricted_descent_path_matches_oracle():
                                       rng.uniform(0.5, 2.0, 5)))
     D = gm.CanonicalBasis(5)
     x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
-                                  gm.InnerConfig(inner_tol=1e-9, max_inner_iters=5000))
+                                  gm.SolverConfig(inner_tol=1e-9, max_inner_iters=5000))
     expected = np.zeros(5)
     expected[[0, 2, 4]] = E.base.center[[0, 2, 4]]
     assert np.allclose(x, expected, atol=1e-8)
@@ -101,17 +96,16 @@ def test_restricted_never_worse_than_warm_start():
     dense = np.zeros(D.size)
     dense[list(warm)] = list(warm.values())
     start_val = E.value(D.synthesize(dense))
-    x, _, _ = restricted_minimize(E, D, warm, gm.InnerConfig(max_inner_iters=3000))
+    x, _, _ = restricted_minimize(E, D, warm, gm.SolverConfig(max_inner_iters=3000))
     assert E.value(x) <= start_val + 1e-12 * (1 + abs(start_val))
 
 
-def test_restricted_exhaustion_carries_best_iterate():
+def test_restricted_exhaustion_carries_best_residual():
     E = Stripped(gm.DiagonalQuadratic([5.0, 0.0], [1.0, 1.0]))
     D = gm.CanonicalBasis(2)
     with pytest.raises(InnerSolveError) as err:
-        restricted_minimize(E, D, {0: 0.0}, gm.InnerConfig(max_inner_iters=1))
-    assert err.value.residual > 0
-    assert err.value.x.shape == (2,)
+        restricted_minimize(E, D, {0: 0.0}, gm.SolverConfig(max_inner_iters=1))
+    assert err.value.residual == 5.0        # |E'(0)| at the start, the only point checked
 
 
 class ValueCounted(Stripped):
@@ -129,16 +123,15 @@ def test_restricted_last_iteration_takes_no_unchecked_step():
     E = ValueCounted(gm.DiagonalQuadratic([5.0, 0.0], [1.0, 1.0]))
     with pytest.raises(InnerSolveError) as err:
         restricted_minimize(E, gm.CanonicalBasis(2), {0: 0.5},
-                            gm.InnerConfig(max_inner_iters=1))
+                            gm.SolverConfig(max_inner_iters=1))
     assert E.value_calls == 0
-    assert np.array_equal(err.value.x, [0.5, 0.0]) and err.value.coeffs == {0: 0.5}
     assert err.value.residual == 4.5
 
 
 def test_restricted_validation(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     with pytest.raises(ValueError, match="nonempty"):
-        restricted_minimize(unit_quadratic4, D, {}, gm.InnerConfig())
+        restricted_minimize(unit_quadratic4, D, {}, gm.SolverConfig())
 
 
 def test_restricted_with_factor_orders_atoms_by_warm_start():
@@ -146,9 +139,9 @@ def test_restricted_with_factor_orders_atoms_by_warm_start():
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
     start = {4: 0.0, 1: 0.0, 2: 0.0}
-    x, coeffs, _ = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
+    x, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
-    x_plain, coeffs_plain, _ = restricted_minimize(E, D, start, gm.InnerConfig())
+    x_plain, coeffs_plain, _ = restricted_minimize(E, D, start, gm.SolverConfig())
     assert list(coeffs_plain) == [4, 1, 2]
     assert np.allclose(x, x_plain, rtol=0, atol=1e-12)
 
@@ -182,7 +175,7 @@ def test_restricted_one_gradient_per_call_with_factor():
     for j in (4, 1, 2, 5):
         start = {**coeffs, j: 0.0}
         E.gradient_calls = 0
-        _, coeffs, _ = restricted_minimize(E, D, start, gm.InnerConfig(), factor)
+        _, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
         assert E.gradient_calls == 1 and factor.size == len(start)
     assert E.value_calls == 0
 
@@ -192,7 +185,7 @@ def test_restricted_returns_the_gradient_at_its_point(path):
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = base if path == "exact" else Stripped(base)
     x, _, grad = restricted_minimize(E, gm.RotatedBasis(6, seed=3), {4: 0.0, 1: 0.0},
-                                     gm.InnerConfig(max_inner_iters=3000))
+                                     gm.SolverConfig(max_inner_iters=3000))
     assert np.array_equal(grad, E.gradient(x))
 
 
@@ -202,12 +195,12 @@ def test_restricted_descent_one_gradient_per_iteration(iters):
     base = GradientCounted([40.0, -30.0, 20.0, 0.0], [0.5, 1.0, 2.0, 1.0])
     with pytest.raises(InnerSolveError):
         restricted_minimize(Stripped(base), gm.CanonicalBasis(4), {0: 0.0, 1: 0.0, 2: 0.0},
-                            gm.InnerConfig(max_inner_iters=iters))
+                            gm.SolverConfig(max_inner_iters=iters))
     assert base.gradient_calls == iters
     # unit weights: one full gradient step lands on the minimizer, the second check returns
     base = GradientCounted([5.0, -2.0], [1.0, 1.0])
     x, _, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
-                                  gm.InnerConfig(max_inner_iters=iters + 1))
+                                  gm.SolverConfig(max_inner_iters=iters + 1))
     assert np.array_equal(x, [5.0, -2.0]) and base.gradient_calls == 2
 
 
@@ -216,7 +209,7 @@ def test_restricted_descent_one_gradient_per_iteration(iters):
 
 def test_omp_hand_computed_trace(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    tr = gm.run_wcga(unit_quadratic4, D, _cfg(algorithm="omp", max_steps=10))
+    tr = gm.run_wcga(unit_quadratic4, D, gm.SolverConfig(algorithm="omp", max_steps=10))
     assert tr.support == [0, 2]
     assert [s.k for s in tr] == [0, 1, 2]
     assert abs(tr[1].error - 0.5) <= 1e-12
@@ -229,7 +222,7 @@ def test_omp_hand_computed_trace(unit_quadratic4):
 
 def test_omp_stops_at_step_zero_when_centered():
     E = gm.DiagonalQuadratic([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-    tr = gm.run_wcga(E, gm.CanonicalBasis(3), _cfg(algorithm="omp"))
+    tr = gm.run_wcga(E, gm.CanonicalBasis(3), gm.SolverConfig(algorithm="omp"))
     assert len(tr) == 1 and tr[0].stopped and tr[0].k == 0
 
 
@@ -252,7 +245,7 @@ def test_omp_orthonormal_rows_two_sparse_recovery():
             if r < best[0]:
                 best = (r, tuple(cols))
     assert best[1] == (5, 17)
-    tr = gm.run_wcga(E, gm.CanonicalBasis(n), _cfg(algorithm="omp", max_steps=10))
+    tr = gm.run_wcga(E, gm.CanonicalBasis(n), gm.SolverConfig(algorithm="omp", max_steps=10))
     assert sorted(tr.support) == [5, 17]
     assert tr.final.k == 2 and tr[2].error <= 1e-10
 
@@ -260,8 +253,8 @@ def test_omp_orthonormal_rows_two_sparse_recovery():
 def test_wcga_t1_exact_matches_omp():
     for seed in range(3):
         E, D = make_sparse_quadratic(seed, n=30, s=4)
-        omp = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=30))
-        wcga = gm.run_wcga(E, D, _cfg(algorithm="wcga", max_steps=30,
+        omp = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=30))
+        wcga = gm.run_wcga(E, D, gm.SolverConfig(algorithm="wcga", max_steps=30,
                                       weakness=gm.WeaknessSchedule.constant(1.0)))
         assert omp.support == wcga.support
         for a, b in zip(omp, wcga):
@@ -271,14 +264,14 @@ def test_wcga_t1_exact_matches_omp():
 def test_wcga_first_admissible_picks_lower_index():
     E = gm.DiagonalQuadratic([2.0, 3.0, 0.0], np.ones(3))
     tr = gm.run_wcga(E, gm.CanonicalBasis(3),
-                     _cfg(algorithm="wcga", weakness=gm.WeaknessSchedule.constant(0.5),
+                     gm.SolverConfig(algorithm="wcga", weakness=gm.WeaknessSchedule.constant(0.5),
                           selection_strategy="first_admissible", max_steps=5))
     assert tr[1].selected == 0        # argmax would be index 1
 
 
 def test_wcga_random_admissible_deterministic():
     E, D = make_sparse_quadratic(4, n=25, s=5)
-    cfg = _cfg(algorithm="wcga", weakness=gm.WeaknessSchedule.constant(0.4),
+    cfg = gm.SolverConfig(algorithm="wcga", weakness=gm.WeaknessSchedule.constant(0.4),
                selection_strategy="random_admissible", max_steps=25, seed=99)
     a = gm.run_wcga(E, D, cfg)
     b = gm.run_wcga(E, D, cfg)
@@ -289,20 +282,20 @@ def test_wcga_random_admissible_deterministic():
 def test_algorithm_config_mismatch():
     # OMP is WCGA at t = 1 with the exact strategy; any other setting is refused
     with pytest.raises(ValueError, match=r"^weakness: omp selects at t = 1, got \(0.5,\)"):
-        _cfg(algorithm="omp", weakness=gm.WeaknessSchedule.constant(0.5))
+        gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule.constant(0.5))
     with pytest.raises(ValueError, match="^weakness: "):
-        _cfg(algorithm="omp", weakness=gm.WeaknessSchedule.from_sequence([1.0, 0.5]))
+        gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule.from_sequence([1.0, 0.5]))
     with pytest.raises(ValueError, match="^selection_strategy: omp selects exactly"):
-        _cfg(algorithm="omp", selection_strategy="first_admissible")
-    assert _cfg(algorithm="omp", weakness=gm.WeaknessSchedule.constant(1.0),
-                selection_strategy="exact") == _cfg(algorithm="omp")
+        gm.SolverConfig(algorithm="omp", selection_strategy="first_admissible")
+    assert gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule.constant(1.0),
+                selection_strategy="exact") == gm.SolverConfig(algorithm="omp")
     with pytest.raises(ValueError, match="^algorithm: expected omp or wcga"):
-        _cfg(algorithm="sgd")
+        gm.SolverConfig(algorithm="sgd")
 
 
 def test_dimension_mismatch_raises(unit_quadratic4):
     with pytest.raises(ValueError, match="dictionary size"):
-        gm.run_wcga(unit_quadratic4, gm.CanonicalBasis(5), _cfg(algorithm="omp"))
+        gm.run_wcga(unit_quadratic4, gm.CanonicalBasis(5), gm.SolverConfig(algorithm="omp"))
 
 
 def test_greedy_one_value_per_step_and_no_second_gradient():
@@ -310,7 +303,7 @@ def test_greedy_one_value_per_step_and_no_second_gradient():
     # the gradient at the origin, then the one each restricted solve certified
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E.value_calls = E.gradient_calls = 0
-    tr = gm.run_wcga(E, gm.RotatedBasis(6, seed=3), _cfg(algorithm="omp", max_steps=4))
+    tr = gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp", max_steps=4))
     K = tr.final.k
     assert K == 4
     assert E.value_calls == K + 2 and E.gradient_calls == K + 1
@@ -325,10 +318,10 @@ def test_monotonicity_orthogonality_freshness(monkeypatch):
         return x, coeffs, grad
 
     monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
-    problems = [make_sparse_quadratic(seed, n=30, s=6) + (_cfg(algorithm="omp", max_steps=30),)
-                for seed in range(3)]
+    problems = [make_sparse_quadratic(seed, n=30, s=6)
+                + (gm.SolverConfig(algorithm="omp", max_steps=30),) for seed in range(3)]
     E, D, _ = make_rotated_powersum(seed=16)
-    problems.append((E, D, _cfg(algorithm="omp", max_steps=60, max_inner_iters=3000)))
+    problems.append((E, D, gm.SolverConfig(algorithm="omp", max_steps=60, max_inner_iters=3000)))
     for E, D, cfg in problems:
         iterates.clear()
         tr = gm.run_wcga(E, D, cfg)
@@ -347,7 +340,7 @@ def test_monotonicity_orthogonality_freshness(monkeypatch):
 def test_finite_recovery_sparse_quadratic():
     for seed in range(5):
         E, D = make_sparse_quadratic(seed, n=60, s=7)
-        tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=60))
+        tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=60))
         assert tr.final.k == 7 and tr.final.stopped
         assert gm.norm(tr.x - E.known_minimizer) <= 1e-8
 
@@ -356,8 +349,8 @@ def test_padding_independence():
     E, D = make_sparse_quadratic(1, n=6, s=2, w_low=1.0, w_high=1.0)
     padded_center = np.concatenate([E.center, np.zeros(6)])
     E2 = gm.DiagonalQuadratic(padded_center, np.ones(12))
-    tr1 = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=10))
-    tr2 = gm.run_wcga(E2, gm.CanonicalBasis(12), _cfg(algorithm="omp", max_steps=10))
+    tr1 = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=10))
+    tr2 = gm.run_wcga(E2, gm.CanonicalBasis(12), gm.SolverConfig(algorithm="omp", max_steps=10))
     assert tr1.support == tr2.support
     for a, b in zip(tr1, tr2):
         assert abs(a.error - b.error) <= 1e-12
@@ -370,9 +363,9 @@ def test_rotation_invariance():
     coeffs[[2, 5, 9]] = [1.5, -2.0, 1.0]
     center = basis.synthesize(coeffs)
     E = gm.DiagonalQuadratic(center, rng.uniform(0.5, 2.0, 12))
-    rotated_run = gm.run_wcga(E, basis, _cfg(algorithm="omp", max_steps=20))
+    rotated_run = gm.run_wcga(E, basis, gm.SolverConfig(algorithm="omp", max_steps=20))
     conj_run = gm.run_wcga(Conjugated(E, basis.q), gm.CanonicalBasis(12),
-                           _cfg(algorithm="omp", max_steps=20))
+                           gm.SolverConfig(algorithm="omp", max_steps=20))
     assert rotated_run.support == conj_run.support
     for a, b in zip(rotated_run, conj_run):
         assert abs(a.error - b.error) <= 1e-8
@@ -381,9 +374,8 @@ def test_rotation_invariance():
 def test_per_step_recursion_invariant_quadratic():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0, 2.0], np.ones(5))
     D = gm.CanonicalBasis(5)
-    tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=10))
-    smooth, convex = E.known_params
-    rc = gm.rate_constants(E, E.known_minimizer, 3, smooth, convex, 1.0)
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=10))
+    rc = gm.rate_constants(E, E.known_minimizer, 3, E.known_params)
     errs = tr.errors()
     factor = 1.0 - rc.contraction_gain / rc.support_size
     for k in range(2, len(errs)):
@@ -393,7 +385,7 @@ def test_per_step_recursion_invariant_quadratic():
 def test_inner_failure_reports_step_index():
     E, D, _ = make_rotated_powersum(seed=16)
     with pytest.raises(InnerSolveError, match="^step 1: restricted minimization") as err:
-        gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=5, max_inner_iters=1))
+        gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=5, max_inner_iters=1))
     assert err.value.step == 1 and err.value.support_size == 1
 
 
@@ -410,7 +402,7 @@ def test_weakness_schedule():
 
 def test_trace_csv_contents(tmp_path):
     E, D = make_sparse_quadratic(2, n=20, s=3)
-    tr = gm.run_wcga(E, D, _cfg(algorithm="omp", max_steps=20))
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=20))
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     with open(path) as fh:
@@ -472,7 +464,8 @@ def test_greedy_factors_each_atom_once(kind, algorithm):
     D = gm.RotatedBasis(n, seed=12)
     weak = {"weakness": gm.WeaknessSchedule.constant(0.6),
             "selection_strategy": "first_admissible"}
-    cfg = _cfg(algorithm=algorithm, max_steps=12, **(weak if algorithm == "wcga" else {}))
+    cfg = gm.SolverConfig(algorithm=algorithm, max_steps=12,
+                          **(weak if algorithm == "wcga" else {}))
     tr = gm.run_wcga(E, D, cfg)
     assert len(tr) - 1 == 12 and E.columns == 12
     # and the run is the one a fresh lstsq solve per step gives
@@ -492,13 +485,13 @@ def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
 
     monkeypatch.setattr(solvers, "SpanFactor", Recording)
     E4, D, _ = make_rotated_powersum(seed=16)
-    gm.run_wcga(E4, D, _cfg(algorithm="omp", max_steps=3, max_inner_iters=3000))
+    gm.run_wcga(E4, D, gm.SolverConfig(algorithm="omp", max_steps=3, max_inner_iters=3000))
     assert made == []
     E2 = gm.PowerSum(E4.center, 2.0, E4.weights)
-    tr = gm.run_wcga(E2, D, _cfg(algorithm="omp", max_steps=7))
+    tr = gm.run_wcga(E2, D, gm.SolverConfig(algorithm="omp", max_steps=7))
     assert len(tr) - 1 == 7
     assert made == [(7, 50)]      # min(rows of S, max_steps, n) columns of length 50
     A = np.random.default_rng(13).standard_normal((5, 50))
     gm.run_wcga(gm.LeastSquares(A, A @ D.subset([4])[:, 0]), D,
-                _cfg(algorithm="omp", max_steps=9))
+                gm.SolverConfig(algorithm="omp", max_steps=9))
     assert made[1] == (5, 5)      # a wide A caps the factor at its 5 rows
