@@ -92,7 +92,7 @@ class RotatedBasis(Dictionary):
         return self.q @ as_point(coeffs, self._n)
 
     def subset(self, indices: Sequence[int]) -> np.ndarray:
-        return self.q[:, list(indices)].copy()
+        return np.take(self.q, list(indices), axis=1)
 
 
 def weak_select(coeffs, t: float, strategy: str = "exact", seed=None) -> tuple[int, float]:

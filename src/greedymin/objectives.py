@@ -81,24 +81,21 @@ class Objective(ABC):
         """(S, y) with E(x) = c * ||S x - y||^2 + const for some c > 0, else None."""
         return None
 
-    def argmin_in_span(self, basis: np.ndarray,
+    def argmin_in_span(self, columns: np.ndarray,
                        factor: SpanFactor | None = None) -> Vector | None:
-        """Exact coefficients minimizing E over the span of ``basis`` columns, else None.
+        """Exact coefficients minimizing E over a span of columns, else None.
 
+        Without ``factor`` the span is that of ``columns``, factored afresh.
         ``factor`` is a :class:`SpanFactor` of this objective's least-squares
-        form carried across calls whose columns are the leading columns of
-        ``basis``; only the columns after them are factored.  Without it the
-        whole basis is factored afresh.
+        form carried across calls: ``columns`` are appended to it and the
+        coefficients are those of all its columns.
         """
         if factor is None:
             form = self.least_squares_form()
             if form is None:
                 return None
-            factor = SpanFactor(*form, capacity=basis.shape[1])
-        if basis.shape[1] < factor.size:
-            raise ValueError(f"basis has {basis.shape[1]} columns, "
-                             f"the factor already holds {factor.size}")
-        factor.extend(basis[:, factor.size:])
+            factor = SpanFactor(*form, capacity=columns.shape[1])
+        factor.extend(columns)
         return factor.coefficients()
 
     def level_set_diameter(self) -> float | None:
@@ -279,21 +276,23 @@ class SpanFactor:
 
     Minimizing ||S B z - y|| over z is solved as z = R^-1 (Q^T y) from S B =
     Q R.  Each new column s = S b is orthogonalized against Q by classical
-    Gram-Schmidt run twice, which keeps Q orthonormal to working precision
-    (Giraud, Langou & Rozloznik 2005, "twice is enough"); this is the
-    updating of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008).  Q is stored
+    Gram-Schmidt.  A second pass runs only when the first cancelled, leaving
+    ||w|| < ||s|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart 1976); with it
+    Q stays orthonormal to working precision, since twice is enough
+    (Giraud, Langou & Rozloznik 2005).  This is the updating of Batch-OMP
+    (Rubinstein, Zibulevsky & Elad 2008).  Q is stored
     column-contiguous (row j of ``_qt`` is column j), with R^-1 (upper
     triangular, grown by a column) and Q^T y, so appending a column costs
     O(m k) and the coefficients O(k^2); nothing already factored is touched.
 
-    A column whose residual after both passes is at most ``DEPENDENT_TOL``
+    A column whose residual after the last pass is at most ``DEPENDENT_TOL``
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
     gets coefficient 0 (the others still minimize over the whole span) and
     raises the "not unique" RuntimeWarning.  The storage for ``capacity``
     independent columns, at most m, is allocated once.
     """
 
-    # a column in the span keeps a residual near eps * ||s|| after two passes;
+    # a column in the span keeps a residual near eps * ||s|| after the second pass;
     # 1e-12 drops only columns that would push cond(S B) past about 1e12,
     # close to the eps * max(m, k) cutoff of lstsq
     DEPENDENT_TOL = 1e-12
@@ -317,13 +316,16 @@ class SpanFactor:
     def _append(self, s: Vector) -> None:
         r = len(self._independent)
         q = self._qt[:r]
+        s_norm = norm(s)
         h = q @ s
         w = s - h @ q
-        h2 = q @ w
-        w -= h2 @ q
-        h += h2
         rho = norm(w)
-        if rho <= self.DEPENDENT_TOL * norm(s):
+        if rho < s_norm / np.sqrt(2.0):
+            h2 = q @ w
+            w -= h2 @ q
+            h += h2
+            rho = norm(w)
+        if rho <= self.DEPENDENT_TOL * s_norm:
             warnings.warn("restricted minimizer is not unique "
                           "(rank-deficient restricted system)", RuntimeWarning)
         else:

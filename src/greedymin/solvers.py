@@ -9,11 +9,13 @@ The inner solver re-minimizes the objective over the span of the selected
 atoms, as basis columns in selection order, evaluating the restricted
 gradient once per iterate.  Exact restricted solves are used when the
 objective has a least-squares form (quadratics); a greedy run carries one
-thin QR of that form across its steps and factors only the newly selected
-atom each step.  Otherwise descent with Armijo backtracking, preconditioned
-by the diagonal Hessian when available, runs until the restricted gradient
-coefficients drop below ``inner_tol``.  ``inner_tol`` must stay well below
-``stop_tol`` or selection could re-pick an already selected atom.
+thin QR of that form across its steps, so a step subsets and factors only
+the newly selected atom, synthesizes x from the coefficients and certifies
+it from the analysis of one gradient, which the next selection reads.
+Otherwise descent with Armijo backtracking, preconditioned by the diagonal
+Hessian when available, runs until the restricted gradient coefficients
+drop below ``inner_tol``.  ``inner_tol`` must stay well below ``stop_tol``
+or selection could re-pick an already selected atom.
 """
 from __future__ import annotations
 
@@ -119,26 +121,40 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     both solve paths and the keys of the returned coefficients.  Returns a
     point x whose restricted gradient coefficients are all at most
     ``cfg.inner_tol`` in magnitude, within ``cfg.max_inner_iters`` iterates,
-    its coefficients, and the gradient E'(x) that certified it.  Restricted
-    gradient coefficients are exactly <E'(x), phi_j> for the keyed atoms
-    because the dictionary is orthonormal.
+    its coefficients, and the analysis D^T E'(x) of the gradient that
+    certified it.  Restricted gradient coefficients are exactly <E'(x), phi_j>
+    for the keyed atoms because the dictionary is orthonormal.
 
     ``factor`` is a :class:`SpanFactor` of the objective's least-squares
-    form carried across calls, holding the leading columns already.
+    form carried across calls, holding the leading atoms of ``start``
+    already.  Only the atoms after them are subset and appended; x is
+    synthesized from the coefficients, and the analysis of its gradient
+    certifies it.  A solve that fails that check continues by descent.
     """
     if not start:
         raise ValueError("start must be nonempty")
     idx = list(start)
+    if factor is not None:
+        if factor.size > len(idx):
+            raise ValueError(f"start has {len(idx)} atoms, "
+                             f"the factor already holds {factor.size}")
+        z = objective.argmin_in_span(dictionary.subset(idx[factor.size:]), factor)
+        dense = np.zeros(dictionary.size)
+        dense[idx] = z
+        x = dictionary.synthesize(dense)
+        g = dictionary.analyze(objective.gradient(x))
+        if float(np.max(np.abs(g[idx]))) <= cfg.inner_tol:
+            return x, dict(zip(idx, (float(v) for v in z))), g
     basis = dictionary.subset(idx)
-    z = np.array([float(v) for v in start.values()])
 
     # restricted gradient sup-norm at the point x = basis @ z
     def resid(x) -> float:
         return float(np.max(np.abs(basis.T @ objective.gradient(x))))
 
-    exact = objective.argmin_in_span(basis, factor)
-    if exact is not None:
-        z = np.asarray(exact, dtype=np.float64)
+    if factor is None:
+        exact = objective.argmin_in_span(basis)
+        z = (np.array([float(v) for v in start.values()]) if exact is None
+             else np.asarray(exact, dtype=np.float64))
 
     eps = float(np.finfo(np.float64).eps)
     best_resid = np.inf
@@ -149,7 +165,7 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         r = float(np.max(np.abs(g)))
         best_resid = min(best_resid, r)
         if r <= cfg.inner_tol:
-            return x, dict(zip(idx, (float(v) for v in z))), grad
+            return x, dict(zip(idx, (float(v) for v in z))), dictionary.analyze(grad)
         if it + 1 == cfg.max_inner_iters:
             break  # no iteration left to check a further step
         val = objective.value(x)
@@ -193,7 +209,8 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
 def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
     """Greedy run: each step selects by ``weak_select`` at t_k, then re-minimizes.
 
-    Selection reads the gradient that certified the previous iterate.
+    Selection reads the analysis of the gradient that certified the
+    previous iterate.
 
     The one greedy entry point; an OMP config (t_k = 1, exact strategy) runs OMP.
     """
@@ -236,14 +253,13 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
                 f"must stay above inner_tol ({cfg.inner_tol:g})")
         start = {**coeffs, j: 0.0}
         try:
-            x, coeffs, grad = restricted_minimize(objective, dictionary, start, cfg, factor)
+            x, coeffs, g = restricted_minimize(objective, dictionary, start, cfg, factor)
         except InnerSolveError as exc:
             err = InnerSolveError(f"step {m}: {exc}", exc.residual)
             err.step, err.support_size = m, len(start)
             raise err from exc
         val = objective.value(x)
         sel_sup = g_sup
-        g = dictionary.analyze(grad)
         g_sup = float(np.max(np.abs(g)))
         stopped = g_sup <= cfg.stop_tol
         steps.append(TraceStep(m, val, error_of(val), dist_of(x), j, coeff, sel_sup, stopped))

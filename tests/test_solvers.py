@@ -132,6 +132,10 @@ def test_restricted_validation(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     with pytest.raises(ValueError, match="nonempty"):
         restricted_minimize(unit_quadratic4, D, {}, gm.SolverConfig())
+    factor = SpanFactor(*unit_quadratic4.least_squares_form(), capacity=4)
+    restricted_minimize(unit_quadratic4, D, {0: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
+    with pytest.raises(ValueError, match="start has 1 atoms, the factor already holds 2"):
+        restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
 
 
 def test_restricted_with_factor_orders_atoms_by_warm_start():
@@ -184,9 +188,33 @@ def test_restricted_one_gradient_per_call_with_factor():
 def test_restricted_returns_the_gradient_at_its_point(path):
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = base if path == "exact" else Stripped(base)
-    x, _, grad = restricted_minimize(E, gm.RotatedBasis(6, seed=3), {4: 0.0, 1: 0.0},
-                                     gm.SolverConfig(max_inner_iters=3000))
-    assert np.array_equal(grad, E.gradient(x))
+    D = gm.RotatedBasis(6, seed=3)
+    factor = SpanFactor(*base.least_squares_form(), capacity=2) if path == "exact" else None
+    x, _, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
+                                  gm.SolverConfig(max_inner_iters=3000), factor)
+    assert np.array_equal(g, D.analyze(E.gradient(x)))
+
+
+class ShiftedForm(gm.DiagonalQuadratic):
+    """A diagonal quadratic whose least-squares form has the wrong right-hand side."""
+
+    def least_squares_form(self):
+        S, y = super().least_squares_form()
+        return S, y + 1.0
+
+
+def test_restricted_descends_from_an_exact_solve_that_fails_its_check():
+    # the shifted form's coefficients miss the restricted minimizer, so the
+    # selection-vector check fails and descent finishes from them
+    base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    E = ShiftedForm(base.center, base.weights)
+    D = gm.RotatedBasis(6, seed=3)
+    factor = SpanFactor(*E.least_squares_form(), capacity=2)
+    x, coeffs, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
+    assert factor.size == 2 and list(coeffs) == [4, 1]
+    assert np.max(np.abs(g[[4, 1]])) <= 1e-10
+    x_ref, _, _ = restricted_minimize(base, D, {4: 0.0, 1: 0.0}, gm.SolverConfig())
+    assert np.allclose(x, x_ref, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("iters", [1, 3, 8])
@@ -313,9 +341,9 @@ def test_monotonicity_orthogonality_freshness(monkeypatch):
     solve, iterates = solvers.restricted_minimize, []
 
     def recording_solve(*args, **kwargs):
-        x, coeffs, grad = solve(*args, **kwargs)
+        x, coeffs, g = solve(*args, **kwargs)
         iterates.append(x)
-        return x, coeffs, grad
+        return x, coeffs, g
 
     monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
     problems = [make_sparse_quadratic(seed, n=30, s=6)
@@ -442,6 +470,16 @@ class CountedForm(Objective):
         return counted, y
 
 
+class SubsetCounted(gm.RotatedBasis):
+    """A rotated basis counting the columns it subsets."""
+
+    columns = 0
+
+    def subset(self, indices):
+        self.columns += len(indices)
+        return super().subset(indices)
+
+
 class LstsqEachStep(Stripped):
     """No least-squares form, so no carried factor: lstsq of S B at every call."""
 
@@ -454,20 +492,21 @@ class LstsqEachStep(Stripped):
 @pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
 def test_greedy_factors_each_atom_once(kind, algorithm):
     # the factor is carried across steps: S meets each selected atom once,
-    # k columns over k steps, where a per-step rebuild would need k(k+1)/2
+    # and the dictionary subsets it once, k columns over k steps, where a
+    # per-step rebuild would need k(k+1)/2
     rng = np.random.default_rng(11)
     n = 30
     base = (gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
             if kind == "quadratic"
             else gm.LeastSquares(rng.standard_normal((40, n)), rng.standard_normal(40)))
     E = CountedForm(base)
-    D = gm.RotatedBasis(n, seed=12)
+    D = SubsetCounted(n, seed=12)
     weak = {"weakness": gm.WeaknessSchedule.constant(0.6),
             "selection_strategy": "first_admissible"}
     cfg = gm.SolverConfig(algorithm=algorithm, max_steps=12,
                           **(weak if algorithm == "wcga" else {}))
     tr = gm.run_wcga(E, D, cfg)
-    assert len(tr) - 1 == 12 and E.columns == 12
+    assert len(tr) - 1 == 12 and E.columns == 12 and D.columns == 12
     # and the run is the one a fresh lstsq solve per step gives
     oracle = gm.run_wcga(LstsqEachStep(base), D, cfg)
     assert tr.support == oracle.support
