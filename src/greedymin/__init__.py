@@ -11,7 +11,7 @@ from .analysis import (RateConstants, SequenceBoundInput, check_error_recursion,
                        rate_constants, recursive_sequence_bound, verify_trace)
 from .config import (ConfigError, config_from_mapping, load_config, parse_config_text,
                      sub_seed)
-from .core import CurvatureParams, IterateTrace, TraceStep, as_point, inner, norm
+from .core import CurvatureParams, IterateTrace, TraceStep, as_point, norm
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis, weak_select
 from .harness import (build_dictionary, build_objective, derive_constants,
                       run_compare, run_demo_cs, run_experiment, run_moduli)
@@ -32,7 +32,7 @@ __all__ = [
     "check_error_recursion", "check_moduli_equivalence", "config_from_mapping",
     "derive_constants", "error_bound", "estimate_condition_constants",
     "estimate_gradient_bound", "estimate_level_set_diameter", "estimate_moduli", "fit_rate",
-    "inner", "load_config", "norm", "parse_config_text", "rate_constants",
+    "load_config", "norm", "parse_config_text", "rate_constants",
     "recursive_sequence_bound", "restricted_minimize", "run_compare", "run_demo_cs",
     "run_experiment", "run_moduli", "run_wcga", "sub_seed", "uniform_ball", "verify_trace",
     "weak_select",

@@ -47,15 +47,6 @@ def as_points(x, dim: int | None = None) -> Vector:
     return a
 
 
-def inner(a: Vector, b: Vector) -> float:
-    """Euclidean inner product; raises on dimension mismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
 def norm(a: Vector) -> float:
     """Euclidean norm."""
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
@@ -148,14 +139,6 @@ class IterateTrace:
     @property
     def has_errors(self) -> bool:
         return all(s.error is not None for s in self.steps)
-
-    def values(self) -> Vector:
-        return np.array([s.value for s in self.steps], dtype=np.float64)
-
-    def errors(self) -> Vector:
-        if not self.has_errors:
-            raise ValueError("trace has no error data (minimizer unknown)")
-        return np.array([s.error for s in self.steps], dtype=np.float64)
 
     def to_csv(self, path) -> None:
         """Write the trace; floats at 17 significant digits, one row per step."""

@@ -35,9 +35,9 @@ class Objective(ABC):
 
     ``least_squares_form`` returns (S, y) with E(x) = c * ||S x - y||^2 +
     const for some c > 0, where S maps an (n, j) block of columns to an
-    (m, j) block, or None when E has no such form.  ``argmin_in_span`` is
-    built on it once, here, through a :class:`SpanFactor`; a subclass
-    provides the form, not the solve.
+    (m, j) block, or None when E has no such form.  ``run_wcga`` builds a
+    :class:`SpanFactor` on it, and ``argmin_in_span`` extends that factor; a
+    subclass provides the form, not the solve.
     """
 
     curvature: tuple[float, float] | None = None
@@ -81,20 +81,15 @@ class Objective(ABC):
         """(S, y) with E(x) = c * ||S x - y||^2 + const for some c > 0, else None."""
         return None
 
-    def argmin_in_span(self, columns: np.ndarray,
-                       factor: SpanFactor | None = None) -> Vector | None:
-        """Exact coefficients minimizing E over a span of columns, else None.
+    def argmin_in_span(self, columns: np.ndarray, factor: SpanFactor) -> Vector:
+        """Exact coefficients minimizing E over the span of a carried factor.
 
-        Without ``factor`` the span is that of ``columns``, factored afresh.
         ``factor`` is a :class:`SpanFactor` of this objective's least-squares
         form carried across calls: ``columns`` are appended to it and the
-        coefficients are those of all its columns.
+        coefficients are those of all its columns.  A pass-through, kept so
+        that perfbench's tracer sees one call per exact step until its hook
+        moves to ``SpanFactor.extend``.
         """
-        if factor is None:
-            form = self.least_squares_form()
-            if form is None:
-                return None
-            factor = SpanFactor(*form, capacity=columns.shape[1])
         factor.extend(columns)
         return factor.coefficients()
 
@@ -162,13 +157,12 @@ class LeastSquares(Objective):
         super().__init__(A.shape[1])
         self.A = A
         self.b = as_point(rhs, A.shape[0])
-        s = np.linalg.svd(A, compute_uv=False)
-        self._sigma_max = float(s[0]) if s.size else 0.0
-        self._sigma_min = float(s[-1]) if s.size else 0.0
-        full_rank = (A.shape[0] >= A.shape[1]
-                     and self._sigma_min > self._sigma_max * 1e-12)
         self._rho = None
-        if full_rank:
+        if A.shape[0] < A.shape[1]:
+            return  # rank deficient by its shape; no singular value is read
+        s = np.linalg.svd(A, compute_uv=False)
+        self._sigma_max, self._sigma_min = float(s[0]), float(s[-1])
+        if self._sigma_min > self._sigma_max * 1e-12:
             xbar, *_ = np.linalg.lstsq(A, self.b, rcond=None)
             self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))

@@ -7,13 +7,14 @@ largest.  OMP is the same loop with every t_k = 1 and the exact strategy;
 
 The inner solver re-minimizes the objective over the span of the selected
 atoms, as basis columns in selection order, evaluating the restricted
-gradient once per iterate.  Exact restricted solves are used when the
-objective has a least-squares form (quadratics); a greedy run carries one
-thin QR of that form across its steps, so a step subsets and factors only
-the newly selected atom, synthesizes x from the coefficients and certifies
-it from the analysis of one gradient, which the next selection reads.
-Otherwise descent with Armijo backtracking, preconditioned by the diagonal
-Hessian when available, runs until the restricted gradient coefficients
+gradient once per iterate.  It solves exactly when it is given a
+``SpanFactor``, and ``run_wcga`` builds one when the objective has a
+least-squares form (quadratics).  That thin QR is carried across the run,
+so a step subsets and factors only the newly selected atom, synthesizes x
+from the coefficients and certifies it from the analysis of one gradient,
+which the next selection reads.  Without a factor, descent with Armijo
+backtracking, preconditioned by the diagonal Hessian when available, runs
+from the start coefficients until the restricted gradient coefficients
 drop below ``inner_tol``.  ``inner_tol`` must stay well below ``stop_tol``
 or selection could re-pick an already selected atom.
 """
@@ -125,16 +126,20 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     certified it.  Restricted gradient coefficients are exactly <E'(x), phi_j>
     for the keyed atoms because the dictionary is orthonormal.
 
-    ``factor`` is a :class:`SpanFactor` of the objective's least-squares
-    form carried across calls, holding the leading atoms of ``start``
-    already.  Only the atoms after them are subset and appended; x is
-    synthesized from the coefficients, and the analysis of its gradient
-    certifies it.  A solve that fails that check continues by descent.
+    The solve is exact exactly when ``factor`` is given: a
+    :class:`SpanFactor` of the objective's least-squares form carried
+    across calls, holding the leading atoms of ``start`` already.  Only the
+    atoms after them are subset and appended; x is synthesized from the
+    coefficients, and the analysis of its gradient certifies it.  A solve
+    that fails that check continues by descent.  Without a factor, descent
+    starts from the coefficients in ``start``.
     """
     if not start:
         raise ValueError("start must be nonempty")
     idx = list(start)
-    if factor is not None:
+    if factor is None:
+        z = np.array([float(v) for v in start.values()])
+    else:
         if factor.size > len(idx):
             raise ValueError(f"start has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
@@ -150,11 +155,6 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     # restricted gradient sup-norm at the point x = basis @ z
     def resid(x) -> float:
         return float(np.max(np.abs(basis.T @ objective.gradient(x))))
-
-    if factor is None:
-        exact = objective.argmin_in_span(basis)
-        z = (np.array([float(v) for v in start.values()]) if exact is None
-             else np.asarray(exact, dtype=np.float64))
 
     eps = float(np.finfo(np.float64).eps)
     best_resid = np.inf
@@ -210,7 +210,9 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     """Greedy run: each step selects by ``weak_select`` at t_k, then re-minimizes.
 
     Selection reads the analysis of the gradient that certified the
-    previous iterate.
+    previous iterate.  This is the one place a :class:`SpanFactor` is
+    built: with a least-squares form every restricted solve of the run
+    takes the exact path, without one every solve descends.
 
     The one greedy entry point; an OMP config (t_k = 1, exact strategy) runs OMP.
     """

@@ -314,7 +314,7 @@ def test_recursion_check_unit_quadratic_halves():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0], np.ones(4))
     tr = gm.run_wcga(E, gm.CanonicalBasis(4), gm.SolverConfig(algorithm="omp"))
     rc = rate_constants(E, E.known_minimizer, 2, E.known_params)
-    errs = tr.errors()
+    errs = [s.error for s in tr]
     for k in range(2, len(errs)):
         assert errs[k] <= 0.5 * errs[k - 1] + 1e-12
     assert check_error_recursion(tr, rc).violations == 0

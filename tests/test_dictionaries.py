@@ -19,7 +19,7 @@ def test_orthonormality(basis):
         for j in range(basis.size):
             want = 1.0 if i == j else 0.0
             phi_i, phi_j = basis.subset([i])[:, 0], basis.subset([j])[:, 0]
-            assert abs(gm.inner(phi_i, phi_j) - want) <= 1e-10
+            assert abs(np.dot(phi_i, phi_j) - want) <= 1e-10
 
 
 def test_parseval(basis):

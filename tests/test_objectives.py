@@ -130,6 +130,22 @@ def test_least_squares_known_params_match_svd_oracle():
     assert wide.known_params is None and wide.known_minimizer is None
 
 
+def test_wide_least_squares_takes_no_svd(monkeypatch):
+    # a wide A fails the full-rank test on its shape; its singular values go unread
+    shapes, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rng = np.random.default_rng(10)
+    wide = gm.LeastSquares(rng.standard_normal((3, 6)), rng.standard_normal(3))
+    assert shapes == [] and wide.level_set_diameter() is None
+    gm.LeastSquares(rng.standard_normal((6, 3)), rng.standard_normal(6))
+    assert shapes == [(6, 3)]
+
+
 def test_least_squares_from_files(tmp_path):
     A = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])
     b = np.array([1.0, -1.0, 0.5])
@@ -219,7 +235,7 @@ def test_least_squares_flags_ambiguous_restricted_minimizer():
     E = gm.LeastSquares(A, np.array([1.0, 0.0, 1.0]))
     basis = np.eye(3)[:, :2]
     with pytest.warns(RuntimeWarning, match="not unique"):
-        E.argmin_in_span(basis)
+        E.argmin_in_span(basis, _fresh_factor(E, 2))
 
 
 def test_level_set_geometry_bounds():
@@ -357,6 +373,11 @@ def _bases(n: int, k: int) -> dict[str, np.ndarray]:
             "rotated": gm.RotatedBasis(n, seed=9).subset(cols)}
 
 
+def _fresh_factor(E, k):
+    """An empty factor of E's least-squares form with room for k columns."""
+    return SpanFactor(*E.least_squares_form(), capacity=k)
+
+
 def _lstsq(E, basis):
     S, y = E.least_squares_form()
     return np.linalg.lstsq(S(basis), y, rcond=None)[0]
@@ -378,7 +399,6 @@ def test_least_squares_form_matches_objective(kind):
 def test_no_least_squares_form_without_quadratic_structure():
     E = stack_library(8)["powersum4"]
     assert E.least_squares_form() is None
-    assert E.argmin_in_span(np.eye(8)[:, :3]) is None
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
@@ -387,7 +407,7 @@ def test_no_least_squares_form_without_quadratic_structure():
 def test_argmin_in_span_matches_lstsq(kind, k, basis_kind):
     E = stack_library(8, seed=6)[kind]
     basis = _bases(8, k)[basis_kind]
-    z = E.argmin_in_span(basis)
+    z = E.argmin_in_span(basis, _fresh_factor(E, k))
     ref = _lstsq(E, basis)
     assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
     # and it is E's own restricted minimizer: the restricted gradient vanishes
@@ -400,14 +420,14 @@ def test_argmin_in_span_matches_lstsq(kind, k, basis_kind):
 def test_grown_factor_matches_fresh_factor(kind, basis_kind):
     E = stack_library(8, seed=7)[kind]
     basis = _bases(8, 8)[basis_kind]
-    grown = SpanFactor(*E.least_squares_form(), capacity=8)
-    # with a factor, argmin_in_span appends the columns it is given
+    grown = _fresh_factor(E, 8)
+    # argmin_in_span appends the columns it is given
     for j in range(1, 9):
         z = E.argmin_in_span(basis[:, j - 1:j], grown)
         assert grown.size == j and z.shape == (j,)
         ref = _lstsq(E, basis[:, :j])
         assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
-    fresh = E.argmin_in_span(basis)
+    fresh = E.argmin_in_span(basis, _fresh_factor(E, 8))
     assert np.linalg.norm(z - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
 
@@ -418,7 +438,7 @@ def test_duplicated_column_warns_and_still_minimizes(kind, basis_kind):
     basis = _bases(8, 4)[basis_kind]
     basis = np.column_stack([basis[:, :3], basis[:, 1], basis[:, 3]])
     with pytest.warns(RuntimeWarning, match="not unique"):
-        z = E.argmin_in_span(basis)
+        z = E.argmin_in_span(basis, _fresh_factor(E, 5))
     assert z[3] == 0.0
     best = E.value(basis @ _lstsq(E, basis))
     assert abs(E.value(basis @ z) - best) <= 1e-12 * (1.0 + abs(best))

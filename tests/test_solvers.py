@@ -52,7 +52,8 @@ class Conjugated(Objective):
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig())
+    factor = SpanFactor(*unit_quadratic4.least_squares_form(), capacity=1)
+    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
     assert np.allclose(x, [3.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
     assert coeffs == {0: 3.0}
@@ -72,7 +73,8 @@ def test_restricted_full_support_matches_normal_equations():
     b = rng.standard_normal(10)
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
-    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig())
+    factor = SpanFactor(*E.least_squares_form(), capacity=6)
+    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(), factor)
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
 
@@ -145,7 +147,8 @@ def test_restricted_with_factor_orders_atoms_by_warm_start():
     start = {4: 0.0, 1: 0.0, 2: 0.0}
     x, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
-    x_plain, coeffs_plain, _ = restricted_minimize(E, D, start, gm.SolverConfig())
+    fresh = SpanFactor(*E.least_squares_form(), capacity=3)
+    x_plain, coeffs_plain, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
     assert list(coeffs_plain) == [4, 1, 2]
     assert np.allclose(x, x_plain, rtol=0, atol=1e-12)
 
@@ -353,7 +356,7 @@ def test_monotonicity_orthogonality_freshness(monkeypatch):
     for E, D, cfg in problems:
         iterates.clear()
         tr = gm.run_wcga(E, D, cfg)
-        vals = tr.values()
+        vals = np.array([s.value for s in tr])
         assert np.all(np.diff(vals) <= 1e-10 * (1 + np.abs(vals[:-1])))
         # distinct selections
         sel = tr.support
@@ -404,7 +407,7 @@ def test_per_step_recursion_invariant_quadratic():
     D = gm.CanonicalBasis(5)
     tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=10))
     rc = gm.rate_constants(E, E.known_minimizer, 3, E.known_params)
-    errs = tr.errors()
+    errs = [s.error for s in tr]
     factor = 1.0 - rc.contraction_gain / rc.support_size
     for k in range(2, len(errs)):
         assert errs[k] <= errs[k - 1] * factor + 1e-9
@@ -480,14 +483,6 @@ class SubsetCounted(gm.RotatedBasis):
         return super().subset(indices)
 
 
-class LstsqEachStep(Stripped):
-    """No least-squares form, so no carried factor: lstsq of S B at every call."""
-
-    def argmin_in_span(self, basis, factor=None):
-        S, y = self.base.least_squares_form()
-        return np.linalg.lstsq(S(basis), y, rcond=None)[0]
-
-
 @pytest.mark.parametrize("algorithm", ["omp", "wcga"])
 @pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
 def test_greedy_factors_each_atom_once(kind, algorithm):
@@ -507,11 +502,39 @@ def test_greedy_factors_each_atom_once(kind, algorithm):
                           **(weak if algorithm == "wcga" else {}))
     tr = gm.run_wcga(E, D, cfg)
     assert len(tr) - 1 == 12 and E.columns == 12 and D.columns == 12
-    # and the run is the one a fresh lstsq solve per step gives
-    oracle = gm.run_wcga(LstsqEachStep(base), D, cfg)
-    assert tr.support == oracle.support
-    for a, b in zip(tr, oracle):
-        assert abs(a.error - b.error) <= 1e-9 * (1.0 + b.error)
+    # and each e_k is E at a fresh lstsq solve over the first k selected atoms
+    S, y = base.least_squares_form()
+    e_min = base.value(base.known_minimizer)
+    for k in range(1, len(tr)):
+        basis = D.subset(tr.support[:k])
+        ref = base.value(basis @ np.linalg.lstsq(S(basis), y, rcond=None)[0]) - e_min
+        assert abs(tr[k].error - ref) <= 1e-9 * (1.0 + ref)
+
+
+class FormCounted(gm.PowerSum):
+    """A power sum counting its least-squares form requests and exact solves."""
+
+    form_calls = solve_calls = 0
+
+    def least_squares_form(self):
+        self.form_calls += 1
+        return super().least_squares_form()
+
+    def argmin_in_span(self, columns, factor):
+        self.solve_calls += 1
+        return super().argmin_in_span(columns, factor)
+
+
+@pytest.mark.parametrize("p", [4.0, 2.0])
+def test_greedy_decides_exactness_once(p):
+    # run_wcga asks for the form once; at p = 4 there is none and no step
+    # solves exactly, at p = 2 (a quadratic) each step solves exactly once
+    E4, D, _ = make_rotated_powersum(seed=16)
+    E = FormCounted(E4.center, p, E4.weights)
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=3, max_inner_iters=3000))
+    assert tr.final.k == 3
+    assert E.form_calls == 1
+    assert E.solve_calls == (0 if p == 4.0 else 3)
 
 
 def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
