@@ -145,29 +145,52 @@ class DiagonalQuadratic(Objective):
 class LeastSquares(Objective):
     """E(x) = ||A x - b||^2; gradient is 2 A^T (A x - b).
 
-    When A has full column rank the minimizer is unique and the curvature
-    constants are the extreme squared singular values of A; for a wide A
-    the objective is not strictly convex and carries no convexity params.
+    The curvature constants are the extreme eigenvalues of A^T A, the squared
+    extreme singular values of A.  They are computed from the rounded Gram
+    matrix, so ``curvature`` holds a certified bracket: alpha at or above
+    sigma_max^2 and beta at or below sigma_min^2, each moved outward by the
+    rounding bound of forming A^T A and of its eigensolver.  A positive beta
+    certifies full column rank, so the minimizer is unique; only then are
+    ``curvature`` and ``known_minimizer`` set.  A wide A, or one whose beta
+    is not positive, is not known to be strictly convex and carries neither.
     """
 
     def __init__(self, matrix, rhs):
         A = np.ascontiguousarray(matrix, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        super().__init__(A.shape[1])
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix has non-finite entries")
+        b = np.asarray(rhs, dtype=np.float64)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("rhs has non-finite entries")
+        m, n = A.shape
+        super().__init__(n)
         self.A = A
-        self.b = as_point(rhs, A.shape[0])
+        self.b = as_point(b, m)
         self._rho = None
-        if A.shape[0] < A.shape[1]:
-            return  # rank deficient by its shape; no singular value is read
-        s = np.linalg.svd(A, compute_uv=False)
-        self._sigma_max, self._sigma_min = float(s[0]), float(s[-1])
-        if self._sigma_min > self._sigma_max * 1e-12:
-            xbar, *_ = np.linalg.lstsq(A, self.b, rcond=None)
+        if m < n:
+            return  # rank deficient by its shape; no eigenvalue is read
+        G = A.T @ A
+        lam = np.linalg.eigvalsh(G)
+        # Each computed eigenvalue lies within delta of the exact one, to first
+        # order in the unit roundoff u = eps/2 (Higham, Accuracy and Stability
+        # of Numerical Algorithms, 2nd ed.): forming G moves every eigenvalue by
+        # at most ||dG||_2 <= gamma_m ||A||_F^2 (Thm 3.5, gamma_m = m u/(1 - m u),
+        # ||A||_F^2 = trace(A^T A)), and the backward-stable symmetric eigensolver
+        # by at most c n eps lambda_max (Weyl's theorem), taken here with c = 1.
+        eps = float(np.finfo(np.float64).eps)
+        u = eps / 2.0
+        delta = m * u / (1.0 - m * u) * float(np.trace(G)) + n * eps * float(lam[-1])
+        alpha, beta = float(lam[-1]) + delta, float(lam[0]) - delta
+        if beta > 0.0:
+            # normal equations with one step of iterative refinement
+            xbar = np.linalg.solve(G, A.T @ self.b)
+            xbar += np.linalg.solve(G, A.T @ (self.b - A @ xbar))
             self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))
             self._rho = float(np.sqrt(max(e0 - self.value(xbar), 0.0)))
-            self.curvature = (self._sigma_max ** 2, self._sigma_min ** 2)
+            self.curvature = (alpha, beta)
 
     @classmethod
     def from_files(cls, matrix_file, rhs_file) -> "LeastSquares":
@@ -188,15 +211,16 @@ class LeastSquares(Objective):
     def least_squares_form(self):
         return (lambda block: self.A @ block), self.b
 
+    # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
     def level_set_diameter(self) -> float | None:
         if self._rho is None:
             return None
-        return 2.0 * self._rho / self._sigma_min
+        return 2.0 * self._rho / self.curvature[1] ** 0.5
 
     def gradient_sup_bound(self) -> float | None:
         if self._rho is None:
             return None
-        return 2.0 * self._sigma_max * self._rho
+        return 2.0 * self.curvature[0] ** 0.5 * self._rho
 
 
 class PowerSum(Objective):

@@ -44,6 +44,13 @@ def powersum_constants(objective: gm.PowerSum, dictionary: gm.Dictionary,
     return rc
 
 
+def conditioned_matrix(rng, m: int, n: int, kappa: float) -> np.ndarray:
+    """A tall (m, n) matrix U diag(s) V^T with singular values log-spaced in [1/kappa, 1]."""
+    U, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * np.logspace(0.0, -np.log10(kappa), n)) @ V.T
+
+
 def check_gradient(objective: gm.Objective, x, step: float = 1e-5) -> float:
     """Max relative discrepancy between the gradient and central differences."""
     if not step > 0:

@@ -1,9 +1,13 @@
 import csv
 import re
 
+import numpy as np
 import pytest
 
+from greedymin import LeastSquares
 from greedymin.cli import main
+
+from conftest import conditioned_matrix
 
 QUAD_CFG = """
 name = quad_fix
@@ -185,6 +189,43 @@ def test_moduli_least_squares_passes(tmp_path):
                    "objective.center_sparsity = 2\n"
                    "analysis.sample_count = 60\n")
     assert main(["--quiet", "moduli", str(cfg)]) == 0
+
+
+def _file_least_squares_cfg(tmp_path, A, b):
+    np.savetxt(tmp_path / "A.csv", A, delimiter=",")
+    np.savetxt(tmp_path / "b.csv", b, delimiter=",")
+    cfg = tmp_path / "lsfile.cfg"
+    cfg.write_text(f"name = lsfile\ndimension = {A.shape[1]}\n"
+                   f"output_dir = {tmp_path / 'out'}\n"
+                   "objective.type = least_squares\n"
+                   f"objective.matrix_file = {tmp_path / 'A.csv'}\n"
+                   f"objective.b_file = {tmp_path / 'b.csv'}\n")
+    return cfg
+
+
+def test_run_ill_conditioned_file_matrix_skips_constants(tmp_path):
+    # kappa(A) = 1e9: sigma_min^2 = 1e-18 lies inside the Gram matrix's rounding
+    # error, so full column rank is not certified and no curvature is claimed
+    rng = np.random.default_rng(4)
+    A = conditioned_matrix(rng, 20, 8, 1e9)
+    cfg = _file_least_squares_cfg(tmp_path, A, A @ rng.standard_normal(8))
+    assert LeastSquares.from_files(tmp_path / "A.csv", tmp_path / "b.csv").curvature is None
+    assert main(["--quiet", "run", str(cfg)]) == 0
+    report = (tmp_path / "out" / "lsfile.report.txt").read_text()
+    assert "constants: skipped (level set not known to be bounded)" in report
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("matrix", "matrix has non-finite entries"),
+    ("rhs", "rhs has non-finite entries"),
+], ids=["matrix", "rhs"])
+def test_run_non_finite_file_input_names_it(tmp_path, capsys, entry, message):
+    A = np.random.default_rng(5).standard_normal((12, 4))
+    b = np.ones(12)
+    (A if entry == "matrix" else b)[3] = np.nan
+    cfg = _file_least_squares_cfg(tmp_path, A, b)
+    assert main(["--quiet", "run", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_compare_t1_identical_columns(quad_cfg):

@@ -4,7 +4,7 @@ import pytest
 import greedymin as gm
 from greedymin.objectives import SpanFactor, bregman_gap, estimate_condition_constants
 
-from conftest import CountingObjective, check_gradient, stack_library
+from conftest import CountingObjective, check_gradient, conditioned_matrix, stack_library
 
 
 def _library(seed=0, n=8):
@@ -131,19 +131,43 @@ def test_least_squares_known_params_match_svd_oracle():
 
 
 def test_wide_least_squares_takes_no_svd(monkeypatch):
-    # a wide A fails the full-rank test on its shape; its singular values go unread
-    shapes, svd = [], np.linalg.svd
+    # a tall A takes one eigvalsh of its (n, n) Gram matrix and no SVD or lstsq;
+    # a wide A fails the full-rank test on its shape and takes none of them
+    calls = []
 
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
+    def recording(name):
+        routine = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        def record(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return routine(a, *args, **kwargs)
+        return record
+
+    for name in ("svd", "lstsq", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
     rng = np.random.default_rng(10)
     wide = gm.LeastSquares(rng.standard_normal((3, 6)), rng.standard_normal(3))
-    assert shapes == [] and wide.level_set_diameter() is None
-    gm.LeastSquares(rng.standard_normal((6, 3)), rng.standard_normal(6))
-    assert shapes == [(6, 3)]
+    assert calls == [] and wide.level_set_diameter() is None
+    tall = gm.LeastSquares(rng.standard_normal((6, 3)), rng.standard_normal(6))
+    assert calls == [("eigvalsh", (3, 3))] and tall.curvature is not None
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6])
+def test_least_squares_curvature_brackets_squared_singular_values(kappa):
+    rng = np.random.default_rng(11)
+    A = conditioned_matrix(rng, 40, 12, kappa)
+    b = A @ rng.standard_normal(A.shape[1]) + 1e-3 * rng.standard_normal(A.shape[0])
+    E = gm.LeastSquares(A, b)
+    s = np.linalg.svd(A, compute_uv=False)
+    alpha, beta = E.curvature
+    # the bracket widens by the eigenvalue error, which scales with ||A||_2^2
+    tol = 1e-8 * s[0] ** 2
+    assert s[0] ** 2 <= alpha <= s[0] ** 2 + tol
+    assert s[-1] ** 2 - tol <= beta <= s[-1] ** 2
+    ref = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert gm.norm(E.known_minimizer - ref) <= 1e-9 * gm.norm(ref)
+    # the origin lies in the level set, so the certified ball reaches it
+    assert E.level_set_diameter() >= 2.0 * gm.norm(E.known_minimizer)
 
 
 def test_least_squares_from_files(tmp_path):
