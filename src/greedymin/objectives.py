@@ -18,6 +18,11 @@ import numpy as np
 
 from .core import CurvatureParams, Vector, as_point, as_points, norm
 
+#: (S, S^T, y, c): S maps an (n, j) block to an (m, j) block, S^T an (m,)
+#: vector to an (n,) one, and E(x) = c * ||S x - y||^2
+LeastSquaresForm = tuple[Callable[[np.ndarray], np.ndarray], Callable[[Vector], Vector],
+                         Vector, float]
+
 
 class Objective(ABC):
     """A convex function on R^n with a computable gradient.
@@ -33,11 +38,13 @@ class Objective(ABC):
     ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
     that p, or None when those constants must be sampled.
 
-    ``least_squares_form`` returns (S, y) with E(x) = c * ||S x - y||^2 +
-    const for some c > 0, where S maps an (n, j) block of columns to an
-    (m, j) block, or None when E has no such form.  ``run_wcga`` builds a
-    :class:`SpanFactor` on it, and ``argmin_in_span`` extends that factor; a
-    subclass provides the form, not the solve.
+    ``least_squares_form`` returns (S, S^T, y, c) with E(x) = c * ||S x - y||^2
+    exactly and c > 0, or None when E has no such form.  S maps an (n, j)
+    block of columns to an (m, j) block and S^T, its adjoint, an (m,) vector
+    to an (n,) one.  ``run_wcga`` builds a :class:`SpanFactor` on it, and
+    ``argmin_in_span`` extends that factor; a subclass provides the form, not
+    the solve.  The factor reads E and E' of an exact step off the form, so
+    c must be exact, not just positive.
     """
 
     curvature: tuple[float, float] | None = None
@@ -77,8 +84,8 @@ class Objective(ABC):
         """Diagonal of the Hessian when it is diagonal and cheap, else None."""
         return None
 
-    def least_squares_form(self) -> tuple[Callable[[np.ndarray], np.ndarray], Vector] | None:
-        """(S, y) with E(x) = c * ||S x - y||^2 + const for some c > 0, else None."""
+    def least_squares_form(self) -> LeastSquaresForm | None:
+        """(S, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly, else None."""
         return None
 
     def argmin_in_span(self, columns: np.ndarray, factor: SpanFactor) -> Vector:
@@ -133,7 +140,7 @@ class DiagonalQuadratic(Objective):
         return self.weights
 
     def least_squares_form(self):
-        return _weighted_form(self.weights, self.center)
+        return _weighted_form(self.weights, self.center, 0.5)
 
     def level_set_diameter(self) -> float:
         return 2.0 * np.sqrt(2.0 * self._e0 / self.weights.min())
@@ -209,7 +216,7 @@ class LeastSquares(Objective):
         return 2.0 * np.matvec(self.A.T, r)
 
     def least_squares_form(self):
-        return (lambda block: self.A @ block), self.b
+        return (lambda block: self.A @ block), (lambda v: self.A.T @ v), self.b, 1.0
 
     # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
     def level_set_diameter(self) -> float | None:
@@ -262,7 +269,7 @@ class PowerSum(Objective):
     def least_squares_form(self):
         if self.exponent != 2.0:
             return None
-        return _weighted_form(self.weights, self.center)
+        return _weighted_form(self.weights, self.center, 1.0)
 
     def level_set_diameter(self) -> float:
         # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
@@ -283,31 +290,37 @@ def _per_point(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _weighted_form(weights: Vector, center: Vector):
-    """(S, y) of sum_i w_i (x_i - c_i)^2: S scales rows by sqrt(w), y = sqrt(w) * c."""
+def _weighted_form(weights: Vector, center: Vector, scale: float) -> LeastSquaresForm:
+    """The form of scale * sum_i w_i (x_i - c_i)^2: S = S^T = diag(sqrt(w)), y = sqrt(w) * c."""
     root = np.sqrt(weights)
-    return (lambda block: root[:, None] * block), root * center
+    return (lambda block: root[:, None] * block), (lambda v: root * v), root * center, scale
 
 
 class SpanFactor:
-    """Thin QR of S B for a least-squares form (S, y), grown a column at a time.
+    """Thin QR of S B for a least-squares form, grown a column at a time.
 
-    Minimizing ||S B z - y|| over z is solved as z = R^-1 (Q^T y) from S B =
-    Q R.  Each new column s = S b is orthogonalized against Q by classical
-    Gram-Schmidt.  A second pass runs only when the first cancelled, leaving
-    ||w|| < ||s|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart 1976); with it
-    Q stays orthonormal to working precision, since twice is enough
-    (Giraud, Langou & Rozloznik 2005).  This is the updating of Batch-OMP
-    (Rubinstein, Zibulevsky & Elad 2008).  Q is stored
-    column-contiguous (row j of ``_qt`` is column j), with R^-1 (upper
+    For the form E(x) = c * ||S x - y||^2, minimizing over x = B z is solved
+    as z = R^-1 (Q^T y) from S B = Q R.  Each new column s = S b is
+    orthogonalized against Q by classical Gram-Schmidt.  A second pass runs
+    only when the first cancelled, leaving ||w|| < ||s|| / sqrt(2) (Daniel,
+    Gragg, Kaufman & Stewart 1976); with it Q stays orthonormal to working
+    precision, since twice is enough (Giraud, Langou & Rozloznik 2005).  Q is
+    stored column-contiguous (row j of ``_qt`` is column j), with R^-1 (upper
     triangular, grown by a column) and Q^T y, so appending a column costs
     O(m k) and the coefficients O(k^2); nothing already factored is touched.
 
+    The factor also carries the residual r = y - Q Q^T y = y - S B z of the
+    span minimizer, updated by r -= (q^T y) q for each new column q in O(m).
+    So ``value`` gives E = c ||r||^2 and ``gradient`` gives the ambient
+    E' = -2c S^T r with one adjoint product and no product with S.  This is
+    the residual form of OMP that Batch-OMP updates (Rubinstein, Zibulevsky
+    & Elad 2008).
+
     A column whose residual after the last pass is at most ``DEPENDENT_TOL``
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
-    gets coefficient 0 (the others still minimize over the whole span) and
-    raises the "not unique" RuntimeWarning.  The storage for ``capacity``
-    independent columns, at most m, is allocated once.
+    gets coefficient 0 (the others still minimize over the whole span), leaves
+    r alone and raises the "not unique" RuntimeWarning.  The storage for
+    ``capacity`` independent columns, at most m, is allocated once.
     """
 
     # a column in the span keeps a residual near eps * ||s|| after the second pass;
@@ -315,10 +328,14 @@ class SpanFactor:
     # close to the eps * max(m, k) cutoff of lstsq
     DEPENDENT_TOL = 1e-12
 
-    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], rhs: Vector,
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
+                 adjoint: Callable[[Vector], Vector], rhs: Vector, scale: float,
                  capacity: int):
         self._apply = apply
+        self._adjoint = adjoint
         self._y = rhs
+        self._scale = float(scale)
+        self._r = np.array(rhs, dtype=np.float64)
         capacity = min(int(capacity), rhs.shape[0])
         self._qt = np.empty((capacity, rhs.shape[0]))
         self._rinv = np.zeros((capacity, capacity))
@@ -349,6 +366,7 @@ class SpanFactor:
         else:
             self._qt[r] = w / rho
             self._qty[r] = self._qt[r] @ self._y
+            self._r -= self._qty[r] * self._qt[r]
             self._rinv[:r, r] = (self._rinv[:r, :r] @ h) / -rho
             self._rinv[r, r] = 1.0 / rho
             self._independent.append(self.size)
@@ -360,6 +378,14 @@ class SpanFactor:
         z = np.zeros(self.size)
         z[self._independent] = self._rinv[:r, :r] @ self._qty[:r]
         return z
+
+    def value(self) -> float:
+        """E at the span minimizer, c ||r||^2."""
+        return self._scale * float(self._r @ self._r)
+
+    def gradient(self) -> Vector:
+        """The ambient gradient E' = -2c S^T r at the span minimizer."""
+        return (-2.0 * self._scale) * self._adjoint(self._r)
 
 
 def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vector:

@@ -9,14 +9,16 @@ The inner solver re-minimizes the objective over the span of the selected
 atoms, as basis columns in selection order, evaluating the restricted
 gradient once per iterate.  It solves exactly when it is given a
 ``SpanFactor``, and ``run_wcga`` builds one when the objective has a
-least-squares form (quadratics).  That thin QR is carried across the run,
-so a step subsets and factors only the newly selected atom, synthesizes x
-from the coefficients and certifies it from the analysis of one gradient,
-which the next selection reads.  Without a factor, descent with Armijo
-backtracking, preconditioned by the diagonal Hessian when available, runs
-from the start coefficients until the restricted gradient coefficients
-drop below ``inner_tol``.  ``inner_tol`` must stay well below ``stop_tol``
-or selection could re-pick an already selected atom.
+least-squares form E(x) = c ||S x - y||^2 (quadratics).  That thin QR is
+carried across the run with its residual r, so a step works in residual
+space: it subsets and factors only the newly selected atom, applying S
+once, and takes the selection vector D^T(-2c S^T r) with one adjoint
+product and E_k = c ||r||^2; x is synthesized once, when the run ends.
+Without a factor, descent with Armijo backtracking, preconditioned by the
+diagonal Hessian when available, runs from the start coefficients until
+the restricted gradient coefficients drop below ``inner_tol``.
+``inner_tol`` must stay well below ``stop_tol`` or selection could re-pick
+an already selected atom.
 """
 from __future__ import annotations
 
@@ -114,7 +116,7 @@ class InnerSolveError(RuntimeError):
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
                         start: Mapping[int, float], cfg: SolverConfig,
                         factor: SpanFactor | None = None,
-                        ) -> tuple[Vector, dict[int, float], Vector]:
+                        ) -> tuple[Vector | None, dict[int, float], Vector]:
     """Minimize the objective over the span of the atoms keyed in ``start``.
 
     ``start`` maps each atom to its starting coefficient; its keys, in their
@@ -129,10 +131,12 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     The solve is exact exactly when ``factor`` is given: a
     :class:`SpanFactor` of the objective's least-squares form carried
     across calls, holding the leading atoms of ``start`` already.  Only the
-    atoms after them are subset and appended; x is synthesized from the
-    coefficients, and the analysis of its gradient certifies it.  A solve
-    that fails that check continues by descent.  Without a factor, descent
-    starts from the coefficients in ``start``.
+    atoms after them are subset and appended, and the analysis comes from
+    the factor's residual, as D^T(-2c S^T r).  When its entries on the
+    support pass the check, x is not formed: None stands in its place, and
+    the coefficients give x = D z.  A solve that fails the check continues
+    by descent from its coefficients.  Without a factor, descent starts from
+    the coefficients in ``start``.
     """
     if not start:
         raise ValueError("start must be nonempty")
@@ -144,12 +148,9 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
             raise ValueError(f"start has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
         z = objective.argmin_in_span(dictionary.subset(idx[factor.size:]), factor)
-        dense = np.zeros(dictionary.size)
-        dense[idx] = z
-        x = dictionary.synthesize(dense)
-        g = dictionary.analyze(objective.gradient(x))
+        g = dictionary.analyze(factor.gradient())
         if float(np.max(np.abs(g[idx]))) <= cfg.inner_tol:
-            return x, dict(zip(idx, (float(v) for v in z))), g
+            return None, dict(zip(idx, (float(v) for v in z))), g
     basis = dictionary.subset(idx)
 
     # restricted gradient sup-norm at the point x = basis @ z
@@ -206,6 +207,40 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         f"within {cfg.max_inner_iters} iterations (residual {best_resid:g})", best_resid)
 
 
+# A correct least-squares form and the objective compute E(0) and E'(0) as
+# different roundings of the same sums of at most max(m, n) terms, so they
+# agree to about max(m, n) * eps relative to the sizes of the summed terms,
+# which are those of E(0) and, unless S^T y cancels, of E'(0).  1e-8 leaves
+# room for dimensions in the millions, while a wrong c, y or S is off by a
+# factor of order one.
+FORM_RTOL = 1e-8
+
+
+def _check_form(objective: Objective, dictionary: Dictionary, factor: SpanFactor,
+                e0: float, g0: Vector) -> None:
+    """Raise unless the empty factor reproduces E(0) and D^T E'(0) to ``FORM_RTOL``."""
+    e_form = factor.value()
+    g_form = dictionary.analyze(factor.gradient())
+    g_gap = norm(g_form - g0)
+    if abs(e_form - e0) > FORM_RTOL * abs(e0) or g_gap > FORM_RTOL * norm(g0):
+        raise ValueError(
+            f"{type(objective).__name__}: least-squares form disagrees with the "
+            f"objective at 0: c*||y||^2 = {e_form:.12g} against E(0) = {e0:.12g}, "
+            f"gradient coefficients differ by {g_gap:.3g} in norm")
+
+
+def _solve_step(objective: Objective, dictionary: Dictionary, start: Mapping[int, float],
+                cfg: SolverConfig, factor: SpanFactor | None, m: int,
+                ) -> tuple[Vector | None, dict[int, float], Vector]:
+    """``restricted_minimize`` with a failure tagged by step m and its support size."""
+    try:
+        return restricted_minimize(objective, dictionary, start, cfg, factor)
+    except InnerSolveError as exc:
+        err = InnerSolveError(f"step {m}: {exc}", exc.residual)
+        err.step, err.support_size = m, len(start)
+        raise err from exc
+
+
 def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
     """Greedy run: each step selects by ``weak_select`` at t_k, then re-minimizes.
 
@@ -213,6 +248,16 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     previous iterate.  This is the one place a :class:`SpanFactor` is
     built: with a least-squares form every restricted solve of the run
     takes the exact path, without one every solve descends.
+
+    An exact step calls neither ``objective.value`` nor ``gradient``: E_k
+    and the selection vector come from the factor's residual, and dist_k
+    from the coefficients against those of the known minimizer.  The
+    objective keeps the exact path honest twice per run.  At step 0 the
+    empty factor must reproduce E(0) and D^T E'(0), else the run raises.
+    When the run ends on an exact step, x is synthesized once and its
+    gradient must pass the support check at ``inner_tol``.  If it does not,
+    that step descends from its coefficients, and the rest of the run
+    descends without the factor.
 
     The one greedy entry point; an OMP config (t_k = 1, exact strategy) runs OMP.
     """
@@ -231,11 +276,25 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
                           RuntimeWarning)
         return max(gap, 0.0)
 
+    form = objective.least_squares_form()
+    factor = None if form is None else SpanFactor(*form, capacity=min(cfg.max_steps, n))
+    # the minimizer's coefficients and the atoms outside the support, for
+    # distances read off an exact step's coefficients: by orthonormality
+    # ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2, the second sum
+    # taken directly since ||abar||^2 - ||abar_I||^2 cancels
+    abar = None if factor is None or xbar is None else dictionary.analyze(xbar)
+    outside = np.ones(n, dtype=bool)
+
     def dist_of(x: Vector) -> float | None:
         return norm(x - xbar) if xbar is not None else None
 
-    form = objective.least_squares_form()
-    factor = None if form is None else SpanFactor(*form, capacity=min(cfg.max_steps, n))
+    def coefficient_dist(coeffs: dict[int, float]) -> float | None:
+        if xbar is None:
+            return None
+        d = np.fromiter(coeffs.values(), np.float64, len(coeffs)) - abar[list(coeffs)]
+        tail = abar[outside]
+        return float(np.sqrt(np.dot(d, d) + np.dot(tail, tail)))
+
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n)
     coeffs: dict[int, float] = {}
@@ -243,6 +302,8 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     g_sup = float(np.max(np.abs(g)))
     stopped = g_sup <= cfg.stop_tol
     val = objective.value(x)
+    if factor is not None and not stopped:
+        _check_form(objective, dictionary, factor, val, g)
     steps = [TraceStep(0, val, error_of(val), dist_of(x), None, None, g_sup, stopped)]
 
     for m in range(1, cfg.max_steps + 1):
@@ -253,16 +314,25 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
             raise RuntimeError(
                 f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "
                 f"must stay above inner_tol ({cfg.inner_tol:g})")
-        start = {**coeffs, j: 0.0}
-        try:
-            x, coeffs, g = restricted_minimize(objective, dictionary, start, cfg, factor)
-        except InnerSolveError as exc:
-            err = InnerSolveError(f"step {m}: {exc}", exc.residual)
-            err.step, err.support_size = m, len(start)
-            raise err from exc
-        val = objective.value(x)
+        outside[j] = False
+        x, coeffs, g = _solve_step(objective, dictionary, {**coeffs, j: 0.0}, cfg, factor, m)
         sel_sup = g_sup
         g_sup = float(np.max(np.abs(g)))
         stopped = g_sup <= cfg.stop_tol
-        steps.append(TraceStep(m, val, error_of(val), dist_of(x), j, coeff, sel_sup, stopped))
+        exact = x is None
+        if exact and (stopped or m == cfg.max_steps):
+            dense = np.zeros(n)
+            dense[list(coeffs)] = list(coeffs.values())
+            x = dictionary.synthesize(dense)
+            g_x = dictionary.analyze(objective.gradient(x))
+            if float(np.max(np.abs(g_x[list(coeffs)]))) > cfg.inner_tol:
+                factor, exact = None, False
+                x, coeffs, g = _solve_step(objective, dictionary, coeffs, cfg, None, m)
+                g_sup = float(np.max(np.abs(g)))
+                stopped = g_sup <= cfg.stop_tol
+        if exact:
+            val, dist = factor.value(), coefficient_dist(coeffs)
+        else:
+            val, dist = objective.value(x), dist_of(x)
+        steps.append(TraceStep(m, val, error_of(val), dist, j, coeff, sel_sup, stopped))
     return IterateTrace(steps, x)

@@ -403,21 +403,24 @@ def _fresh_factor(E, k):
 
 
 def _lstsq(E, basis):
-    S, y = E.least_squares_form()
+    S, _, y, _ = E.least_squares_form()
     return np.linalg.lstsq(S(basis), y, rcond=None)[0]
 
 
 @pytest.mark.parametrize("kind", LSQ_FORMS)
 def test_least_squares_form_matches_objective(kind):
-    # E(x) - E(x0) = c * (f(x) - f(x0)) with one c > 0, f(x) = ||S x - y||^2
+    # E(x) = c ||S x - y||^2 with the form's own c, not just up to a factor,
+    # and S^T is the adjoint of S: the factor reads E and E' off them
     E = stack_library(8, seed=4)[kind]
-    S, y = E.least_squares_form()
+    S, St, y, c = E.least_squares_form()
     rng = np.random.default_rng(5)
-    x0, *xs = rng.standard_normal((5, 8))
-    f = lambda x: float(np.sum((S(x[:, None])[:, 0] - y) ** 2))  # noqa: E731
-    ratios = [(E.value(x) - E.value(x0)) / (f(x) - f(x0)) for x in xs]
-    assert ratios[0] > 0
-    assert np.allclose(ratios, ratios[0], rtol=1e-10)
+    for x in rng.standard_normal((4, 8)):
+        r = S(x[:, None])[:, 0] - y
+        assert abs(E.value(x) - c * float(r @ r)) <= 1e-12 * E.value(x)
+        v = rng.standard_normal(y.shape[0])
+        Sx, Stv = S(x[:, None])[:, 0], St(v)
+        assert Stv.shape == (8,)
+        assert abs(Sx @ v - x @ Stv) <= 1e-12 * gm.norm(Sx) * gm.norm(v)
 
 
 def test_no_least_squares_form_without_quadratic_structure():
@@ -474,10 +477,26 @@ def test_span_factor_reorthogonalizes_an_ill_conditioned_block():
     t = np.linspace(0.0, 1.0, 60)
     block = t[:, None] ** np.arange(8)
     y = np.cos(3.0 * t)
-    factor = SpanFactor(lambda cols: cols, y, capacity=8)
+    factor = SpanFactor(lambda cols: cols, lambda v: v, y, 1.0, capacity=8)
     for j in range(8):
         factor.extend(block[:, j:j + 1])
     q = factor._qt[:8]
     assert np.max(np.abs(q @ q.T - np.eye(8))) <= 1e-13
     ref = np.linalg.lstsq(block, y, rcond=None)[0]
     assert np.linalg.norm(factor.coefficients() - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+@pytest.mark.parametrize("kind", LSQ_FORMS)
+def test_factor_value_and_gradient_match_the_objective(kind, basis_kind):
+    # the carried residual gives E and E' at the span minimizer x = B z
+    E = stack_library(8, seed=10)[kind]
+    basis = _bases(8, 5)[basis_kind]
+    factor = _fresh_factor(E, 5)
+    assert factor.value() == pytest.approx(E.value(np.zeros(8)), rel=1e-12)
+    for j in range(5):
+        z = E.argmin_in_span(basis[:, j:j + 1], factor)
+        x = basis[:, :j + 1] @ z
+        assert factor.value() == pytest.approx(E.value(x), rel=1e-10)
+        g = E.gradient(x)
+        assert gm.norm(factor.gradient() - g) <= 1e-12 * gm.norm(E.gradient(np.zeros(8)))

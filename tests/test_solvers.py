@@ -8,7 +8,7 @@ import greedymin.solvers as solvers
 from greedymin.objectives import Objective, SpanFactor
 from greedymin.solvers import InnerSolveError, restricted_minimize
 
-from conftest import make_rotated_powersum, make_sparse_quadratic
+from conftest import make_rotated_powersum, make_sparse_quadratic, stack_library
 
 
 class Stripped(Objective):
@@ -43,8 +43,8 @@ class Conjugated(Objective):
         return self.q.T @ self.base.gradient(self.q @ z)
 
     def least_squares_form(self):
-        S, y = self.base.least_squares_form()
-        return (lambda block: S(self.q @ block)), y
+        S, St, y, c = self.base.least_squares_form()
+        return (lambda block: S(self.q @ block)), (lambda v: self.q.T @ St(v)), y, c
 
 
 # -- restricted minimization -------------------------------------------------
@@ -53,10 +53,11 @@ class Conjugated(Objective):
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     factor = SpanFactor(*unit_quadratic4.least_squares_form(), capacity=1)
-    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
-    assert np.allclose(x, [3.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
+    x, coeffs, g = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
+    assert x is None          # an exact solve gives coefficients; x = D z is not formed
     assert coeffs == {0: 3.0}
+    assert abs(g[0]) <= 1e-10
+    assert abs(unit_quadratic4.gradient(np.array([3.0, 0.0, 0.0, 0.0]))[0]) <= 1e-10
 
 
 def test_restricted_warm_start_already_optimal(unit_quadratic4):
@@ -74,7 +75,9 @@ def test_restricted_full_support_matches_normal_equations():
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
-    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(), factor)
+    _, coeffs, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(),
+                                       factor)
+    x = np.array([coeffs[j] for j in range(6)])
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
 
@@ -145,12 +148,12 @@ def test_restricted_with_factor_orders_atoms_by_warm_start():
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
     start = {4: 0.0, 1: 0.0, 2: 0.0}
-    x, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
+    _, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
     fresh = SpanFactor(*E.least_squares_form(), capacity=3)
-    x_plain, coeffs_plain, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
+    _, coeffs_plain, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
     assert list(coeffs_plain) == [4, 1, 2]
-    assert np.allclose(x, x_plain, rtol=0, atol=1e-12)
+    assert np.allclose(list(coeffs.values()), list(coeffs_plain.values()), rtol=0, atol=1e-12)
 
 
 class GradientCounted(gm.DiagonalQuadratic):
@@ -173,18 +176,17 @@ class EvalCounted(GradientCounted):
         return super().value(x)
 
 
-def test_restricted_one_gradient_per_call_with_factor():
-    # the exact path trusts the solve: one gradient certifies it, no value is taken
+def test_restricted_with_factor_calls_neither_value_nor_gradient():
+    # the exact path reads the selection vector off the factor's residual
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
-    coeffs, E.value_calls = {}, 0
+    coeffs, E.value_calls, E.gradient_calls = {}, 0, 0
     for j in (4, 1, 2, 5):
         start = {**coeffs, j: 0.0}
-        E.gradient_calls = 0
-        _, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
-        assert E.gradient_calls == 1 and factor.size == len(start)
-    assert E.value_calls == 0
+        x, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
+        assert x is None and factor.size == len(start)
+    assert E.value_calls == 0 and E.gradient_calls == 0
 
 
 @pytest.mark.parametrize("path", ["exact", "descent"])
@@ -193,28 +195,35 @@ def test_restricted_returns_the_gradient_at_its_point(path):
     E = base if path == "exact" else Stripped(base)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*base.least_squares_form(), capacity=2) if path == "exact" else None
-    x, _, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
-                                  gm.SolverConfig(max_inner_iters=3000), factor)
-    assert np.array_equal(g, D.analyze(E.gradient(x)))
+    x, coeffs, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
+                                       gm.SolverConfig(max_inner_iters=3000), factor)
+    if path == "descent":
+        assert np.array_equal(g, D.analyze(E.gradient(x)))
+    else:
+        # the factor's residual gives it; x = D z is formed here only to compare
+        assert x is None
+        x = D.subset(list(coeffs)) @ np.array(list(coeffs.values()))
+        assert gm.norm(g - D.analyze(E.gradient(x))) <= 1e-13 * gm.norm(E.gradient(0 * x))
 
 
-class ShiftedForm(gm.DiagonalQuadratic):
-    """A diagonal quadratic whose least-squares form has the wrong right-hand side."""
+class SkewedAdjoint(gm.DiagonalQuadratic):
+    """A diagonal quadratic whose form's S^T is not the adjoint of its S."""
 
     def least_squares_form(self):
-        S, y = super().least_squares_form()
-        return S, y + 1.0
+        S, St, y, c = super().least_squares_form()
+        return S, (lambda v: St(v) + v[::-1]), y, c
 
 
 def test_restricted_descends_from_an_exact_solve_that_fails_its_check():
-    # the shifted form's coefficients miss the restricted minimizer, so the
-    # selection-vector check fails and descent finishes from them
+    # the skewed adjoint puts the factor's selection vector off zero on the
+    # support, so the check fails and descent finishes from the coefficients
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
-    E = ShiftedForm(base.center, base.weights)
+    E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=2)
     x, coeffs, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
-    assert factor.size == 2 and list(coeffs) == [4, 1]
+    assert x is not None and factor.size == 2 and list(coeffs) == [4, 1]
+    assert np.array_equal(g, D.analyze(E.gradient(x)))
     assert np.max(np.abs(g[[4, 1]])) <= 1e-10
     x_ref, _, _ = restricted_minimize(base, D, {4: 0.0, 1: 0.0}, gm.SolverConfig())
     assert np.allclose(x, x_ref, rtol=0, atol=1e-10)
@@ -329,23 +338,28 @@ def test_dimension_mismatch_raises(unit_quadratic4):
         gm.run_wcga(unit_quadratic4, gm.CanonicalBasis(5), gm.SolverConfig(algorithm="omp"))
 
 
-def test_greedy_one_value_per_step_and_no_second_gradient():
-    # K exact steps: E at the minimizer and at the origin, then one value per step;
-    # the gradient at the origin, then the one each restricted solve certified
+@pytest.mark.parametrize("K", [1, 4, 6])
+def test_greedy_exact_run_evaluates_the_objective_a_fixed_number_of_times(K):
+    # E at the minimizer and at the origin, the gradient at the origin and at
+    # the final x, which certifies the run: none of it grows with K
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E.value_calls = E.gradient_calls = 0
-    tr = gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp", max_steps=4))
-    K = tr.final.k
-    assert K == 4
-    assert E.value_calls == K + 2 and E.gradient_calls == K + 1
+    tr = gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp", max_steps=K))
+    assert tr.final.k == K
+    assert E.value_calls == 2 and E.gradient_calls == 2
 
 
 def test_monotonicity_orthogonality_freshness(monkeypatch):
     solve, iterates = solvers.restricted_minimize, []
 
-    def recording_solve(*args, **kwargs):
-        x, coeffs, g = solve(*args, **kwargs)
-        iterates.append(x)
+    def recording_solve(objective, dictionary, start, cfg, factor=None):
+        x, coeffs, g = solve(objective, dictionary, start, cfg, factor)
+        if x is None:         # an exact step leaves x = D z to the caller
+            dense = np.zeros(dictionary.size)
+            dense[list(coeffs)] = list(coeffs.values())
+            iterates.append(dictionary.synthesize(dense))
+        else:
+            iterates.append(x)
         return x, coeffs, g
 
     monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
@@ -464,13 +478,13 @@ class CountedForm(Objective):
         return self.base.gradient(x)
 
     def least_squares_form(self):
-        S, y = self.base.least_squares_form()
+        S, St, y, c = self.base.least_squares_form()
 
         def counted(block):
             self.columns += block.shape[1]
             return S(block)
 
-        return counted, y
+        return counted, St, y, c
 
 
 class SubsetCounted(gm.RotatedBasis):
@@ -503,7 +517,7 @@ def test_greedy_factors_each_atom_once(kind, algorithm):
     tr = gm.run_wcga(E, D, cfg)
     assert len(tr) - 1 == 12 and E.columns == 12 and D.columns == 12
     # and each e_k is E at a fresh lstsq solve over the first k selected atoms
-    S, y = base.least_squares_form()
+    S, _, y, _ = base.least_squares_form()
     e_min = base.value(base.known_minimizer)
     for k in range(1, len(tr)):
         basis = D.subset(tr.support[:k])
@@ -557,3 +571,130 @@ def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
     gm.run_wcga(gm.LeastSquares(A, A @ D.subset([4])[:, 0]), D,
                 gm.SolverConfig(algorithm="omp", max_steps=9))
     assert made[1] == (5, 5)      # a wide A caps the factor at its 5 rows
+
+
+# -- the exact path against the objective -------------------------------------
+
+
+class ShiftedForm(gm.DiagonalQuadratic):
+    """A diagonal quadratic whose least-squares form has the wrong right-hand side."""
+
+    def least_squares_form(self):
+        S, St, y, c = super().least_squares_form()
+        return S, St, y + 1.0, c
+
+
+class HalvedScale(gm.PowerSum):
+    """A power sum at p = 2 whose form claims the quadratic's c = 1/2 instead of 1."""
+
+    def least_squares_form(self):
+        S, St, y, _ = super().least_squares_form()
+        return S, St, y, 0.5
+
+
+@pytest.mark.parametrize("cls", [ShiftedForm, HalvedScale])
+def test_greedy_refuses_a_form_that_disagrees_at_zero(cls):
+    # the empty factor must give E(0) and D^T E'(0) before any exact step
+    base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    E = (cls(base.center, base.weights) if cls is ShiftedForm
+         else cls(base.center, 2.0, base.weights))
+    with pytest.raises(ValueError, match=f"^{cls.__name__}: least-squares form disagrees "
+                                         "with the objective at 0"):
+        gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp"))
+
+
+class RankOneSkew(gm.DiagonalQuadratic):
+    """A diagonal quadratic whose form's S is off by u v^T with u orthogonal to y.
+
+    E(0) and S^T y are unchanged, so the form passes the check at 0, but every
+    exact solve minimizes the wrong function.
+    """
+
+    def __init__(self, center, weights, u, v):
+        super().__init__(center, weights)
+        self.u, self.v = u, v
+
+    def least_squares_form(self):
+        S, St, y, c = super().least_squares_form()
+        u, v = self.u, self.v
+        assert abs(u @ y) <= 1e-12 * gm.norm(u) * gm.norm(y)
+        return ((lambda block: S(block) + np.outer(u, v @ block)),
+                (lambda w: St(w) + v * (u @ w)), y, c)
+
+
+def _record_exact_solves(monkeypatch) -> list[bool]:
+    """Record, per restricted solve of a run, whether it was given a factor."""
+    exact = []
+    solve = solvers.restricted_minimize
+
+    def recording_solve(objective, dictionary, start, cfg, factor=None):
+        exact.append(factor is not None)
+        return solve(objective, dictionary, start, cfg, factor)
+
+    monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
+    return exact
+
+
+def test_greedy_descends_when_the_final_exact_point_fails_its_check(monkeypatch):
+    # the skewed form solves every step to the wrong point; the final x fails
+    # its check against the objective, so that step descends from its coefficients
+    base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    D = gm.RotatedBasis(6, seed=3)
+    y = np.sqrt(base.weights) * base.center
+    u, v = np.random.default_rng(4).standard_normal((2, 6))
+    E = RankOneSkew(base.center, base.weights, u - (u @ y) / (y @ y) * y, v)
+    exact = _record_exact_solves(monkeypatch)
+    cfg = gm.SolverConfig(algorithm="omp", max_steps=3)
+    tr = gm.run_wcga(E, D, cfg)
+    assert tr.final.k == 3 and exact == [True, True, True, False]
+    x_ref, _, _ = restricted_minimize(base, D, dict.fromkeys(tr.support, 0.0), cfg)
+    assert np.allclose(tr.x, x_ref, rtol=0, atol=1e-9)
+    assert tr.final.value == E.value(tr.x)
+    assert np.max(np.abs(D.analyze(E.gradient(tr.x))[tr.support])) <= cfg.inner_tol
+
+
+def test_greedy_finishes_by_descent_after_a_failed_final_check(monkeypatch):
+    # S' x_wrong = y with x_wrong on the first selected atom: the factor's
+    # selection vector vanishes after one step, so it calls the run stopped;
+    # the check against the objective fails, and the run goes on by descent
+    base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    D = gm.RotatedBasis(6, seed=3)
+    w, c = base.weights, base.center
+    j = int(np.argmax(np.abs(D.analyze(base.gradient(np.zeros(6))))))
+    d = D.subset([j])[:, 0]
+    x_wrong = d * (w * c @ c) / (w * c @ d)      # so that u below is orthogonal to y
+    # S x_wrong + u (v . x_wrong) = y
+    E = RankOneSkew(c, w, np.sqrt(w) * (c - x_wrong), x_wrong / (x_wrong @ x_wrong))
+    exact = _record_exact_solves(monkeypatch)
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=10))
+    assert tr.support[0] == j and tr.final.k == 6 and tr.final.stopped
+    assert exact == [True] + [False] * 6     # step 1 twice, then steps 2 to 6
+    assert not tr[1].stopped
+    assert np.allclose(tr.x, c, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+@pytest.mark.parametrize("kind", ["quadratic", "least_squares", "powersum2"])
+def test_carried_residual_stays_the_span_residual(kind, basis_kind, monkeypatch):
+    # over a full run, the factor's r stays within round-off of y - S B z
+    deviations = []
+
+    class Checked(SpanFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.columns = []
+
+        def extend(self, columns):
+            super().extend(columns)
+            self.columns.append(columns)
+            B = np.hstack(self.columns)
+            span_residual = self._y - self._apply(B) @ self.coefficients()
+            deviations.append(gm.norm(self._r - span_residual) / gm.norm(self._y))
+
+    monkeypatch.setattr(solvers, "SpanFactor", Checked)
+    n = 30
+    E = stack_library(n, seed=3)[kind]
+    D = gm.CanonicalBasis(n) if basis_kind == "canonical" else gm.RotatedBasis(n, seed=5)
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=n))
+    assert tr.final.k == n and len(deviations) == n
+    assert max(deviations) <= 1e-13
