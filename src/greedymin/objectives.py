@@ -235,7 +235,8 @@ class PowerSum(Objective):
 
     Smooth with a locally bounded Hessian (quadratic-type upper growth on
     bounded sets) and uniformly convex of power type p, so its curvature
-    constants are level-set dependent and are estimated numerically.
+    constants are level-set dependent and are estimated numerically.  At
+    p = 2 the gap is exactly sum_i w_i d_i^2, so they are the extreme weights.
     """
 
     def __init__(self, center, exponent: float, weights):
@@ -251,6 +252,8 @@ class PowerSum(Objective):
         self.weights = weights
         self.known_minimizer = center.copy()
         self._e0 = self.value(np.zeros(self.dimension))
+        if self.exponent == 2.0:
+            self.curvature = (float(weights.max()), float(weights.min()))
 
     def value(self, x: Vector) -> float | Vector:
         d = as_points(x, self.dimension) - self.center

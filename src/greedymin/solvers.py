@@ -6,15 +6,17 @@ largest.  OMP is the same loop with every t_k = 1 and the exact strategy;
 ``SolverConfig(algorithm="omp")`` is held to those settings.
 
 The inner solver re-minimizes the objective over the span of the selected
-atoms, as basis columns in selection order, evaluating the restricted
-gradient once per iterate.  It solves exactly when it is given a
+atoms, as basis columns in selection order, and returns on both paths the
+coefficients, the selection vector D^T E' and E at its point; x is
+synthesized once, when the run ends.  It solves exactly when it is given a
 ``SpanFactor``, and ``run_wcga`` builds one when the objective has a
-least-squares form E(x) = c ||S x - y||^2 (quadratics).  That thin QR is
-carried across the run with its residual r, so a step works in residual
-space: it subsets and factors only the newly selected atom, applying S
-once, and takes the selection vector D^T(-2c S^T r) with one adjoint
-product and E_k = c ||r||^2; x is synthesized once, when the run ends.
-Without a factor, descent with Armijo backtracking, preconditioned by the
+least-squares form E(x) = c ||S x - y||^2 (quadratics), which it checks
+against the objective at both ends of the run.  That thin QR is carried
+across the run with its residual r, so a step works in residual space: it
+subsets and factors only the newly selected atom, applying S once, and
+takes the selection vector D^T(-2c S^T r) with one adjoint product and
+E_k = c ||r||^2.  Without a factor, descent with Armijo backtracking,
+evaluating the restricted gradient once per iterate and preconditioned by the
 diagonal Hessian when available, runs from the start coefficients until
 the restricted gradient coefficients drop below ``inner_tol``.
 ``inner_tol`` must stay well below ``stop_tol`` or selection could re-pick
@@ -116,27 +118,27 @@ class InnerSolveError(RuntimeError):
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
                         start: Mapping[int, float], cfg: SolverConfig,
                         factor: SpanFactor | None = None,
-                        ) -> tuple[Vector | None, dict[int, float], Vector]:
+                        ) -> tuple[dict[int, float], Vector, float]:
     """Minimize the objective over the span of the atoms keyed in ``start``.
 
     ``start`` maps each atom to its starting coefficient; its keys, in their
     order (the selection order in a greedy run), are the basis columns on
-    both solve paths and the keys of the returned coefficients.  Returns a
-    point x whose restricted gradient coefficients are all at most
-    ``cfg.inner_tol`` in magnitude, within ``cfg.max_inner_iters`` iterates,
-    its coefficients, and the analysis D^T E'(x) of the gradient that
-    certified it.  Restricted gradient coefficients are exactly <E'(x), phi_j>
-    for the keyed atoms because the dictionary is orthonormal.
+    both solve paths and the keys of the returned coefficients z.  Returns
+    z, whose point x = D z has restricted gradient coefficients all at most
+    ``cfg.inner_tol`` in magnitude, reached within ``cfg.max_inner_iters``
+    iterates, the analysis D^T E'(x) of the gradient that certified it, and
+    E(x).  Restricted gradient coefficients are exactly <E'(x), phi_j> for
+    the keyed atoms because the dictionary is orthonormal.
 
     The solve is exact exactly when ``factor`` is given: a
     :class:`SpanFactor` of the objective's least-squares form carried
     across calls, holding the leading atoms of ``start`` already.  Only the
-    atoms after them are subset and appended, and the analysis comes from
-    the factor's residual, as D^T(-2c S^T r).  When its entries on the
-    support pass the check, x is not formed: None stands in its place, and
-    the coefficients give x = D z.  A solve that fails the check continues
-    by descent from its coefficients.  Without a factor, descent starts from
-    the coefficients in ``start``.
+    atoms after them are subset and appended, and x is not formed: the
+    analysis comes from the factor's residual r, as D^T(-2c S^T r), and E(x)
+    as c ||r||^2.  A solve whose analysis fails the check on the support
+    continues by descent from its coefficients.  Without a factor, descent
+    starts from the coefficients in ``start``.  Descent evaluates E at the
+    iterate it certifies.
     """
     if not start:
         raise ValueError("start must be nonempty")
@@ -150,7 +152,7 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         z = objective.argmin_in_span(dictionary.subset(idx[factor.size:]), factor)
         g = dictionary.analyze(factor.gradient())
         if float(np.max(np.abs(g[idx]))) <= cfg.inner_tol:
-            return None, dict(zip(idx, (float(v) for v in z))), g
+            return dict(zip(idx, (float(v) for v in z))), g, factor.value()
     basis = dictionary.subset(idx)
 
     # restricted gradient sup-norm at the point x = basis @ z
@@ -166,7 +168,8 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         r = float(np.max(np.abs(g)))
         best_resid = min(best_resid, r)
         if r <= cfg.inner_tol:
-            return x, dict(zip(idx, (float(v) for v in z))), dictionary.analyze(grad)
+            return (dict(zip(idx, (float(v) for v in z))), dictionary.analyze(grad),
+                    objective.value(x))
         if it + 1 == cfg.max_inner_iters:
             break  # no iteration left to check a further step
         val = objective.value(x)
@@ -207,38 +210,31 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         f"within {cfg.max_inner_iters} iterations (residual {best_resid:g})", best_resid)
 
 
-# A correct least-squares form and the objective compute E(0) and E'(0) as
-# different roundings of the same sums of at most max(m, n) terms, so they
-# agree to about max(m, n) * eps relative to the sizes of the summed terms,
-# which are those of E(0) and, unless S^T y cancels, of E'(0).  1e-8 leaves
-# room for dimensions in the millions, while a wrong c, y or S is off by a
-# factor of order one.
+# A correct least-squares form and the objective compute E and E' as
+# different roundings of the same sums of at most max(m, n) terms, and the
+# carried residual stays within a few eps ||y|| of y - S B z, so they agree to
+# about max(m, n) * eps relative to the sizes of the summed terms, which are
+# those of E(0) and, unless S^T y cancels, of E'(0).  1e-8 leaves room for
+# dimensions in the millions, while a wrong c, y or S is off by a factor of
+# order one.
 FORM_RTOL = 1e-8
 
 
-def _check_form(objective: Objective, dictionary: Dictionary, factor: SpanFactor,
-                e0: float, g0: Vector) -> None:
-    """Raise unless the empty factor reproduces E(0) and D^T E'(0) to ``FORM_RTOL``."""
-    e_form = factor.value()
-    g_form = dictionary.analyze(factor.gradient())
-    g_gap = norm(g_form - g0)
-    if abs(e_form - e0) > FORM_RTOL * abs(e0) or g_gap > FORM_RTOL * norm(g0):
+def _check_form(objective: Objective, k: int, e_form: float, g_form: Vector,
+                g: Vector, g0: Vector, e0: float | None = None) -> None:
+    """Raise unless the factor's D^T E' is the objective's ``g`` and, at 0, its E is E(0).
+
+    Both to ``FORM_RTOL``, of ||D^T E'(0)|| = ||g0|| and of |E(0)|.
+    """
+    g_gap = norm(g_form - g)
+    if g_gap > FORM_RTOL * norm(g0) or (e0 is not None
+                                         and abs(e_form - e0) > FORM_RTOL * abs(e0)):
+        at = "0" if k == 0 else f"step {k}"
+        against = "" if e0 is None else f" against E(0) = {e0:.12g}"
         raise ValueError(
             f"{type(objective).__name__}: least-squares form disagrees with the "
-            f"objective at 0: c*||y||^2 = {e_form:.12g} against E(0) = {e0:.12g}, "
+            f"objective at {at}: c*||r||^2 = {e_form:.12g}{against}, "
             f"gradient coefficients differ by {g_gap:.3g} in norm")
-
-
-def _solve_step(objective: Objective, dictionary: Dictionary, start: Mapping[int, float],
-                cfg: SolverConfig, factor: SpanFactor | None, m: int,
-                ) -> tuple[Vector | None, dict[int, float], Vector]:
-    """``restricted_minimize`` with a failure tagged by step m and its support size."""
-    try:
-        return restricted_minimize(objective, dictionary, start, cfg, factor)
-    except InnerSolveError as exc:
-        err = InnerSolveError(f"step {m}: {exc}", exc.residual)
-        err.step, err.support_size = m, len(start)
-        raise err from exc
 
 
 def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) -> IterateTrace:
@@ -249,15 +245,13 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     built: with a least-squares form every restricted solve of the run
     takes the exact path, without one every solve descends.
 
-    An exact step calls neither ``objective.value`` nor ``gradient``: E_k
-    and the selection vector come from the factor's residual, and dist_k
-    from the coefficients against those of the known minimizer.  The
-    objective keeps the exact path honest twice per run.  At step 0 the
-    empty factor must reproduce E(0) and D^T E'(0), else the run raises.
-    When the run ends on an exact step, x is synthesized once and its
-    gradient must pass the support check at ``inner_tol``.  If it does not,
-    that step descends from its coefficients, and the rest of the run
-    descends without the factor.
+    Every row is recorded one way: E_k comes from the restricted solve, and
+    dist_k from its coefficients against those of the known minimizer; x
+    is synthesized once, when the run ends.  An exact step calls neither
+    ``objective.value`` nor ``gradient``, so the objective checks the form
+    at both ends of the run: at step 0 the empty factor must reproduce E(0)
+    and D^T E'(0), and at the last step its D^T E' must be the objective's
+    at the synthesized x, each to ``FORM_RTOL``, else the run raises.
 
     The one greedy entry point; an OMP config (t_k = 1, exact strategy) runs OMP.
     """
@@ -278,33 +272,29 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
 
     form = objective.least_squares_form()
     factor = None if form is None else SpanFactor(*form, capacity=min(cfg.max_steps, n))
-    # the minimizer's coefficients and the atoms outside the support, for
-    # distances read off an exact step's coefficients: by orthonormality
-    # ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2, the second sum
-    # taken directly since ||abar||^2 - ||abar_I||^2 cancels
-    abar = None if factor is None or xbar is None else dictionary.analyze(xbar)
+    # distances are read off the coefficients against the minimizer's: by
+    # orthonormality ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2,
+    # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels
+    abar = None if xbar is None else dictionary.analyze(xbar)
     outside = np.ones(n, dtype=bool)
 
-    def dist_of(x: Vector) -> float | None:
-        return norm(x - xbar) if xbar is not None else None
-
-    def coefficient_dist(coeffs: dict[int, float]) -> float | None:
-        if xbar is None:
+    def dist_of(coeffs: dict[int, float]) -> float | None:
+        if abar is None:
             return None
         d = np.fromiter(coeffs.values(), np.float64, len(coeffs)) - abar[list(coeffs)]
         tail = abar[outside]
         return float(np.sqrt(np.dot(d, d) + np.dot(tail, tail)))
 
     rng = np.random.default_rng(cfg.seed)
-    x = np.zeros(n)
     coeffs: dict[int, float] = {}
-    g = dictionary.analyze(objective.gradient(x))
+    g0 = g = dictionary.analyze(objective.gradient(np.zeros(n)))
     g_sup = float(np.max(np.abs(g)))
     stopped = g_sup <= cfg.stop_tol
-    val = objective.value(x)
+    val = objective.value(np.zeros(n))
     if factor is not None and not stopped:
-        _check_form(objective, dictionary, factor, val, g)
-    steps = [TraceStep(0, val, error_of(val), dist_of(x), None, None, g_sup, stopped)]
+        _check_form(objective, 0, factor.value(), dictionary.analyze(factor.gradient()),
+                    g0, g0, val)
+    steps = [TraceStep(0, val, error_of(val), dist_of(coeffs), None, None, g_sup, stopped)]
 
     for m in range(1, cfg.max_steps + 1):
         if stopped:
@@ -315,24 +305,22 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
                 f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "
                 f"must stay above inner_tol ({cfg.inner_tol:g})")
         outside[j] = False
-        x, coeffs, g = _solve_step(objective, dictionary, {**coeffs, j: 0.0}, cfg, factor, m)
+        try:
+            coeffs, g, val = restricted_minimize(objective, dictionary, {**coeffs, j: 0.0},
+                                                 cfg, factor)
+        except InnerSolveError as exc:
+            err = InnerSolveError(f"step {m}: {exc}", exc.residual)
+            err.step, err.support_size = m, len(coeffs) + 1
+            raise err from exc
         sel_sup = g_sup
         g_sup = float(np.max(np.abs(g)))
         stopped = g_sup <= cfg.stop_tol
-        exact = x is None
-        if exact and (stopped or m == cfg.max_steps):
-            dense = np.zeros(n)
-            dense[list(coeffs)] = list(coeffs.values())
-            x = dictionary.synthesize(dense)
-            g_x = dictionary.analyze(objective.gradient(x))
-            if float(np.max(np.abs(g_x[list(coeffs)]))) > cfg.inner_tol:
-                factor, exact = None, False
-                x, coeffs, g = _solve_step(objective, dictionary, coeffs, cfg, None, m)
-                g_sup = float(np.max(np.abs(g)))
-                stopped = g_sup <= cfg.stop_tol
-        if exact:
-            val, dist = factor.value(), coefficient_dist(coeffs)
-        else:
-            val, dist = objective.value(x), dist_of(x)
-        steps.append(TraceStep(m, val, error_of(val), dist, j, coeff, sel_sup, stopped))
+        steps.append(TraceStep(m, val, error_of(val), dist_of(coeffs), j, coeff, sel_sup, stopped))
+
+    dense = np.zeros(n)
+    dense[list(coeffs)] = list(coeffs.values())
+    x = dictionary.synthesize(dense)
+    if factor is not None and coeffs:
+        _check_form(objective, steps[-1].k, factor.value(), g,
+                    dictionary.analyze(objective.gradient(x)), g0)
     return IterateTrace(steps, x)

@@ -115,6 +115,21 @@ def test_quadratic_known_params():
     assert gm.DiagonalQuadratic([0.0, 0.0], [1.0, 1.0]).known_params is None
 
 
+def test_powersum_p2_known_params_are_the_extreme_weights():
+    # at p = 2 the gap is sum_i w_i d_i^2, so alpha = max w and beta = min w exactly
+    rng = np.random.default_rng(10)
+    w = 10.0 ** rng.uniform(-3.0, 3.0, 8)
+    E = gm.PowerSum(rng.standard_normal(8), 2.0, w)
+    params = E.known_params
+    assert params.alpha == w.max() and params.beta == w.min()
+    assert params.q == params.p == 2.0
+    # the sampler's axis draws reach both, up to the round-off of the sums in each gap
+    alpha_hat, beta_hat = estimate_condition_constants(
+        E, 2.0, 2.0, E.level_set_diameter(), 400, seed=0)
+    assert alpha_hat <= params.alpha * (1 + 1e-9) and beta_hat >= params.beta * (1 - 1e-9)
+    assert alpha_hat >= 0.99 * params.alpha and beta_hat <= 1.01 * params.beta
+
+
 def test_least_squares_known_params_match_svd_oracle():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((10, 4))

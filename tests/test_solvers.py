@@ -47,25 +47,32 @@ class Conjugated(Objective):
         return (lambda block: S(self.q @ block)), (lambda v: self.q.T @ St(v)), y, c
 
 
+def point_of(D, coeffs):
+    """x = B z for coefficients keyed by atom, B the atoms in key order (descent's iterate)."""
+    return D.subset(list(coeffs)) @ np.array(list(coeffs.values()))
+
+
 # -- restricted minimization -------------------------------------------------
 
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     factor = SpanFactor(*unit_quadratic4.least_squares_form(), capacity=1)
-    x, coeffs, g = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
-    assert x is None          # an exact solve gives coefficients; x = D z is not formed
+    coeffs, g, e = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
     assert coeffs == {0: 3.0}
     assert abs(g[0]) <= 1e-10
-    assert abs(unit_quadratic4.gradient(np.array([3.0, 0.0, 0.0, 0.0]))[0]) <= 1e-10
+    x = np.array([3.0, 0.0, 0.0, 0.0])
+    assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
+    assert abs(e - unit_quadratic4.value(x)) <= 1e-12
 
 
 def test_restricted_warm_start_already_optimal(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     warm = {0: 3.0, 2: 1.0}
-    x, coeffs, _ = restricted_minimize(unit_quadratic4, D, warm, gm.SolverConfig())
+    coeffs, _, e = restricted_minimize(unit_quadratic4, D, warm, gm.SolverConfig())
     assert coeffs == warm
-    assert np.allclose(x, unit_quadratic4.known_minimizer)
+    assert np.allclose(point_of(D, coeffs), unit_quadratic4.known_minimizer)
+    assert e == unit_quadratic4.value(unit_quadratic4.known_minimizer)
 
 
 def test_restricted_full_support_matches_normal_equations():
@@ -75,7 +82,7 @@ def test_restricted_full_support_matches_normal_equations():
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
-    _, coeffs, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(),
+    coeffs, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(),
                                        factor)
     x = np.array([coeffs[j] for j in range(6)])
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
@@ -87,11 +94,11 @@ def test_restricted_descent_path_matches_oracle():
     E = Stripped(gm.DiagonalQuadratic(rng.standard_normal(5),
                                       rng.uniform(0.5, 2.0, 5)))
     D = gm.CanonicalBasis(5)
-    x, _, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
-                                  gm.SolverConfig(inner_tol=1e-9, max_inner_iters=5000))
+    coeffs, _, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
+                                       gm.SolverConfig(inner_tol=1e-9, max_inner_iters=5000))
     expected = np.zeros(5)
     expected[[0, 2, 4]] = E.base.center[[0, 2, 4]]
-    assert np.allclose(x, expected, atol=1e-8)
+    assert np.allclose(point_of(D, coeffs), expected, atol=1e-8)
 
 
 def test_restricted_never_worse_than_warm_start():
@@ -101,8 +108,9 @@ def test_restricted_never_worse_than_warm_start():
     dense = np.zeros(D.size)
     dense[list(warm)] = list(warm.values())
     start_val = E.value(D.synthesize(dense))
-    x, _, _ = restricted_minimize(E, D, warm, gm.SolverConfig(max_inner_iters=3000))
-    assert E.value(x) <= start_val + 1e-12 * (1 + abs(start_val))
+    coeffs, _, e = restricted_minimize(E, D, warm, gm.SolverConfig(max_inner_iters=3000))
+    assert e == E.value(point_of(D, coeffs))
+    assert e <= start_val + 1e-12 * (1 + abs(start_val))
 
 
 def test_restricted_exhaustion_carries_best_residual():
@@ -148,10 +156,10 @@ def test_restricted_with_factor_orders_atoms_by_warm_start():
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=6)
     start = {4: 0.0, 1: 0.0, 2: 0.0}
-    _, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
+    coeffs, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
     fresh = SpanFactor(*E.least_squares_form(), capacity=3)
-    _, coeffs_plain, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
+    coeffs_plain, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
     assert list(coeffs_plain) == [4, 1, 2]
     assert np.allclose(list(coeffs.values()), list(coeffs_plain.values()), rtol=0, atol=1e-12)
 
@@ -184,8 +192,8 @@ def test_restricted_with_factor_calls_neither_value_nor_gradient():
     coeffs, E.value_calls, E.gradient_calls = {}, 0, 0
     for j in (4, 1, 2, 5):
         start = {**coeffs, j: 0.0}
-        x, coeffs, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
-        assert x is None and factor.size == len(start)
+        coeffs, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
+        assert factor.size == len(start)
     assert E.value_calls == 0 and E.gradient_calls == 0
 
 
@@ -195,15 +203,15 @@ def test_restricted_returns_the_gradient_at_its_point(path):
     E = base if path == "exact" else Stripped(base)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*base.least_squares_form(), capacity=2) if path == "exact" else None
-    x, coeffs, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
+    coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
                                        gm.SolverConfig(max_inner_iters=3000), factor)
+    x = point_of(D, coeffs)
     if path == "descent":
-        assert np.array_equal(g, D.analyze(E.gradient(x)))
+        assert np.array_equal(g, D.analyze(E.gradient(x))) and e == E.value(x)
     else:
-        # the factor's residual gives it; x = D z is formed here only to compare
-        assert x is None
-        x = D.subset(list(coeffs)) @ np.array(list(coeffs.values()))
+        # the factor's residual gives both; x = D z is formed here only to compare
         assert gm.norm(g - D.analyze(E.gradient(x))) <= 1e-13 * gm.norm(E.gradient(0 * x))
+        assert abs(e - E.value(x)) <= 1e-13 * E.value(0 * x)
 
 
 class SkewedAdjoint(gm.DiagonalQuadratic):
@@ -221,12 +229,13 @@ def test_restricted_descends_from_an_exact_solve_that_fails_its_check():
     E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=2)
-    x, coeffs, g = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
-    assert x is not None and factor.size == 2 and list(coeffs) == [4, 1]
-    assert np.array_equal(g, D.analyze(E.gradient(x)))
+    coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
+    assert factor.size == 2 and list(coeffs) == [4, 1]
+    x = point_of(D, coeffs)
+    assert np.array_equal(g, D.analyze(E.gradient(x))) and e == E.value(x)
     assert np.max(np.abs(g[[4, 1]])) <= 1e-10
-    x_ref, _, _ = restricted_minimize(base, D, {4: 0.0, 1: 0.0}, gm.SolverConfig())
-    assert np.allclose(x, x_ref, rtol=0, atol=1e-10)
+    ref, _, _ = restricted_minimize(base, D, {4: 0.0, 1: 0.0}, gm.SolverConfig())
+    assert np.allclose(list(coeffs.values()), list(ref.values()), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("iters", [1, 3, 8])
@@ -239,9 +248,9 @@ def test_restricted_descent_one_gradient_per_iteration(iters):
     assert base.gradient_calls == iters
     # unit weights: one full gradient step lands on the minimizer, the second check returns
     base = GradientCounted([5.0, -2.0], [1.0, 1.0])
-    x, _, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
-                                  gm.SolverConfig(max_inner_iters=iters + 1))
-    assert np.array_equal(x, [5.0, -2.0]) and base.gradient_calls == 2
+    coeffs, _, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
+                                       gm.SolverConfig(max_inner_iters=iters + 1))
+    assert coeffs == {0: 5.0, 1: -2.0} and base.gradient_calls == 2
 
 
 # -- greedy runs ---------------------------------------------------------------
@@ -353,14 +362,11 @@ def test_monotonicity_orthogonality_freshness(monkeypatch):
     solve, iterates = solvers.restricted_minimize, []
 
     def recording_solve(objective, dictionary, start, cfg, factor=None):
-        x, coeffs, g = solve(objective, dictionary, start, cfg, factor)
-        if x is None:         # an exact step leaves x = D z to the caller
-            dense = np.zeros(dictionary.size)
-            dense[list(coeffs)] = list(coeffs.values())
-            iterates.append(dictionary.synthesize(dense))
-        else:
-            iterates.append(x)
-        return x, coeffs, g
+        coeffs, g, e = solve(objective, dictionary, start, cfg, factor)
+        dense = np.zeros(dictionary.size)
+        dense[list(coeffs)] = list(coeffs.values())
+        iterates.append(dictionary.synthesize(dense))
+        return coeffs, g, e
 
     monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
     problems = [make_sparse_quadratic(seed, n=30, s=6)
@@ -380,6 +386,10 @@ def test_monotonicity_orthogonality_freshness(monkeypatch):
         for k, x in enumerate(iterates, start=1):
             g = D.analyze(E.gradient(x))
             assert max(abs(g[j]) for j in sel[:k]) <= 1e-9
+        # each distance, read off the coefficients, is that of the iterate
+        xbar = E.known_minimizer
+        for step, x in zip(tr, [np.zeros(D.size)] + iterates):
+            assert abs(step.dist - gm.norm(x - xbar)) <= 1e-12 * (1 + gm.norm(xbar))
 
 
 def test_finite_recovery_sparse_quadratic():
@@ -635,42 +645,54 @@ def _record_exact_solves(monkeypatch) -> list[bool]:
     return exact
 
 
-def test_greedy_descends_when_the_final_exact_point_fails_its_check(monkeypatch):
-    # the skewed form solves every step to the wrong point; the final x fails
-    # its check against the objective, so that step descends from its coefficients
-    base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
-    D = gm.RotatedBasis(6, seed=3)
-    y = np.sqrt(base.weights) * base.center
-    u, v = np.random.default_rng(4).standard_normal((2, 6))
-    E = RankOneSkew(base.center, base.weights, u - (u @ y) / (y @ y) * y, v)
-    exact = _record_exact_solves(monkeypatch)
-    cfg = gm.SolverConfig(algorithm="omp", max_steps=3)
-    tr = gm.run_wcga(E, D, cfg)
-    assert tr.final.k == 3 and exact == [True, True, True, False]
-    x_ref, _, _ = restricted_minimize(base, D, dict.fromkeys(tr.support, 0.0), cfg)
-    assert np.allclose(tr.x, x_ref, rtol=0, atol=1e-9)
-    assert tr.final.value == E.value(tr.x)
-    assert np.max(np.abs(D.analyze(E.gradient(tr.x))[tr.support])) <= cfg.inner_tol
+def _rank_one_skew(construction: str) -> tuple[RankOneSkew, int]:
+    """A skewed form that passes the check at 0, and the step its run ends on.
 
-
-def test_greedy_finishes_by_descent_after_a_failed_final_check(monkeypatch):
-    # S' x_wrong = y with x_wrong on the first selected atom: the factor's
-    # selection vector vanishes after one step, so it calls the run stopped;
-    # the check against the objective fails, and the run goes on by descent
+    "wrong_solves": u, v random, so every exact solve lands off the true
+    restricted minimizer and the run ends after its 3 steps.  "early_stop":
+    S' x_wrong = y with x_wrong on the first selected atom, so the factor's
+    selection vector vanishes after one step and calls the run stopped.
+    """
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
-    D = gm.RotatedBasis(6, seed=3)
     w, c = base.weights, base.center
+    if construction == "wrong_solves":
+        y = np.sqrt(w) * c
+        u, v = np.random.default_rng(4).standard_normal((2, 6))
+        return RankOneSkew(c, w, u - (u @ y) / (y @ y) * y, v), 3
+    D = gm.RotatedBasis(6, seed=3)
     j = int(np.argmax(np.abs(D.analyze(base.gradient(np.zeros(6))))))
     d = D.subset([j])[:, 0]
     x_wrong = d * (w * c @ c) / (w * c @ d)      # so that u below is orthogonal to y
     # S x_wrong + u (v . x_wrong) = y
-    E = RankOneSkew(c, w, np.sqrt(w) * (c - x_wrong), x_wrong / (x_wrong @ x_wrong))
+    return RankOneSkew(c, w, np.sqrt(w) * (c - x_wrong), x_wrong / (x_wrong @ x_wrong)), 1
+
+
+@pytest.mark.parametrize("construction", ["wrong_solves", "early_stop"])
+def test_greedy_refuses_a_form_that_disagrees_at_the_end(construction, monkeypatch):
+    # the form passes at 0 and every step solves exactly with it; the last
+    # selection vector is not the objective's at the synthesized x, so the
+    # run raises rather than descending
+    E, k = _rank_one_skew(construction)
     exact = _record_exact_solves(monkeypatch)
-    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=10))
-    assert tr.support[0] == j and tr.final.k == 6 and tr.final.stopped
-    assert exact == [True] + [False] * 6     # step 1 twice, then steps 2 to 6
-    assert not tr[1].stopped
-    assert np.allclose(tr.x, c, rtol=0, atol=1e-8)
+    with pytest.raises(ValueError, match=f"^RankOneSkew: least-squares form disagrees with "
+                                         f"the objective at step {k}: "):
+        gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp", max_steps=3))
+    assert exact == [True] * k
+
+
+def test_greedy_stays_exact_on_a_correct_form_at_scale(monkeypatch):
+    # a center near 1e6 puts the objective's gradient at the synthesized x
+    # above inner_tol on the support by round-off alone; the form is right,
+    # so the run stays on the exact path to the end
+    rng = np.random.default_rng(21)
+    n = 40
+    c = np.zeros(n)
+    c[rng.choice(n, size=8, replace=False)] = 1e6 * rng.uniform(1.0, 2.0, 8)
+    E = gm.DiagonalQuadratic(c, rng.uniform(0.5, 2.0, n))
+    exact = _record_exact_solves(monkeypatch)
+    tr = gm.run_wcga(E, gm.CanonicalBasis(n), gm.SolverConfig(algorithm="omp"))
+    assert tr.final.stopped and len(exact) == tr.final.k and all(exact)
+    assert gm.norm(tr.x - c) <= 1e-14 * gm.norm(c)
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])

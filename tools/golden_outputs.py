@@ -66,6 +66,10 @@ DERIVED = {
     # at the objective's exponent
     "powersum_p2": ("powersum", "objective.exponent = 2\nanalysis.p = 2.0\n",
                     ("run", "moduli")),
+    # a center near 1e6: the synthesized final x carries round-off far above
+    # inner_tol on the support, and the form is checked relative to E'(0)
+    "quadratic_scaled": ("quadratic", "objective.center_low = 1.0e6\n"
+                                      "objective.center_high = 2.0e6\n", ("run",)),
     # wide matrix: no closed-form level-set diameter
     "least_squares_wide": ("least_squares", "objective.rows = 20\n", ("run", "moduli")),
 }
