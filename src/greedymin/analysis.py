@@ -11,9 +11,12 @@ the greedy error sequence e_k = E(x_k) - E(xbar):
   greedy bounds are this generic bound at ``rc.recursion``,
 * empirical rate fitting for comparing observed and guaranteed decay.
 
-Sup-type estimates (rho, rho1) are certified lower bounds of the true
-suprema and inf-type estimates (delta1) certified upper bounds; every check
-is phrased to stay sound under that bias.
+Sup-type estimates (rho, rho1) are lower bounds of the true suprema and
+inf-type estimates (delta1) upper bounds, but only up to the rounding of the
+sampled differences: each is a difference of computed values of E, whose
+rounding errors can put it on either side of the exact difference.  Every
+check is phrased to stay sound under the sampling bias; against the rounding
+it has only its absolute tolerance.
 """
 from __future__ import annotations
 
@@ -76,42 +79,55 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
       delta1 = min of the same expression.
     The lambda grid always includes 1/2 so the classical two-sided
     comparison between rho1 and rho holds sample-by-sample.
+
+    The stencil offsets c of every u are tabulated once, and each sample
+    makes one ``value`` call on x and the rows x + c*y of the distinct c, so
+    a call stacks the distinct-offset count plus one rows, however many
+    samples are drawn.  On a halving grid many offsets coincide bit for bit
+    (0.5*u is the next u, and (2l)*(u/2) is l*u when 2l is on the lambda
+    grid too), so those rows are evaluated once.
     """
-    u = np.asarray(sorted(float(v) for v in u_grid), dtype=np.float64)
-    if u.size == 0 or u[0] <= 0:
-        raise ValueError("u_grid must contain positive values")
+    u = np.asarray([float(v) for v in u_grid], dtype=np.float64)
+    if u.size == 0:
+        raise ValueError("u_grid must be non-empty")
+    if not np.all(np.isfinite(u) & (u > 0)):
+        raise ValueError(f"u_grid entries must be positive and finite, got {u.tolist()}")
+    u = np.sort(u)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     if lambda_grid_size < 2:
         raise ValueError("lambda_grid_size must be >= 2")
-    if not s_radius > 0:
-        raise ValueError("s_radius must be positive")
+    if not (s_radius > 0 and math.isfinite(s_radius)):
+        raise ValueError(f"s_radius must be positive and finite, got {s_radius}")
     lambdas = sorted({i / (lambda_grid_size + 1.0)
                       for i in range(1, lambda_grid_size + 1)} | {0.5})
+    lam = np.asarray(lambdas)
+    # offsets c = u, -u, -l*u..., (1-l)*u... per row of u; x + (-(l*u))*y has
+    # the bits of x - l*u*y
+    col = u[:, None]
+    offsets = np.concatenate((col, -col, -(lam * col), (1.0 - lam) * col), axis=1)
+    cs, where = np.unique(offsets, return_inverse=True)
+    where = where.reshape(offsets.shape) + 1          # row 0 of each stack is x
     rng = np.random.default_rng(seed)
-    samples = []
+    rho = np.full_like(u, -np.inf)
+    rho1 = np.full_like(u, -np.inf)
+    delta1 = np.full_like(u, np.inf)
     for _ in range(sample_count):
         x = uniform_ball(rng, objective.dimension, s_radius)
         y = rng.standard_normal(objective.dimension)
         y /= np.linalg.norm(y)
-        samples.append((x, y, objective.value(x)))
-
-    # One value call per sample and u, on the stencil rows x + c*y with
-    # c = u, -u, -l*u..., (1-l)*u...; x + (-(l*u))*y has the bits of x - l*u*y.
-    lam = np.asarray(lambdas)
-    rho = np.full_like(u, -np.inf)
-    rho1 = np.full_like(u, -np.inf)
-    delta1 = np.full_like(u, np.inf)
-    for i, ui in enumerate(u):
-        steps = np.concatenate(([ui, -ui], -(lam * ui), (1.0 - lam) * ui))[:, None]
-        for x, y, ex in samples:
-            vals = objective.value(x + steps * y)
-            second = 0.5 * (vals[0] + vals[1] - 2.0 * ex)
-            a, b = vals[2:].reshape(2, -1)
-            q = ((1.0 - lam) * a + lam * b - ex) / (lam * (1.0 - lam))
-            rho[i] = np.maximum(rho[i], second)
-            rho1[i] = np.maximum(rho1[i], q.max())
-            delta1[i] = np.minimum(delta1[i], q.min())
+        points = np.empty((cs.size + 1, objective.dimension))
+        points[0] = x
+        np.add(x, cs[:, None] * y, out=points[1:])
+        vals = objective.value(points)
+        ex = vals[0]
+        stencil = vals[where]
+        second = 0.5 * (stencil[:, 0] + stencil[:, 1] - 2.0 * ex)
+        a, b = stencil[:, 2:2 + lam.size], stencil[:, 2 + lam.size:]
+        q = ((1.0 - lam) * a + lam * b - ex) / (lam * (1.0 - lam))
+        np.maximum(rho, second, out=rho)
+        np.maximum(rho1, q.max(axis=1), out=rho1)
+        np.minimum(delta1, q.min(axis=1), out=delta1)
     return ModulusEstimate(u, rho, rho1, delta1, sample_count, int(seed))
 
 

@@ -6,10 +6,12 @@ Hessian, a least-squares form that gives exact minimizers over a span, and
 closed-form geometry of the level set {x : E(x) <= E(0)}.  ``value`` and
 ``gradient`` also take a stack of points, one per row, and give each row
 exactly the bits of a call on that row alone, so the Monte Carlo estimators
-evaluate a whole stencil per call.
+batch their points: ``estimate_moduli`` a sample's distinct stencil rows per
+call, ``estimate_condition_constants`` the gaps of ``GAP_CHUNK`` draws.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from abc import ABC, abstractmethod
 from typing import Callable
@@ -32,7 +34,8 @@ class Objective(ABC):
     array for a stack; ``gradient`` returns the shape it was given.  Row i of
     a stack result is bit-identical to the call on row i alone.  A subclass
     passed to ``estimate_moduli`` or ``estimate_condition_constants`` must
-    honour the stack shape: both evaluate whole stencils in one call.
+    honour the stack shape: the first stacks x and a sample's distinct
+    stencil rows, the second up to ``GAP_CHUNK`` draws, in one call.
 
     ``exponent`` is the power type p of its uniform convexity, and
     ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
@@ -409,6 +412,11 @@ def uniform_ball(rng: np.random.Generator, dimension: int, radius: float) -> Vec
     return radius * rng.uniform() ** (1.0 / dimension) * d
 
 
+#: draws whose Bregman gaps ``estimate_condition_constants`` evaluates as one
+#: stack, so its memory is a few GAP_CHUNK x n arrays whatever the sample count
+GAP_CHUNK = 64
+
+
 def estimate_condition_constants(objective: Objective, q: float, p: float,
                                  omega_radius: float, sample_count: int,
                                  seed: int, pair_radius: float | None = None,
@@ -417,14 +425,18 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
 
     Draws pairs (x, x') with x uniform in the centered ball of omega_radius
     and ||x' - x|| at most pair_radius (defaults to omega_radius), and
-    returns (max gap/||d||^q, min gap/||d||^p).  The max is a lower bound of
-    the true upper constant and the min an upper bound of the lower one.
+    returns (max gap/||d||^q, min gap/||d||^p).  Up to the rounding of the
+    sampled gaps, the max is a lower bound of the true upper constant and
+    the min an upper bound of the lower one: a gap computed in floating
+    point can fall below the exact one, so the min can land slightly under
+    the true lower constant.
 
     Every fourth pair is displaced along a coordinate axis instead of a
     random direction: for anisotropic separable objectives the extreme
     curvature lives in single coordinates, which isotropic directions in
-    high dimension essentially never hit.  The gaps of each such group of
-    four draws are evaluated as one stack.
+    high dimension essentially never hit.  The gaps of each chunk of
+    ``GAP_CHUNK`` consecutive draws are evaluated as one stack, so a call
+    stacks at most ``GAP_CHUNK`` rows.
     """
     if not 1.0 < q <= 2.0:
         raise ValueError(f"q={q} outside (1, 2]")
@@ -432,17 +444,20 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
         raise ValueError(f"p={p} below 2")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    if not omega_radius > 0:
-        raise ValueError("omega_radius must be positive")
+    if not (omega_radius > 0 and math.isfinite(omega_radius)):
+        raise ValueError(f"omega_radius must be positive and finite, got {omega_radius}")
     pair_radius = omega_radius if pair_radius is None else float(pair_radius)
+    if not (pair_radius > 0 and math.isfinite(pair_radius)):
+        raise ValueError(f"pair_radius must be positive and finite, got {pair_radius}")
     rng = np.random.default_rng(seed)
     n = objective.dimension
     alpha_hat = -np.inf
     beta_hat = np.inf
     used = 0
-    for group in range(0, sample_count, 4):
-        pairs = []
-        for i in range(group, min(group + 4, sample_count)):
+    for start in range(0, sample_count, GAP_CHUNK):
+        # new lists release the last chunk's rows before this chunk is drawn
+        xs, x_primes, us = [], [], []
+        for i in range(start, min(start + GAP_CHUNK, sample_count)):
             x = uniform_ball(rng, n, omega_radius)
             if i % 4 == 3:
                 direction = np.zeros(n)
@@ -453,15 +468,16 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
             u = pair_radius * rng.uniform()
             if u < 1e-12:
                 continue
-            pairs.append((x, x + u * direction, u))
-        if not pairs:
+            xs.append(x)
+            x_primes.append(x + u * direction)
+            us.append(u)
+        if not us:
             continue
-        xs, x_primes, us = zip(*pairs)
         gaps = bregman_gap(objective, np.stack(xs), np.stack(x_primes))
         for gap, u in zip(gaps, us):
             alpha_hat = max(alpha_hat, gap / u ** q)
             beta_hat = min(beta_hat, gap / u ** p)
-        used += len(pairs)
+        used += len(us)
     if used == 0:
         raise ValueError("all sampled pairs were degenerate")
     return float(alpha_hat), float(beta_hat)

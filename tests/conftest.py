@@ -67,20 +67,27 @@ def check_gradient(objective: gm.Objective, x, step: float = 1e-5) -> float:
 
 
 class CountingObjective(gm.Objective):
-    """Delegates to ``inner`` and counts the ``value``/``gradient`` calls."""
+    """Delegates to ``inner``, counts the ``value``/``gradient`` calls and
+    keeps the most rows any one call stacked (a point counts as one row)."""
 
     def __init__(self, inner: gm.Objective):
         super().__init__(inner.dimension)
         self.inner = inner
         self.value_calls = 0
         self.gradient_calls = 0
+        self.max_rows = 0
+
+    def _rows(self, x):
+        self.max_rows = max(self.max_rows, np.shape(x)[0] if np.ndim(x) == 2 else 1)
 
     def value(self, x):
         self.value_calls += 1
+        self._rows(x)
         return self.inner.value(x)
 
     def gradient(self, x):
         self.gradient_calls += 1
+        self._rows(x)
         return self.inner.gradient(x)
 
 

@@ -7,6 +7,7 @@ from greedymin.analysis import (SequenceBoundInput, check_error_recursion,
                                 distance_bound, error_bound, estimate_moduli,
                                 fit_rate, global_convexity_constant,
                                 rate_constants, recursive_sequence_bound, verify_trace)
+from greedymin.config import DEFAULT_U_GRID
 from greedymin.objectives import Objective
 
 from conftest import (CountingObjective, make_rotated_powersum, make_sparse_quadratic,
@@ -130,18 +131,27 @@ def _moduli_oracle(objective, s_radius, u_grid, sample_count, lambda_grid_size, 
     return rho, rho1, delta1
 
 
+# (grid, lambda grid size, rows per value call): the distinct stencil offsets
+# plus x itself.  The default halving grid shares 72 of its 200 offsets, the
+# second grid 6 of 48 through its pair 0.05, 0.1, and the third none.
+MODULI_GRIDS = [(list(DEFAULT_U_GRID), 9, 128 + 1),
+                ([0.05, 0.1, 0.3, 1.0], 4, 42 + 1),
+                ([0.3, 0.7, 0.45], 4, 3 * (2 + 2 * 5) + 1)]
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "least_squares", "powersum4"])
 def test_moduli_match_per_point_oracle(kind):
     E = stack_library(6, seed=4)[kind]
-    counted = CountingObjective(E)
-    grid = [0.05, 0.1, 0.3, 1.0]
-    est = estimate_moduli(counted, 1.5, grid, 12, 4, seed=23)
-    rho, rho1, delta1 = _moduli_oracle(E, 1.5, grid, 12, 4, 23)
-    assert np.array_equal(est.rho, rho)
-    assert np.array_equal(est.rho1, rho1)
-    assert np.array_equal(est.delta1, delta1)
-    # one value call per sample for E(x), then one per sample and u for the stencil
-    assert counted.value_calls == 12 + 12 * len(grid)
+    for grid, lambda_size, rows in MODULI_GRIDS:
+        counted = CountingObjective(E)
+        est = estimate_moduli(counted, 1.5, grid, 12, lambda_size, seed=23)
+        rho, rho1, delta1 = _moduli_oracle(E, 1.5, grid, 12, lambda_size, 23)
+        assert np.array_equal(est.rho, rho)
+        assert np.array_equal(est.rho1, rho1)
+        assert np.array_equal(est.delta1, delta1)
+        # one value call per sample, on x and its distinct stencil rows
+        assert counted.value_calls == 12
+        assert counted.max_rows == rows
 
 
 def test_equivalence_constant_objective():
@@ -165,6 +175,20 @@ def test_moduli_validation():
         estimate_moduli(E, 1.0, [0.5], 0, 5, seed=0)
     with pytest.raises(ValueError):
         estimate_moduli(E, 1.0, [0.5], 5, 1, seed=0)
+
+
+@pytest.mark.parametrize("grid", [[np.nan, 0.5, 1.0], [0.5, 1.0, np.inf], [0.5, -1.0]])
+def test_moduli_names_bad_u_grid(grid):
+    E = gm.DiagonalQuadratic([1.0], [1.0])
+    with pytest.raises(ValueError, match="u_grid entries must be positive and finite"):
+        estimate_moduli(E, 1.0, grid, 5, 5, seed=0)
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
+def test_moduli_names_bad_s_radius(radius):
+    E = gm.DiagonalQuadratic([1.0], [1.0])
+    with pytest.raises(ValueError, match="s_radius must be positive and finite"):
+        estimate_moduli(E, radius, [0.5, 1.0], 5, 5, seed=0)
 
 
 # -- constants ------------------------------------------------------------------

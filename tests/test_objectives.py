@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import greedymin as gm
-from greedymin.objectives import SpanFactor, bregman_gap, estimate_condition_constants
+from greedymin.objectives import (GAP_CHUNK, SpanFactor, bregman_gap,
+                                  estimate_condition_constants)
 
 from conftest import CountingObjective, check_gradient, conditioned_matrix, stack_library
 
@@ -260,6 +263,24 @@ def test_estimate_constants_argument_validation():
         estimate_condition_constants(E, 2.0, 2.0, 1.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
+def test_estimate_constants_names_bad_omega_radius(radius):
+    E = gm.DiagonalQuadratic([1.0, 1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega_radius must be positive and finite"):
+            estimate_condition_constants(E, 2.0, 2.0, radius, 10, seed=0)
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan, -1.0])
+def test_estimate_constants_names_bad_pair_radius(radius):
+    E = gm.DiagonalQuadratic([1.0, 1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pair_radius must be positive and finite"):
+            estimate_condition_constants(E, 2.0, 2.0, 1.0, 10, seed=0, pair_radius=radius)
+
+
 def test_estimate_constants_all_pairs_degenerate():
     E = gm.DiagonalQuadratic([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="degenerate"):
@@ -363,11 +384,15 @@ def test_stack_validation(kind):
 
 
 def _constants_oracle(objective, q, p, omega_radius, sample_count, seed, pair_radius):
-    """The per-pair loop of estimate_condition_constants, one point per call."""
+    """The per-pair loop of estimate_condition_constants, one point per call.
+
+    Returns the constants and the indices of the draws it skipped.
+    """
     rng = np.random.default_rng(seed)
     n = objective.dimension
     alpha_hat = -np.inf
     beta_hat = np.inf
+    skipped = []
     for i in range(sample_count):
         x = gm.uniform_ball(rng, n, omega_radius)
         if i % 4 == 3:
@@ -378,26 +403,47 @@ def _constants_oracle(objective, q, p, omega_radius, sample_count, seed, pair_ra
             direction /= np.linalg.norm(direction)
         u = pair_radius * rng.uniform()
         if u < 1e-12:
+            skipped.append(i)
             continue
         gap = bregman_gap(objective, x, x + u * direction)
         alpha_hat = max(alpha_hat, gap / u ** q)
         beta_hat = min(beta_hat, gap / u ** p)
-    return float(alpha_hat), float(beta_hat)
+    return (float(alpha_hat), float(beta_hat)), skipped
+
+
+GAP_KINDS = [("quadratic", 2.0), ("least_squares", 2.0), ("powersum4", 4.0)]
 
 
 @pytest.mark.parametrize("pair_radius", [1.5, 2e-11])
-@pytest.mark.parametrize("kind,p", [("quadratic", 2.0), ("least_squares", 2.0),
-                                    ("powersum4", 4.0)])
+@pytest.mark.parametrize("kind,p", GAP_KINDS)
 def test_estimate_constants_matches_pairwise_oracle(kind, p, pair_radius):
     E = stack_library(6, seed=3)[kind]
     counted = CountingObjective(E)
     got = estimate_condition_constants(counted, 2.0, p, 2.0, 37, seed=22,
                                        pair_radius=pair_radius)
-    assert got == _constants_oracle(E, 2.0, p, 2.0, 37, 22, pair_radius)
-    # one stacked bregman_gap per group of four draws (value at x' and x, gradient
-    # at x); with the small pair radius draw 2 is skipped, but no whole group
-    groups = -(-37 // 4)
-    assert counted.value_calls == 2 * groups and counted.gradient_calls == groups
+    expected, skipped = _constants_oracle(E, 2.0, p, 2.0, 37, 22, pair_radius)
+    assert got == expected
+    assert (2 in skipped) == (pair_radius < 1e-10)
+    # the 37 draws fit in one chunk: one stacked bregman_gap, which takes the
+    # value at x' and at x and the gradient at x
+    assert counted.value_calls == 2 and counted.gradient_calls == 1
+
+
+@pytest.mark.parametrize("pair_radius", [1.5, 1.5e-11])
+@pytest.mark.parametrize("kind,p", GAP_KINDS)
+def test_estimate_constants_chunks_match_pairwise_oracle(kind, p, pair_radius):
+    # two whole chunks and a partial one; at seed 20 the small radius skips
+    # the last draw of the first chunk and the first draw of the second
+    count = 2 * GAP_CHUNK + 5
+    E = stack_library(6, seed=3)[kind]
+    counted = CountingObjective(E)
+    got = estimate_condition_constants(counted, 2.0, p, 2.0, count, seed=20,
+                                       pair_radius=pair_radius)
+    expected, skipped = _constants_oracle(E, 2.0, p, 2.0, count, 20, pair_radius)
+    assert got == expected
+    assert ({GAP_CHUNK - 1, GAP_CHUNK} <= set(skipped)) == (pair_radius < 1e-10)
+    assert counted.value_calls == 2 * 3 and counted.gradient_calls == 3
+    assert counted.max_rows <= GAP_CHUNK
 
 
 # -- exact restricted solves through the least-squares form --------------------
