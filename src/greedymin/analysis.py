@@ -20,7 +20,9 @@ it has only its absolute tolerance.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,11 +408,16 @@ def verify_trace(trace: IterateTrace, rc: RateConstants,
     """
     recursion = check_error_recursion(trace, rc, schedule, tol=tol)
     rec = rc.recursion(trace.final.k, schedule)
-    bounds = []
-    for step in trace:
-        if step.k >= 2:
-            b = recursive_sequence_bound(rec, step.k)
-            bounds.append((step.k, step.error, b, b - step.error))
+    rows = [step for step in trace if step.k >= 2]
+    if rec.exponent == 0.0:
+        # one running product, multiplied left to right as math.prod does in
+        # recursive_sequence_bound, so entry k - 1 is bound_k to the bit
+        running = list(itertools.accumulate((1.0 - g / rec.scale for g in rec.gains),
+                                            operator.mul, initial=rec.start_bound))
+        bs = [running[step.k - 1] for step in rows]
+    else:
+        bs = [recursive_sequence_bound(rec, step.k) for step in rows]
+    bounds = [(step.k, step.error, b, b - step.error) for step, b in zip(rows, bs)]
     violations = sum(1 for row in bounds if row[3] < -tol)
     return TraceVerification(recursion, bounds, violations)
 

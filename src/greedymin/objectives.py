@@ -315,6 +315,14 @@ class SpanFactor:
     triangular, grown by a column) and Q^T y, so appending a column costs
     O(m k) and the coefficients O(k^2); nothing already factored is touched.
 
+    A boolean mask marks the rows that any stored column of Q touches.  A new
+    column with no nonzero on those rows (a diagonal S on the canonical
+    basis) has Q^T s = 0 exactly, each term having a zero factor, so it is
+    stored as it is without either product with Q: its append costs O(m), for
+    the same bits the projection would give.  A dense S fills the mask with
+    its first column, and every later append pays O(m) for the test on top of
+    the O(m k) projection.
+
     The factor also carries the residual r = y - Q Q^T y = y - S B z of the
     span minimizer, updated by r -= (q^T y) q for each new column q in O(m).
     So ``value`` gives E = c ||r||^2 and ``gradient`` gives the ambient
@@ -346,6 +354,7 @@ class SpanFactor:
         self._qt = np.empty((capacity, rhs.shape[0]))
         self._rinv = np.zeros((capacity, capacity))
         self._qty = np.empty(capacity)
+        self._rows = np.zeros(rhs.shape[0], dtype=bool)
         self._independent: list[int] = []
         self.size = 0
 
@@ -356,24 +365,29 @@ class SpanFactor:
 
     def _append(self, s: Vector) -> None:
         r = len(self._independent)
-        q = self._qt[:r]
         s_norm = norm(s)
-        h = q @ s
-        w = s - h @ q
-        rho = norm(w)
-        if rho < s_norm / np.sqrt(2.0):
-            h2 = q @ w
-            w -= h2 @ q
-            h += h2
+        if np.any(s[self._rows]):
+            q = self._qt[:r]
+            h = q @ s
+            w = s - h @ q
             rho = norm(w)
+            if rho < s_norm / np.sqrt(2.0):
+                h2 = q @ w
+                w -= h2 @ q
+                h += h2
+                rho = norm(w)
+        else:  # Q^T s = 0: R gains no entry above the diagonal
+            h, w, rho = None, s, s_norm
         if rho <= self.DEPENDENT_TOL * s_norm:
             warnings.warn("restricted minimizer is not unique "
                           "(rank-deficient restricted system)", RuntimeWarning)
         else:
             self._qt[r] = w / rho
+            self._rows |= self._qt[r] != 0.0
             self._qty[r] = self._qt[r] @ self._y
             self._r -= self._qty[r] * self._qt[r]
-            self._rinv[:r, r] = (self._rinv[:r, :r] @ h) / -rho
+            if h is not None:
+                self._rinv[:r, r] = (self._rinv[:r, :r] @ h) / -rho
             self._rinv[r, r] = 1.0 / rho
             self._independent.append(self.size)
         self.size += 1

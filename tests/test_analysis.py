@@ -392,6 +392,28 @@ def test_verify_trace_matches_direct_checks():
                 assert rec.violations > 0 and violations > 0
 
 
+def _poly_constants():
+    E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
+    return rate_constants(E, E.known_minimizer, 1,
+                          gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["omp", "wcga", "polynomial"])
+def test_verify_trace_bound_rows_keep_the_bits_of_each_bound(kind):
+    # geometric rows come from one running product, polynomial rows from a
+    # sum per row; either way each bound_k is recursive_sequence_bound's
+    rc = _poly_constants() if kind == "polynomial" else _quad_run(seed=5)[2]
+    schedule = gm.WeaknessSchedule.from_sequence([1.0, 0.5, 0.8]) if kind == "wcga" else None
+    tr = synth_trace(rc.initial_gap * 0.9 ** np.arange(301))
+    rec = rc.recursion(300, schedule)
+    assert (rec.exponent == 0.0) == (kind != "polynomial")
+    check = verify_trace(tr, rc, schedule, 1e-9)
+    assert [row[0] for row in check.bounds] == list(range(2, 301))
+    assert [row[2] for row in check.bounds] == [recursive_sequence_bound(rec, k)
+                                                for k in range(2, 301)]
+    assert check.bounds[-1][2] > 0.0
+
+
 def test_error_bound_exponential_example():
     _, _, rc = _quad_run()
     from dataclasses import replace

@@ -561,3 +561,36 @@ def test_factor_value_and_gradient_match_the_objective(kind, basis_kind):
         assert factor.value() == pytest.approx(E.value(x), rel=1e-10)
         g = E.gradient(x)
         assert gm.norm(factor.gradient() - g) <= 1e-12 * gm.norm(E.gradient(np.zeros(8)))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "powersum2"])
+def test_disjoint_column_skips_the_projection_bit_for_bit(kind):
+    # a diagonal S on canonical columns: each new column misses every row
+    # the stored ones touch, so skipping Q^T s = 0 must change no bit
+    E = stack_library(8, seed=11)[kind]
+    basis = _bases(8, 8)["canonical"]
+    skipping, dense = _fresh_factor(E, 8), _fresh_factor(E, 8)
+    dense._rows[:] = True                 # every append takes the projection
+    for j in range(8):
+        skipping.extend(basis[:, j:j + 1])
+        dense.extend(basis[:, j:j + 1])
+        assert np.count_nonzero(skipping._rows) == j + 1
+        assert np.array_equal(skipping.coefficients(), dense.coefficients())
+        assert skipping.value() == dense.value()
+        assert np.array_equal(skipping.gradient(), dense.gradient())
+
+
+def test_overlapping_columns_take_the_projection():
+    # e0+e1, e1+e2, e3, e0+e3: each shares a row with an earlier column but
+    # not always with the last one, so the mask must hold every stored row
+    cols = np.zeros((5, 4))
+    for j, rows in enumerate(((0, 1), (1, 2), (3,), (0, 3))):
+        cols[rows, j] = 1.0
+    y = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
+    factor = SpanFactor(lambda block: block, lambda v: v, y, 1.0, capacity=4)
+    for j in range(4):
+        factor.extend(cols[:, j:j + 1])
+    q = factor._qt[:4]
+    assert np.max(np.abs(q @ q.T - np.eye(4))) <= 1e-13
+    ref = np.linalg.lstsq(cols, y, rcond=None)[0]
+    assert np.linalg.norm(factor.coefficients() - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -222,20 +222,21 @@ class SkewedAdjoint(gm.DiagonalQuadratic):
         return S, (lambda v: St(v) + v[::-1]), y, c
 
 
-def test_restricted_descends_from_an_exact_solve_that_fails_its_check():
+def test_restricted_returns_an_exact_solve_that_fails_its_check():
     # the skewed adjoint puts the factor's selection vector off zero on the
-    # support, so the check fails and descent finishes from the coefficients
+    # support; the exact step returns it as it is, without descending, and
+    # the greedy run refuses the form
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(*E.least_squares_form(), capacity=2)
     coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
-    assert factor.size == 2 and list(coeffs) == [4, 1]
-    x = point_of(D, coeffs)
-    assert np.array_equal(g, D.analyze(E.gradient(x))) and e == E.value(x)
-    assert np.max(np.abs(g[[4, 1]])) <= 1e-10
-    ref, _, _ = restricted_minimize(base, D, {4: 0.0, 1: 0.0}, gm.SolverConfig())
-    assert np.allclose(list(coeffs.values()), list(ref.values()), rtol=0, atol=1e-10)
+    assert factor.size == 2 and coeffs == dict(zip([4, 1], factor.coefficients().tolist()))
+    assert np.array_equal(g, D.analyze(factor.gradient())) and e == factor.value()
+    assert np.max(np.abs(g[[4, 1]])) > 1e-10
+    with pytest.raises(ValueError, match="^SkewedAdjoint: least-squares form disagrees "
+                                         "with the objective at 0"):
+        gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp"))
 
 
 @pytest.mark.parametrize("iters", [1, 3, 8])
@@ -693,6 +694,26 @@ def test_greedy_stays_exact_on_a_correct_form_at_scale(monkeypatch):
     tr = gm.run_wcga(E, gm.CanonicalBasis(n), gm.SolverConfig(algorithm="omp"))
     assert tr.final.stopped and len(exact) == tr.final.k and all(exact)
     assert gm.norm(tr.x - c) <= 1e-14 * gm.norm(c)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+def test_greedy_recovers_a_planted_support_at_scale_with_exact_steps(basis_kind, scale,
+                                                                     monkeypatch):
+    # the exact step's restricted gradient sits at round-off of the problem's
+    # scale, above inner_tol at 1e6 on a rotated basis; the step still
+    # returns the factor's answer and never descends
+    n = 100
+    rng = np.random.default_rng(11)
+    D = gm.CanonicalBasis(n) if basis_kind == "canonical" else gm.RotatedBasis(n, seed=4)
+    a = np.zeros(n)
+    support = rng.choice(n, size=8, replace=False)
+    a[support] = scale * rng.uniform(1.0, 2.0, 8) * rng.choice((-1.0, 1.0), 8)
+    E = gm.DiagonalQuadratic(D.synthesize(a), rng.uniform(0.5, 2.0, n))
+    exact = _record_exact_solves(monkeypatch)
+    tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp"))
+    assert tr.final.stopped and sorted(tr.support) == sorted(support.tolist())
+    assert exact == [True] * 8
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])

@@ -70,6 +70,8 @@ DERIVED = {
     # inner_tol on the support, and the form is checked relative to E'(0)
     "quadratic_scaled": ("quadratic", "objective.center_low = 1.0e6\n"
                                       "objective.center_high = 2.0e6\n", ("run",)),
+    # a rotated basis: the exact step's dense Gram-Schmidt projection
+    "quadratic_rotated": ("quadratic", "dictionary.type = rotated\n", ("run", "compare")),
     # wide matrix: no closed-form level-set diameter
     "least_squares_wide": ("least_squares", "objective.rows = 20\n", ("run", "moduli")),
 }
