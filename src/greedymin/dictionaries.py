@@ -7,11 +7,14 @@ atom set relative to keeping ``+phi`` and ``-phi`` separately.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .core import Vector, as_point
+
+if TYPE_CHECKING:
+    from .objectives import LeastSquaresForm
 
 SELECTION_STRATEGIES = ("exact", "first_admissible", "random_admissible")
 
@@ -35,6 +38,10 @@ class Dictionary(ABC):
     @abstractmethod
     def subset(self, indices: Sequence[int]) -> np.ndarray:
         """Matrix (n x k) whose columns are the requested atoms, in that order."""
+
+    def image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray:
+        """The (m x k) block S B of a least-squares form's S on ``subset(indices)``."""
+        return form.apply(self.subset(indices))
 
 
 class CanonicalBasis(Dictionary):
@@ -60,6 +67,10 @@ class CanonicalBasis(Dictionary):
         for col, j in enumerate(indices):
             B[j, col] = 1.0
         return B
+
+    def image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray:
+        """S's own columns at ``indices``, read without applying S to a unit block."""
+        return form.columns(indices)
 
 
 class RotatedBasis(Dictionary):

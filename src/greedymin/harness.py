@@ -78,7 +78,8 @@ def build_objective(cfg: ExperimentConfig, dictionary: Dictionary) -> Objective:
                               f"config dimension {cfg.dimension}")
         return obj
     rows = spec["rows"]
-    A = rng.standard_normal((rows, cfg.dimension)) / np.sqrt(rows)
+    A = rng.standard_normal((rows, cfg.dimension))
+    A /= np.sqrt(rows)  # in place: no second m x n array
     xbar = _sparse_center(cfg, dictionary, rng)
     obj = LeastSquares(A, A @ xbar)
     if obj.known_minimizer is None:
@@ -354,7 +355,8 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
+    A = rng.standard_normal((rows, cols))
+    A /= np.sqrt(rows)  # in place: no second m x n array
     xbar = np.zeros(cols)
     if sparsity:
         idx = np.sort(rng.choice(cols, size=sparsity, replace=False))

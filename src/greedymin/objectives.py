@@ -14,16 +14,28 @@ from __future__ import annotations
 import math
 import warnings
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import CurvatureParams, Vector, as_point, as_points, norm
 
-#: (S, S^T, y, c): S maps an (n, j) block to an (m, j) block, S^T an (m,)
-#: vector to an (n,) one, and E(x) = c * ||S x - y||^2
-LeastSquaresForm = tuple[Callable[[np.ndarray], np.ndarray], Callable[[Vector], Vector],
-                         Vector, float]
+
+class LeastSquaresForm(NamedTuple):
+    """(S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2.
+
+    ``apply`` maps an (n, j) block B to the (m, j) block S B.  ``columns``
+    reads S's columns at a list of j indices, the (m, j) block S[:, idx],
+    with the bits of ``apply`` on the unit block of those indices: the
+    image of canonical atoms without a product.  ``adjoint`` maps an (m,)
+    vector v to the (n,) vector S^T v.
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    columns: Callable[[Sequence[int]], np.ndarray]
+    adjoint: Callable[[Vector], Vector]
+    rhs: Vector
+    scale: float
 
 
 class Objective(ABC):
@@ -41,13 +53,16 @@ class Objective(ABC):
     ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
     that p, or None when those constants must be sampled.
 
-    ``least_squares_form`` returns (S, S^T, y, c) with E(x) = c * ||S x - y||^2
-    exactly and c > 0, or None when E has no such form.  S maps an (n, j)
-    block of columns to an (m, j) block and S^T, its adjoint, an (m,) vector
-    to an (n,) one.  ``run_wcga`` builds a :class:`SpanFactor` on it, and
-    ``argmin_in_span`` extends that factor; a subclass provides the form, not
-    the solve.  The factor reads E and E' of an exact step off the form, so
-    c must be exact, not just positive.
+    ``least_squares_form`` returns a :class:`LeastSquaresForm`
+    (S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly and
+    c > 0, or None when E has no such form.  S maps an (n, j) block of
+    columns to an (m, j) block, its column read gives S[:, idx] with the
+    same bits as S on the unit block, and S^T, its adjoint, maps an (m,)
+    vector to an (n,) one.  ``run_wcga`` builds a :class:`SpanFactor` on
+    it, and ``argmin_in_span`` extends that factor with the image S B of
+    the new atoms, which the dictionary forms from the form; a subclass
+    provides the form, not the solve.  The factor reads E and E' of an
+    exact step off the form, so c must be exact, not just positive.
     """
 
     curvature: tuple[float, float] | None = None
@@ -88,19 +103,19 @@ class Objective(ABC):
         return None
 
     def least_squares_form(self) -> LeastSquaresForm | None:
-        """(S, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly, else None."""
+        """(S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly, else None."""
         return None
 
-    def argmin_in_span(self, columns: np.ndarray, factor: SpanFactor) -> Vector:
+    def argmin_in_span(self, image: np.ndarray, factor: SpanFactor) -> Vector:
         """Exact coefficients minimizing E over the span of a carried factor.
 
         ``factor`` is a :class:`SpanFactor` of this objective's least-squares
-        form carried across calls: ``columns`` are appended to it and the
-        coefficients are those of all its columns.  A pass-through, kept so
-        that perfbench's tracer sees one call per exact step until its hook
-        moves to ``SpanFactor.extend``.
+        form carried across calls: ``image``, the (m, j) block S B of the new
+        atoms B, is appended to it and the coefficients are those of all its
+        columns.  A pass-through, kept so that perfbench's tracer sees one
+        call per exact step until its hook moves to ``SpanFactor.extend``.
         """
-        factor.extend(columns)
+        factor.extend(image)
         return factor.coefficients()
 
     def level_set_diameter(self) -> float | None:
@@ -218,8 +233,11 @@ class LeastSquares(Objective):
         r = np.matvec(self.A, as_points(x, self.dimension)) - self.b
         return 2.0 * np.matvec(self.A.T, r)
 
+    # A @ e_j equals A[:, j] (up to the sign of a zero entry): every other
+    # term is a finite entry times 0
     def least_squares_form(self):
-        return (lambda block: self.A @ block), (lambda v: self.A.T @ v), self.b, 1.0
+        return LeastSquaresForm(lambda block: self.A @ block, lambda idx: self.A[:, idx],
+                                lambda v: self.A.T @ v, self.b, 1.0)
 
     # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
     def level_set_diameter(self) -> float | None:
@@ -297,23 +315,37 @@ def _per_point(values):
 
 
 def _weighted_form(weights: Vector, center: Vector, scale: float) -> LeastSquaresForm:
-    """The form of scale * sum_i w_i (x_i - c_i)^2: S = S^T = diag(sqrt(w)), y = sqrt(w) * c."""
+    """The form of scale * sum_i w_i (x_i - c_i)^2: S = S^T = diag(sqrt(w)), y = sqrt(w) * c.
+
+    Column j of S is sqrt(w_j) e_j, so S's column read scatters sqrt(w) into
+    zeros: the bits of sqrt(w) times a unit block, as sqrt(w) is finite.
+    """
     root = np.sqrt(weights)
-    return (lambda block: root[:, None] * block), (lambda v: root * v), root * center, scale
+
+    def columns(idx: Sequence[int]) -> np.ndarray:
+        block = np.zeros((root.shape[0], len(idx)))
+        block[idx, np.arange(len(idx))] = root[idx]
+        return block
+
+    return LeastSquaresForm(lambda block: root[:, None] * block, columns,
+                            lambda v: root * v, root * center, scale)
 
 
 class SpanFactor:
     """Thin QR of S B for a least-squares form, grown a column at a time.
 
     For the form E(x) = c * ||S x - y||^2, minimizing over x = B z is solved
-    as z = R^-1 (Q^T y) from S B = Q R.  Each new column s = S b is
-    orthogonalized against Q by classical Gram-Schmidt.  A second pass runs
-    only when the first cancelled, leaving ||w|| < ||s|| / sqrt(2) (Daniel,
-    Gragg, Kaufman & Stewart 1976); with it Q stays orthonormal to working
-    precision, since twice is enough (Giraud, Langou & Rozloznik 2005).  Q is
-    stored column-contiguous (row j of ``_qt`` is column j), with R^-1 (upper
-    triangular, grown by a column) and Q^T y, so appending a column costs
-    O(m k) and the coefficients O(k^2); nothing already factored is touched.
+    as z = R^-1 (Q^T y) from S B = Q R.  The factor applies no S: it is
+    given the image s = S b of each new atom b, which the dictionary forms
+    from ``form`` (on the canonical basis a read of S's columns, else S
+    applied to the atoms), and orthogonalizes s against Q by classical
+    Gram-Schmidt.  A second pass runs only when the first cancelled, leaving
+    ||w|| < ||s|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart 1976); with it
+    Q stays orthonormal to working precision, since twice is enough (Giraud,
+    Langou & Rozloznik 2005).  Q is stored column-contiguous (row j of
+    ``_qt`` is column j), with R^-1 (upper triangular, grown by a column) and
+    Q^T y, so appending a column costs O(m k) and the coefficients O(k^2);
+    nothing already factored is touched.
 
     A boolean mask marks the rows that any stored column of Q touches.  A new
     column with no nonzero on those rows (a diagonal S on the canonical
@@ -343,9 +375,10 @@ class SpanFactor:
     DEPENDENT_TOL = 1e-12
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
+                 columns: Callable[[Sequence[int]], np.ndarray],
                  adjoint: Callable[[Vector], Vector], rhs: Vector, scale: float,
                  capacity: int):
-        self._apply = apply
+        self.form = LeastSquaresForm(apply, columns, adjoint, rhs, scale)
         self._adjoint = adjoint
         self._y = rhs
         self._scale = float(scale)
@@ -358,9 +391,9 @@ class SpanFactor:
         self._independent: list[int] = []
         self.size = 0
 
-    def extend(self, columns: np.ndarray) -> None:
-        """Append the columns of an (n, j) block, applying S to it once."""
-        for s in self._apply(columns).T:
+    def extend(self, image: np.ndarray) -> None:
+        """Append the columns of the (m, j) image S B of j new atoms B."""
+        for s in image.T:
             self._append(s)
 
     def _append(self, s: Vector) -> None:

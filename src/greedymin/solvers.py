@@ -13,11 +13,12 @@ synthesized once, when the run ends.  It solves exactly when it is given a
 least-squares form E(x) = c ||S x - y||^2 (quadratics), which it checks
 against the objective at both ends of the run.  That thin QR is carried
 across the run with its residual r, so a step works in residual space: it
-subsets and factors only the newly selected atom, applying S once, and
-takes the selection vector D^T(-2c S^T r) with one adjoint product and
-E_k = c ||r||^2.  The exact step returns the factor's answer and never falls
-through to descent; a wrong form fails the check at the end of the run.
-Without a factor, descent with Armijo backtracking,
+factors only the image S b of the newly selected atom b, which the
+dictionary forms (a read of S's column on the canonical basis, S applied to
+the atom on others), and takes the selection vector D^T(-2c S^T r) with one
+adjoint product and E_k = c ||r||^2.  The exact step returns the factor's
+answer and never falls through to descent; a wrong form fails the check at
+the end of the run.  Without a factor, descent with Armijo backtracking,
 evaluating the restricted gradient once per iterate and preconditioned by the
 diagonal Hessian when available, runs from the start coefficients until
 the restricted gradient coefficients drop below ``inner_tol``.
@@ -133,7 +134,8 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     The solve is exact exactly when ``factor`` is given: a
     :class:`SpanFactor` of the objective's least-squares form carried
     across calls, holding the leading atoms of ``start`` already.  Only the
-    atoms after them are subset and appended, and x is not formed: the
+    atoms after them are appended, as the image under the form's S that
+    ``dictionary.image`` gives, and x is not formed: the
     analysis comes from the factor's residual r, as D^T(-2c S^T r), and E(x)
     as c ||r||^2.  Its answer is returned as it is, with no check against
     ``cfg.inner_tol`` and no descent after it: its restricted gradient sits
@@ -151,7 +153,7 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         if factor.size > len(idx):
             raise ValueError(f"start has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
-        z = objective.argmin_in_span(dictionary.subset(idx[factor.size:]), factor)
+        z = objective.argmin_in_span(dictionary.image(factor.form, idx[factor.size:]), factor)
         return dict(zip(idx, z.tolist())), dictionary.analyze(factor.gradient()), factor.value()
     z = np.array([float(v) for v in start.values()])
     basis = dictionary.subset(idx)
@@ -275,14 +277,17 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     factor = None if form is None else SpanFactor(*form, capacity=min(cfg.max_steps, n))
     # distances are read off the coefficients against the minimizer's: by
     # orthonormality ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2,
-    # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels
+    # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels;
+    # abar_I is kept in selection order, an entry filled as each atom is selected
     abar = None if xbar is None else dictionary.analyze(xbar)
+    abar_support = np.empty(min(cfg.max_steps, n))
     outside = np.ones(n, dtype=bool)
 
     def dist_of(coeffs: dict[int, float]) -> float | None:
         if abar is None:
             return None
-        d = np.fromiter(coeffs.values(), np.float64, len(coeffs)) - abar[list(coeffs)]
+        k = len(coeffs)
+        d = np.fromiter(coeffs.values(), np.float64, k) - abar_support[:k]
         tail = abar[outside]
         return float(np.sqrt(np.dot(d, d) + np.dot(tail, tail)))
 
@@ -306,6 +311,8 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
                 f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "
                 f"must stay above inner_tol ({cfg.inner_tol:g})")
         outside[j] = False
+        if abar is not None:
+            abar_support[m - 1] = abar[j]
         try:
             coeffs, g, val = restricted_minimize(objective, dictionary, {**coeffs, j: 0.0},
                                                  cfg, factor)

@@ -103,6 +103,15 @@ def stack_library(n: int, seed: int = 0) -> dict[str, gm.Objective]:
     }
 
 
+def unit_columns(S, n: int):
+    """A column read of the map S derived from S itself: S on the unit block of the indices.
+
+    A test form that rebuilds S gives it this read, so a deliberately wrong S
+    drives the canonical basis's image as well as every other product.
+    """
+    return lambda indices: S(np.eye(n)[:, list(indices)])
+
+
 def synth_trace(errors, dim: int = 2) -> IterateTrace:
     """Trace with prescribed error values and a placeholder final iterate."""
     steps = []

@@ -47,6 +47,43 @@ def test_subset_columns(basis):
         assert np.allclose(B[:, col], basis.subset([j])[:, 0])
 
 
+def _forms(n: int) -> dict:
+    """The least-squares forms with a column read of S, in dimension n."""
+    rng = np.random.default_rng(3)
+    objectives = {
+        "least_squares_tall": gm.LeastSquares(rng.standard_normal((n + 4, n)),
+                                              rng.standard_normal(n + 4)),
+        "least_squares_wide": gm.LeastSquares(rng.standard_normal((n - 5, n)),
+                                              rng.standard_normal(n - 5)),
+        "quadratic": gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n)),
+        "powersum2": gm.PowerSum(rng.standard_normal(n), 2.0, rng.uniform(0.5, 2.0, n)),
+    }
+    return {kind: E.least_squares_form() for kind, E in objectives.items()}
+
+
+@pytest.mark.parametrize("indices", [[7], [9, 2, 11, 0, 5]])
+@pytest.mark.parametrize("kind", ["least_squares_tall", "least_squares_wide", "quadratic",
+                                  "powersum2"])
+def test_image_is_the_product_on_the_subset_bit_for_bit(basis, kind, indices):
+    # the canonical basis reads S's columns; a reordered or dropped column fails
+    form = _forms(basis.size)[kind]
+    image = basis.image(form, indices)
+    assert np.array_equal(image, form.apply(basis.subset(indices)))
+
+
+def test_canonical_image_reads_every_column_of_a_large_matrix_exactly():
+    # A @ e_j is A[:, j] exactly: every other term is a finite entry times 0
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((1200, 600))
+    A /= np.sqrt(1200)
+    form = gm.LeastSquares(A, rng.standard_normal(1200)).least_squares_form()
+    D = gm.CanonicalBasis(600)
+    for j in range(600):
+        assert np.array_equal(D.image(form, [j]), form.apply(D.subset([j])))
+    shuffled = rng.permutation(600).tolist()
+    assert np.array_equal(D.image(form, shuffled), form.apply(D.subset(shuffled)))
+
+
 def test_rotated_determinism_and_orthogonality():
     a = gm.RotatedBasis(20, seed=42)
     b = gm.RotatedBasis(20, seed=42)

@@ -7,7 +7,8 @@ import greedymin as gm
 from greedymin.objectives import (GAP_CHUNK, SpanFactor, bregman_gap,
                                   estimate_condition_constants)
 
-from conftest import CountingObjective, check_gradient, conditioned_matrix, stack_library
+from conftest import (CountingObjective, check_gradient, conditioned_matrix, stack_library,
+                      unit_columns)
 
 
 def _library(seed=0, n=8):
@@ -295,7 +296,7 @@ def test_least_squares_flags_ambiguous_restricted_minimizer():
     E = gm.LeastSquares(A, np.array([1.0, 0.0, 1.0]))
     basis = np.eye(3)[:, :2]
     with pytest.warns(RuntimeWarning, match="not unique"):
-        E.argmin_in_span(basis, _fresh_factor(E, 2))
+        E.argmin_in_span(_image(E, basis), _fresh_factor(E, 2))
 
 
 def test_level_set_geometry_bounds():
@@ -463,8 +464,21 @@ def _fresh_factor(E, k):
     return SpanFactor(*E.least_squares_form(), capacity=k)
 
 
+def _image(E, basis):
+    """S B for E's least-squares form: what a step hands the factor."""
+    return E.least_squares_form().apply(basis)
+
+
+def _identity_form(y):
+    """The form of ||x - y||^2: S = S^T = I, so a block is its own image."""
+    def identity(a):
+        return a
+
+    return identity, unit_columns(identity, y.shape[0]), identity, y, 1.0
+
+
 def _lstsq(E, basis):
-    S, _, y, _ = E.least_squares_form()
+    S, _, _, y, _ = E.least_squares_form()
     return np.linalg.lstsq(S(basis), y, rcond=None)[0]
 
 
@@ -473,7 +487,7 @@ def test_least_squares_form_matches_objective(kind):
     # E(x) = c ||S x - y||^2 with the form's own c, not just up to a factor,
     # and S^T is the adjoint of S: the factor reads E and E' off them
     E = stack_library(8, seed=4)[kind]
-    S, St, y, c = E.least_squares_form()
+    S, _, St, y, c = E.least_squares_form()
     rng = np.random.default_rng(5)
     for x in rng.standard_normal((4, 8)):
         r = S(x[:, None])[:, 0] - y
@@ -495,7 +509,7 @@ def test_no_least_squares_form_without_quadratic_structure():
 def test_argmin_in_span_matches_lstsq(kind, k, basis_kind):
     E = stack_library(8, seed=6)[kind]
     basis = _bases(8, k)[basis_kind]
-    z = E.argmin_in_span(basis, _fresh_factor(E, k))
+    z = E.argmin_in_span(_image(E, basis), _fresh_factor(E, k))
     ref = _lstsq(E, basis)
     assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
     # and it is E's own restricted minimizer: the restricted gradient vanishes
@@ -511,11 +525,11 @@ def test_grown_factor_matches_fresh_factor(kind, basis_kind):
     grown = _fresh_factor(E, 8)
     # argmin_in_span appends the columns it is given
     for j in range(1, 9):
-        z = E.argmin_in_span(basis[:, j - 1:j], grown)
+        z = E.argmin_in_span(_image(E, basis[:, j - 1:j]), grown)
         assert grown.size == j and z.shape == (j,)
         ref = _lstsq(E, basis[:, :j])
         assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
-    fresh = E.argmin_in_span(basis, _fresh_factor(E, 8))
+    fresh = E.argmin_in_span(_image(E, basis), _fresh_factor(E, 8))
     assert np.linalg.norm(z - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
 
@@ -526,7 +540,7 @@ def test_duplicated_column_warns_and_still_minimizes(kind, basis_kind):
     basis = _bases(8, 4)[basis_kind]
     basis = np.column_stack([basis[:, :3], basis[:, 1], basis[:, 3]])
     with pytest.warns(RuntimeWarning, match="not unique"):
-        z = E.argmin_in_span(basis, _fresh_factor(E, 5))
+        z = E.argmin_in_span(_image(E, basis), _fresh_factor(E, 5))
     assert z[3] == 0.0
     best = E.value(basis @ _lstsq(E, basis))
     assert abs(E.value(basis @ z) - best) <= 1e-12 * (1.0 + abs(best))
@@ -538,7 +552,7 @@ def test_span_factor_reorthogonalizes_an_ill_conditioned_block():
     t = np.linspace(0.0, 1.0, 60)
     block = t[:, None] ** np.arange(8)
     y = np.cos(3.0 * t)
-    factor = SpanFactor(lambda cols: cols, lambda v: v, y, 1.0, capacity=8)
+    factor = SpanFactor(*_identity_form(y), capacity=8)
     for j in range(8):
         factor.extend(block[:, j:j + 1])
     q = factor._qt[:8]
@@ -556,7 +570,7 @@ def test_factor_value_and_gradient_match_the_objective(kind, basis_kind):
     factor = _fresh_factor(E, 5)
     assert factor.value() == pytest.approx(E.value(np.zeros(8)), rel=1e-12)
     for j in range(5):
-        z = E.argmin_in_span(basis[:, j:j + 1], factor)
+        z = E.argmin_in_span(_image(E, basis[:, j:j + 1]), factor)
         x = basis[:, :j + 1] @ z
         assert factor.value() == pytest.approx(E.value(x), rel=1e-10)
         g = E.gradient(x)
@@ -572,8 +586,8 @@ def test_disjoint_column_skips_the_projection_bit_for_bit(kind):
     skipping, dense = _fresh_factor(E, 8), _fresh_factor(E, 8)
     dense._rows[:] = True                 # every append takes the projection
     for j in range(8):
-        skipping.extend(basis[:, j:j + 1])
-        dense.extend(basis[:, j:j + 1])
+        skipping.extend(_image(E, basis[:, j:j + 1]))
+        dense.extend(_image(E, basis[:, j:j + 1]))
         assert np.count_nonzero(skipping._rows) == j + 1
         assert np.array_equal(skipping.coefficients(), dense.coefficients())
         assert skipping.value() == dense.value()
@@ -587,7 +601,7 @@ def test_overlapping_columns_take_the_projection():
     for j, rows in enumerate(((0, 1), (1, 2), (3,), (0, 3))):
         cols[rows, j] = 1.0
     y = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
-    factor = SpanFactor(lambda block: block, lambda v: v, y, 1.0, capacity=4)
+    factor = SpanFactor(*_identity_form(y), capacity=4)
     for j in range(4):
         factor.extend(cols[:, j:j + 1])
     q = factor._qt[:4]

@@ -8,7 +8,7 @@ import greedymin.solvers as solvers
 from greedymin.objectives import Objective, SpanFactor
 from greedymin.solvers import InnerSolveError, restricted_minimize
 
-from conftest import make_rotated_powersum, make_sparse_quadratic, stack_library
+from conftest import make_rotated_powersum, make_sparse_quadratic, stack_library, unit_columns
 
 
 class Stripped(Objective):
@@ -43,8 +43,13 @@ class Conjugated(Objective):
         return self.q.T @ self.base.gradient(self.q @ z)
 
     def least_squares_form(self):
-        S, St, y, c = self.base.least_squares_form()
-        return (lambda block: S(self.q @ block)), (lambda v: self.q.T @ St(v)), y, c
+        S, _, St, y, c = self.base.least_squares_form()
+
+        def conjugated(block):
+            return S(self.q @ block)
+
+        return (conjugated, unit_columns(conjugated, self.dimension),
+                (lambda v: self.q.T @ St(v)), y, c)
 
 
 def point_of(D, coeffs):
@@ -218,8 +223,8 @@ class SkewedAdjoint(gm.DiagonalQuadratic):
     """A diagonal quadratic whose form's S^T is not the adjoint of its S."""
 
     def least_squares_form(self):
-        S, St, y, c = super().least_squares_form()
-        return S, (lambda v: St(v) + v[::-1]), y, c
+        S, cols, St, y, c = super().least_squares_form()
+        return S, cols, (lambda v: St(v) + v[::-1]), y, c
 
 
 def test_restricted_returns_an_exact_solve_that_fails_its_check():
@@ -474,13 +479,14 @@ def test_trace_csv_contents(tmp_path):
 
 
 class CountedForm(Objective):
-    """The base objective, counting the columns its least-squares S is applied to."""
+    """The base objective, counting the columns its least-squares S is applied
+    to (``columns``) and the columns of S it reads (``read``)."""
 
     def __init__(self, base):
         super().__init__(base.dimension)
         self.base = base
         self.known_minimizer = base.known_minimizer
-        self.columns = 0
+        self.columns = self.read = 0
 
     def value(self, x):
         return self.base.value(x)
@@ -489,17 +495,21 @@ class CountedForm(Objective):
         return self.base.gradient(x)
 
     def least_squares_form(self):
-        S, St, y, c = self.base.least_squares_form()
+        S, cols, St, y, c = self.base.least_squares_form()
 
         def counted(block):
             self.columns += block.shape[1]
             return S(block)
 
-        return counted, St, y, c
+        def counted_read(indices):
+            self.read += len(indices)
+            return cols(indices)
+
+        return counted, counted_read, St, y, c
 
 
-class SubsetCounted(gm.RotatedBasis):
-    """A rotated basis counting the columns it subsets."""
+class CountsSubset:
+    """A dictionary mixin counting the columns it subsets."""
 
     columns = 0
 
@@ -508,32 +518,88 @@ class SubsetCounted(gm.RotatedBasis):
         return super().subset(indices)
 
 
-@pytest.mark.parametrize("algorithm", ["omp", "wcga"])
-@pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
-def test_greedy_factors_each_atom_once(kind, algorithm):
-    # the factor is carried across steps: S meets each selected atom once,
-    # and the dictionary subsets it once, k columns over k steps, where a
-    # per-step rebuild would need k(k+1)/2
+class SubsetCounted(CountsSubset, gm.RotatedBasis):
+    """A rotated basis counting the columns it subsets."""
+
+
+class CanonicalSubsetCounted(CountsSubset, gm.CanonicalBasis):
+    """The canonical basis counting the columns it subsets."""
+
+
+def _counted_run(kind, algorithm, D):
+    """A 12-step run on a counted form in dimension 30, and the form's base objective."""
     rng = np.random.default_rng(11)
     n = 30
     base = (gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
             if kind == "quadratic"
             else gm.LeastSquares(rng.standard_normal((40, n)), rng.standard_normal(40)))
     E = CountedForm(base)
-    D = SubsetCounted(n, seed=12)
     weak = {"weakness": gm.WeaknessSchedule.constant(0.6),
             "selection_strategy": "first_admissible"}
     cfg = gm.SolverConfig(algorithm=algorithm, max_steps=12,
                           **(weak if algorithm == "wcga" else {}))
-    tr = gm.run_wcga(E, D, cfg)
-    assert len(tr) - 1 == 12 and E.columns == 12 and D.columns == 12
-    # and each e_k is E at a fresh lstsq solve over the first k selected atoms
-    S, _, y, _ = base.least_squares_form()
+    return E, base, gm.run_wcga(E, D, cfg)
+
+
+def _assert_errors_match_fresh_lstsq(base, D, tr):
+    """Each e_k is E at a fresh lstsq solve over the first k selected atoms."""
+    S, _, _, y, _ = base.least_squares_form()
     e_min = base.value(base.known_minimizer)
     for k in range(1, len(tr)):
         basis = D.subset(tr.support[:k])
         ref = base.value(basis @ np.linalg.lstsq(S(basis), y, rcond=None)[0]) - e_min
         assert abs(tr[k].error - ref) <= 1e-9 * (1.0 + ref)
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "wcga"])
+@pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
+def test_greedy_factors_each_atom_once(kind, algorithm):
+    # the factor is carried across steps: S meets each selected atom once,
+    # and the dictionary subsets it once, k columns over k steps, where a
+    # per-step rebuild would need k(k+1)/2
+    D = SubsetCounted(30, seed=12)
+    E, base, tr = _counted_run(kind, algorithm, D)
+    assert len(tr) - 1 == 12 and E.columns == 12 and D.columns == 12 and E.read == 0
+    _assert_errors_match_fresh_lstsq(base, D, tr)
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "wcga"])
+@pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
+def test_canonical_greedy_reads_each_atom_column_once(kind, algorithm):
+    # on the canonical basis a step reads its atom's column of S: S is
+    # applied to no block and the dictionary subsets nothing
+    D = CanonicalSubsetCounted(30)
+    E, base, tr = _counted_run(kind, algorithm, D)
+    assert len(tr) - 1 == 12 and E.columns == 0 and D.columns == 0 and E.read == 12
+    _assert_errors_match_fresh_lstsq(base, D, tr)
+
+
+class AppliedCanonical(gm.CanonicalBasis):
+    """The canonical basis forming each image as S on the unit block, as other bases do."""
+
+    def image(self, form, indices):
+        return gm.Dictionary.image(self, form, indices)
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "wcga"])
+@pytest.mark.parametrize("rows", [60, 25])
+def test_canonical_column_read_gives_the_run_of_the_product(rows, algorithm):
+    # reading A's columns instead of multiplying A by unit blocks changes no bit
+    rng = np.random.default_rng(17)
+    n = 40
+    A = rng.standard_normal((rows, n))
+    A /= np.sqrt(rows)
+    xbar = np.zeros(n)
+    xbar[rng.choice(n, size=6, replace=False)] = rng.uniform(1.0, 2.0, 6)
+    E = gm.LeastSquares(A, A @ xbar)
+    weak = {"weakness": gm.WeaknessSchedule.constant(0.7),
+            "selection_strategy": "random_admissible", "seed": 3}
+    cfg = gm.SolverConfig(algorithm=algorithm, max_steps=20,
+                          **(weak if algorithm == "wcga" else {}))
+    tr = gm.run_wcga(E, gm.CanonicalBasis(n), cfg)
+    ref = gm.run_wcga(E, AppliedCanonical(n), cfg)
+    assert len(tr) > 6 and tr.steps == ref.steps
+    assert np.array_equal(tr.x, ref.x)
 
 
 class FormCounted(gm.PowerSum):
@@ -591,16 +657,16 @@ class ShiftedForm(gm.DiagonalQuadratic):
     """A diagonal quadratic whose least-squares form has the wrong right-hand side."""
 
     def least_squares_form(self):
-        S, St, y, c = super().least_squares_form()
-        return S, St, y + 1.0, c
+        S, cols, St, y, c = super().least_squares_form()
+        return S, cols, St, y + 1.0, c
 
 
 class HalvedScale(gm.PowerSum):
     """A power sum at p = 2 whose form claims the quadratic's c = 1/2 instead of 1."""
 
     def least_squares_form(self):
-        S, St, y, _ = super().least_squares_form()
-        return S, St, y, 0.5
+        S, cols, St, y, _ = super().least_squares_form()
+        return S, cols, St, y, 0.5
 
 
 @pytest.mark.parametrize("cls", [ShiftedForm, HalvedScale])
@@ -626,10 +692,14 @@ class RankOneSkew(gm.DiagonalQuadratic):
         self.u, self.v = u, v
 
     def least_squares_form(self):
-        S, St, y, c = super().least_squares_form()
+        S, _, St, y, c = super().least_squares_form()
         u, v = self.u, self.v
         assert abs(u @ y) <= 1e-12 * gm.norm(u) * gm.norm(y)
-        return ((lambda block: S(block) + np.outer(u, v @ block)),
+
+        def skewed(block):
+            return S(block) + np.outer(u, v @ block)
+
+        return (skewed, unit_columns(skewed, self.dimension),
                 (lambda w: St(w) + v * (u @ w)), y, c)
 
 
@@ -725,13 +795,12 @@ def test_carried_residual_stays_the_span_residual(kind, basis_kind, monkeypatch)
     class Checked(SpanFactor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.columns = []
+            self.images = []
 
-        def extend(self, columns):
-            super().extend(columns)
-            self.columns.append(columns)
-            B = np.hstack(self.columns)
-            span_residual = self._y - self._apply(B) @ self.coefficients()
+        def extend(self, image):
+            super().extend(image)
+            self.images.append(image)
+            span_residual = self._y - np.hstack(self.images) @ self.coefficients()
             deviations.append(gm.norm(self._r - span_residual) / gm.norm(self._y))
 
     monkeypatch.setattr(solvers, "SpanFactor", Checked)

@@ -72,6 +72,10 @@ DERIVED = {
                                       "objective.center_high = 2.0e6\n", ("run",)),
     # a rotated basis: the exact step's dense Gram-Schmidt projection
     "quadratic_rotated": ("quadratic", "dictionary.type = rotated\n", ("run", "compare")),
+    # a rotated basis: the only label whose exact step applies a dense S to
+    # its atoms (every other least-squares label reads A's columns)
+    "least_squares_rotated": ("least_squares", "dictionary.type = rotated\n",
+                              ("run", "compare")),
     # wide matrix: no closed-form level-set diameter
     "least_squares_wide": ("least_squares", "objective.rows = 20\n", ("run", "moduli")),
 }
