@@ -114,7 +114,7 @@ def _vector(key: str, v, n: int) -> tuple[float, ...]:
     if not isinstance(v, list) or not all(_is_number(x) for x in v):
         raise ConfigError(f"{key}: expected a list of {n} finite numbers, got {v!r}")
     if len(v) != n:
-        raise ConfigError(f"{key}: expected {n} entries, got {(len(v),)}")
+        raise ConfigError(f"{key}: expected {n} entries, got {len(v)}")
     return tuple(float(x) for x in v)
 
 

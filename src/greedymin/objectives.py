@@ -22,13 +22,16 @@ from .core import CurvatureParams, Vector, as_point, as_points, norm
 
 
 class LeastSquaresForm(NamedTuple):
-    """(S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2.
+    """(S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly, c > 0.
 
     ``apply`` maps an (n, j) block B to the (m, j) block S B.  ``columns``
     reads S's columns at a list of j indices, the (m, j) block S[:, idx],
     with the bits of ``apply`` on the unit block of those indices: the
     image of canonical atoms without a product.  ``adjoint`` maps an (m,)
-    vector v to the (n,) vector S^T v.
+    vector v to the (n,) vector S^T v.  ``rhs`` is the (m,) vector y and
+    ``scale`` is c, which must be exact, not just positive: a
+    :class:`SpanFactor` reads E and E' of an exact step off the form.  The
+    one record an objective hands the solver.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -53,16 +56,11 @@ class Objective(ABC):
     ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
     that p, or None when those constants must be sampled.
 
-    ``least_squares_form`` returns a :class:`LeastSquaresForm`
-    (S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly and
-    c > 0, or None when E has no such form.  S maps an (n, j) block of
-    columns to an (m, j) block, its column read gives S[:, idx] with the
-    same bits as S on the unit block, and S^T, its adjoint, maps an (m,)
-    vector to an (n,) one.  ``run_wcga`` builds a :class:`SpanFactor` on
-    it, and ``argmin_in_span`` extends that factor with the image S B of
-    the new atoms, which the dictionary forms from the form; a subclass
-    provides the form, not the solve.  The factor reads E and E' of an
-    exact step off the form, so c must be exact, not just positive.
+    ``least_squares_form`` returns a :class:`LeastSquaresForm`, or None
+    when E has no such form.  ``run_wcga`` builds a :class:`SpanFactor` on
+    that record as it is, and ``argmin_in_span`` extends the factor with
+    the image S B of the new atoms, which the dictionary forms from the
+    form; a subclass provides the form, not the solve.
     """
 
     curvature: tuple[float, float] | None = None
@@ -103,7 +101,7 @@ class Objective(ABC):
         return None
 
     def least_squares_form(self) -> LeastSquaresForm | None:
-        """(S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly, else None."""
+        """E's :class:`LeastSquaresForm`, else None."""
         return None
 
     def argmin_in_span(self, image: np.ndarray, factor: SpanFactor) -> Vector:
@@ -332,7 +330,7 @@ def _weighted_form(weights: Vector, center: Vector, scale: float) -> LeastSquare
 
 
 class SpanFactor:
-    """Thin QR of S B for a least-squares form, grown a column at a time.
+    """Thin QR of S B for a :class:`LeastSquaresForm`, grown a column at a time.
 
     For the form E(x) = c * ||S x - y||^2, minimizing over x = B z is solved
     as z = R^-1 (Q^T y) from S B = Q R.  The factor applies no S: it is
@@ -374,20 +372,16 @@ class SpanFactor:
     # close to the eps * max(m, k) cutoff of lstsq
     DEPENDENT_TOL = 1e-12
 
-    def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
-                 columns: Callable[[Sequence[int]], np.ndarray],
-                 adjoint: Callable[[Vector], Vector], rhs: Vector, scale: float,
-                 capacity: int):
-        self.form = LeastSquaresForm(apply, columns, adjoint, rhs, scale)
-        self._adjoint = adjoint
-        self._y = rhs
-        self._scale = float(scale)
-        self._r = np.array(rhs, dtype=np.float64)
-        capacity = min(int(capacity), rhs.shape[0])
-        self._qt = np.empty((capacity, rhs.shape[0]))
+    def __init__(self, form: LeastSquaresForm, capacity: int):
+        """An empty factor of ``form``, kept whole as ``self.form``, for ``capacity`` columns."""
+        self.form = form
+        m = form.rhs.shape[0]
+        self._r = np.array(form.rhs, dtype=np.float64)
+        capacity = min(int(capacity), m)
+        self._qt = np.empty((capacity, m))
         self._rinv = np.zeros((capacity, capacity))
         self._qty = np.empty(capacity)
-        self._rows = np.zeros(rhs.shape[0], dtype=bool)
+        self._rows = np.zeros(m, dtype=bool)
         self._independent: list[int] = []
         self.size = 0
 
@@ -417,7 +411,7 @@ class SpanFactor:
         else:
             self._qt[r] = w / rho
             self._rows |= self._qt[r] != 0.0
-            self._qty[r] = self._qt[r] @ self._y
+            self._qty[r] = self._qt[r] @ self.form.rhs
             self._r -= self._qty[r] * self._qt[r]
             if h is not None:
                 self._rinv[:r, r] = (self._rinv[:r, :r] @ h) / -rho
@@ -434,11 +428,11 @@ class SpanFactor:
 
     def value(self) -> float:
         """E at the span minimizer, c ||r||^2."""
-        return self._scale * float(self._r @ self._r)
+        return float(self.form.scale) * float(self._r @ self._r)
 
     def gradient(self) -> Vector:
         """The ambient gradient E' = -2c S^T r at the span minimizer."""
-        return (-2.0 * self._scale) * self._adjoint(self._r)
+        return (-2.0 * float(self.form.scale)) * self.form.adjoint(self._r)
 
 
 def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vector:

@@ -274,7 +274,7 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
         return max(gap, 0.0)
 
     form = objective.least_squares_form()
-    factor = None if form is None else SpanFactor(*form, capacity=min(cfg.max_steps, n))
+    factor = None if form is None else SpanFactor(form, capacity=min(cfg.max_steps, n))
     # distances are read off the coefficients against the minimizer's: by
     # orthonormality ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2,
     # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels;
@@ -307,9 +307,11 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
             break
         j, coeff = weak_select(g, cfg.weakness.t(m), cfg.selection_strategy, rng)
         if j in coeffs:
-            raise RuntimeError(
-                f"atom {j} reselected at step {m}; stop_tol ({cfg.stop_tol:g}) "
-                f"must stay above inner_tol ({cfg.inner_tol:g})")
+            cause = ("the exact solve's round-off at this problem's scale exceeds stop_tol"
+                     if factor is not None
+                     else f"stop_tol must stay above inner_tol ({cfg.inner_tol:g})")
+            raise RuntimeError(f"atom {j} reselected at step {m}: |g_{j}| = {abs(g[j]):.3g} "
+                               f"> stop_tol ({cfg.stop_tol:g}); {cause}")
         outside[j] = False
         if abar is not None:
             abar_support[m - 1] = abar[j]

@@ -167,6 +167,15 @@ def test_bad_key_names_itself(base, extra, key):
         config_from_mapping(data | extra)
 
 
+@pytest.mark.parametrize("key", ["objective.center", "objective.weights"])
+def test_wrong_length_list_is_reported_as_a_count(key):
+    extra = {"objective.center": [1.0, 0.0], "objective.weights": [1.0, 2.0]}
+    extra[key] = [1.0, 2.0, 3.0]
+    with pytest.raises(ConfigError,
+                       match="^" + re.escape(f"{key}: expected 2 entries, got 3") + "$"):
+        config_from_mapping(parse_config_text(CENTER_TEXT) | extra)
+
+
 FIELD_CASES = [
     ("objective.center_low", 3.0, lambda c: c.objective["center_low"]),
     ("objective.center_high", 5.0, lambda c: c.objective["center_high"]),

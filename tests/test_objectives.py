@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import greedymin as gm
-from greedymin.objectives import (GAP_CHUNK, SpanFactor, bregman_gap,
+from greedymin.objectives import (GAP_CHUNK, LeastSquaresForm, SpanFactor, bregman_gap,
                                   estimate_condition_constants)
 
 from conftest import (CountingObjective, check_gradient, conditioned_matrix, stack_library,
@@ -461,7 +461,7 @@ def _bases(n: int, k: int) -> dict[str, np.ndarray]:
 
 def _fresh_factor(E, k):
     """An empty factor of E's least-squares form with room for k columns."""
-    return SpanFactor(*E.least_squares_form(), capacity=k)
+    return SpanFactor(E.least_squares_form(), capacity=k)
 
 
 def _image(E, basis):
@@ -474,7 +474,7 @@ def _identity_form(y):
     def identity(a):
         return a
 
-    return identity, unit_columns(identity, y.shape[0]), identity, y, 1.0
+    return LeastSquaresForm(identity, unit_columns(identity, y.shape[0]), identity, y, 1.0)
 
 
 def _lstsq(E, basis):
@@ -501,6 +501,15 @@ def test_least_squares_form_matches_objective(kind):
 def test_no_least_squares_form_without_quadratic_structure():
     E = stack_library(8)["powersum4"]
     assert E.least_squares_form() is None
+
+
+@pytest.mark.parametrize("kind", [*LSQ_FORMS, "least_squares_wide"])
+def test_every_shipped_form_is_one_record(kind):
+    # the factor keeps the form whole, so each shipped form is the record itself
+    lib = stack_library(8, seed=4)
+    A = np.random.default_rng(7).standard_normal((5, 8))
+    E = gm.LeastSquares(A, A[:, 0]) if kind == "least_squares_wide" else lib[kind]
+    assert isinstance(E.least_squares_form(), LeastSquaresForm)
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
@@ -552,7 +561,7 @@ def test_span_factor_reorthogonalizes_an_ill_conditioned_block():
     t = np.linspace(0.0, 1.0, 60)
     block = t[:, None] ** np.arange(8)
     y = np.cos(3.0 * t)
-    factor = SpanFactor(*_identity_form(y), capacity=8)
+    factor = SpanFactor(_identity_form(y), capacity=8)
     for j in range(8):
         factor.extend(block[:, j:j + 1])
     q = factor._qt[:8]
@@ -601,7 +610,7 @@ def test_overlapping_columns_take_the_projection():
     for j, rows in enumerate(((0, 1), (1, 2), (3,), (0, 3))):
         cols[rows, j] = 1.0
     y = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
-    factor = SpanFactor(*_identity_form(y), capacity=4)
+    factor = SpanFactor(_identity_form(y), capacity=4)
     for j in range(4):
         factor.extend(cols[:, j:j + 1])
     q = factor._qt[:4]

@@ -43,13 +43,13 @@ class Conjugated(Objective):
         return self.q.T @ self.base.gradient(self.q @ z)
 
     def least_squares_form(self):
-        S, _, St, y, c = self.base.least_squares_form()
+        form = self.base.least_squares_form()
 
         def conjugated(block):
-            return S(self.q @ block)
+            return form.apply(self.q @ block)
 
-        return (conjugated, unit_columns(conjugated, self.dimension),
-                (lambda v: self.q.T @ St(v)), y, c)
+        return form._replace(apply=conjugated, columns=unit_columns(conjugated, self.dimension),
+                             adjoint=lambda v: self.q.T @ form.adjoint(v))
 
 
 def point_of(D, coeffs):
@@ -62,7 +62,7 @@ def point_of(D, coeffs):
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    factor = SpanFactor(*unit_quadratic4.least_squares_form(), capacity=1)
+    factor = SpanFactor(unit_quadratic4.least_squares_form(), capacity=1)
     coeffs, g, e = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
     assert coeffs == {0: 3.0}
     assert abs(g[0]) <= 1e-10
@@ -86,7 +86,7 @@ def test_restricted_full_support_matches_normal_equations():
     b = rng.standard_normal(10)
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
-    factor = SpanFactor(*E.least_squares_form(), capacity=6)
+    factor = SpanFactor(E.least_squares_form(), capacity=6)
     coeffs, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(),
                                        factor)
     x = np.array([coeffs[j] for j in range(6)])
@@ -150,7 +150,7 @@ def test_restricted_validation(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     with pytest.raises(ValueError, match="nonempty"):
         restricted_minimize(unit_quadratic4, D, {}, gm.SolverConfig())
-    factor = SpanFactor(*unit_quadratic4.least_squares_form(), capacity=4)
+    factor = SpanFactor(unit_quadratic4.least_squares_form(), capacity=4)
     restricted_minimize(unit_quadratic4, D, {0: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
     with pytest.raises(ValueError, match="start has 1 atoms, the factor already holds 2"):
         restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
@@ -159,11 +159,11 @@ def test_restricted_validation(unit_quadratic4):
 def test_restricted_with_factor_orders_atoms_by_warm_start():
     E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(*E.least_squares_form(), capacity=6)
+    factor = SpanFactor(E.least_squares_form(), capacity=6)
     start = {4: 0.0, 1: 0.0, 2: 0.0}
     coeffs, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
     assert list(coeffs) == [4, 1, 2] and factor.size == 3
-    fresh = SpanFactor(*E.least_squares_form(), capacity=3)
+    fresh = SpanFactor(E.least_squares_form(), capacity=3)
     coeffs_plain, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
     assert list(coeffs_plain) == [4, 1, 2]
     assert np.allclose(list(coeffs.values()), list(coeffs_plain.values()), rtol=0, atol=1e-12)
@@ -193,7 +193,7 @@ def test_restricted_with_factor_calls_neither_value_nor_gradient():
     # the exact path reads the selection vector off the factor's residual
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(*E.least_squares_form(), capacity=6)
+    factor = SpanFactor(E.least_squares_form(), capacity=6)
     coeffs, E.value_calls, E.gradient_calls = {}, 0, 0
     for j in (4, 1, 2, 5):
         start = {**coeffs, j: 0.0}
@@ -207,7 +207,7 @@ def test_restricted_returns_the_gradient_at_its_point(path):
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = base if path == "exact" else Stripped(base)
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(*base.least_squares_form(), capacity=2) if path == "exact" else None
+    factor = SpanFactor(base.least_squares_form(), capacity=2) if path == "exact" else None
     coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
                                        gm.SolverConfig(max_inner_iters=3000), factor)
     x = point_of(D, coeffs)
@@ -223,8 +223,8 @@ class SkewedAdjoint(gm.DiagonalQuadratic):
     """A diagonal quadratic whose form's S^T is not the adjoint of its S."""
 
     def least_squares_form(self):
-        S, cols, St, y, c = super().least_squares_form()
-        return S, cols, (lambda v: St(v) + v[::-1]), y, c
+        form = super().least_squares_form()
+        return form._replace(adjoint=lambda v: form.adjoint(v) + v[::-1])
 
 
 def test_restricted_returns_an_exact_solve_that_fails_its_check():
@@ -234,7 +234,7 @@ def test_restricted_returns_an_exact_solve_that_fails_its_check():
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(*E.least_squares_form(), capacity=2)
+    factor = SpanFactor(E.least_squares_form(), capacity=2)
     coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
     assert factor.size == 2 and coeffs == dict(zip([4, 1], factor.coefficients().tolist()))
     assert np.array_equal(g, D.analyze(factor.gradient())) and e == factor.value()
@@ -495,17 +495,17 @@ class CountedForm(Objective):
         return self.base.gradient(x)
 
     def least_squares_form(self):
-        S, cols, St, y, c = self.base.least_squares_form()
+        form = self.base.least_squares_form()
 
         def counted(block):
             self.columns += block.shape[1]
-            return S(block)
+            return form.apply(block)
 
         def counted_read(indices):
             self.read += len(indices)
-            return cols(indices)
+            return form.columns(indices)
 
-        return counted, counted_read, St, y, c
+        return form._replace(apply=counted, columns=counted_read)
 
 
 class CountsSubset:
@@ -650,6 +650,28 @@ def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
     assert made[1] == (5, 5)      # a wide A caps the factor at its 5 rows
 
 
+class FormKept(gm.DiagonalQuadratic):
+    """A diagonal quadratic keeping the last least-squares form it returned."""
+
+    def least_squares_form(self):
+        self.form = super().least_squares_form()
+        return self.form
+
+
+def test_greedy_factor_holds_the_objective_form_itself(monkeypatch):
+    made = []
+
+    class Recording(SpanFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "SpanFactor", Recording)
+    E = FormKept(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp"))
+    assert len(made) == 1 and made[0].form is E.form
+
+
 # -- the exact path against the objective -------------------------------------
 
 
@@ -657,16 +679,15 @@ class ShiftedForm(gm.DiagonalQuadratic):
     """A diagonal quadratic whose least-squares form has the wrong right-hand side."""
 
     def least_squares_form(self):
-        S, cols, St, y, c = super().least_squares_form()
-        return S, cols, St, y + 1.0, c
+        form = super().least_squares_form()
+        return form._replace(rhs=form.rhs + 1.0)
 
 
 class HalvedScale(gm.PowerSum):
     """A power sum at p = 2 whose form claims the quadratic's c = 1/2 instead of 1."""
 
     def least_squares_form(self):
-        S, cols, St, y, _ = super().least_squares_form()
-        return S, cols, St, y, 0.5
+        return super().least_squares_form()._replace(scale=0.5)
 
 
 @pytest.mark.parametrize("cls", [ShiftedForm, HalvedScale])
@@ -692,15 +713,15 @@ class RankOneSkew(gm.DiagonalQuadratic):
         self.u, self.v = u, v
 
     def least_squares_form(self):
-        S, _, St, y, c = super().least_squares_form()
+        form = super().least_squares_form()
         u, v = self.u, self.v
-        assert abs(u @ y) <= 1e-12 * gm.norm(u) * gm.norm(y)
+        assert abs(u @ form.rhs) <= 1e-12 * gm.norm(u) * gm.norm(form.rhs)
 
         def skewed(block):
-            return S(block) + np.outer(u, v @ block)
+            return form.apply(block) + np.outer(u, v @ block)
 
-        return (skewed, unit_columns(skewed, self.dimension),
-                (lambda w: St(w) + v * (u @ w)), y, c)
+        return form._replace(apply=skewed, columns=unit_columns(skewed, self.dimension),
+                             adjoint=lambda w: form.adjoint(w) + v * (u @ w))
 
 
 def _record_exact_solves(monkeypatch) -> list[bool]:
@@ -786,6 +807,41 @@ def test_greedy_recovers_a_planted_support_at_scale_with_exact_steps(basis_kind,
     assert exact == [True] * 8
 
 
+def _reselecting_run(path):
+    """An objective, dictionary and config whose greedy run reselects an atom.
+
+    On the exact path, the planted support of the scale test above at 1e9:
+    the selection vector's round-off on the support passes stop_tol.  On the
+    descent path, an inner_tol above stop_tol.
+    """
+    if path == "descent":
+        E, D, _ = make_rotated_powersum(seed=16)
+        return E, D, gm.SolverConfig(algorithm="omp", stop_tol=1e-12, inner_tol=1e-6,
+                                     max_inner_iters=3000)
+    n = 100
+    rng = np.random.default_rng(11)
+    D = gm.RotatedBasis(n, seed=4)
+    a = np.zeros(n)
+    support = rng.choice(n, size=8, replace=False)
+    a[support] = 1e9 * rng.uniform(1.0, 2.0, 8) * rng.choice((-1.0, 1.0), 8)
+    return gm.DiagonalQuadratic(D.synthesize(a), rng.uniform(0.5, 2.0, n)), D, gm.SolverConfig()
+
+
+@pytest.mark.parametrize("path,step,atom,cause", [
+    ("exact", 9, 2, "the exact solve's round-off at this problem's scale exceeds stop_tol"),
+    ("descent", 13, 40, "stop_tol must stay above inner_tol (1e-06)"),
+], ids=["exact", "descent"])
+def test_reselection_names_its_cause(path, step, atom, cause):
+    E, D, cfg = _reselecting_run(path)
+    with pytest.raises(RuntimeError) as err:
+        gm.run_wcga(E, D, cfg)
+    head = f"atom {atom} reselected at step {step}: |g_{atom}| = "
+    tail = f" > stop_tol ({cfg.stop_tol:g}); {cause}"
+    message = str(err.value)
+    assert message.startswith(head) and message.endswith(tail)
+    assert float(message[len(head):-len(tail)]) > 30.0 * cfg.stop_tol
+
+
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
 @pytest.mark.parametrize("kind", ["quadratic", "least_squares", "powersum2"])
 def test_carried_residual_stays_the_span_residual(kind, basis_kind, monkeypatch):
@@ -800,8 +856,9 @@ def test_carried_residual_stays_the_span_residual(kind, basis_kind, monkeypatch)
         def extend(self, image):
             super().extend(image)
             self.images.append(image)
-            span_residual = self._y - np.hstack(self.images) @ self.coefficients()
-            deviations.append(gm.norm(self._r - span_residual) / gm.norm(self._y))
+            y = self.form.rhs
+            span_residual = y - np.hstack(self.images) @ self.coefficients()
+            deviations.append(gm.norm(self._r - span_residual) / gm.norm(y))
 
     monkeypatch.setattr(solvers, "SpanFactor", Checked)
     n = 30

@@ -21,7 +21,8 @@ alone, run this once against each checkout and compare the directories:
     diff -r /tmp/golden-old /tmp/golden-new
 
 Configs are read from ``configs/`` next to this directory; the derived
-configs below add lines to them, and a later key overrides an earlier one.
+configs below add lines to them, and a later key overrides an earlier one;
+a derived config with no base is written whole.
 Only the standard library and greedymin are used.
 """
 from __future__ import annotations
@@ -39,7 +40,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 VARIANTS = ["omp", "wcga:t=0.5,strategy=first_admissible",
             "wcga:t=0.7,strategy=random_admissible"]
 
-# label -> (base config, extra config lines, commands run on it)
+# label -> (base config, extra config lines, commands run on it); with base
+# None the extra lines are the whole config
 DERIVED = {
     "quadratic_wcga": ("quadratic", "solver.algorithm = wcga\n"
                                     "solver.weakness = [1.0, 0.5, 0.8]\n"
@@ -78,6 +80,13 @@ DERIVED = {
                               ("run", "compare")),
     # wide matrix: no closed-form level-set diameter
     "least_squares_wide": ("least_squares", "objective.rows = 20\n", ("run", "moduli")),
+    # a config of its own: an explicit center and a list of weights
+    "quadratic_explicit": (None, "name = quadratic_explicit\ndimension = 6\nseed = 5\n"
+                                 "objective.type = diagonal_quadratic\n"
+                                 "objective.center = [0.0, 1.5, 0.0, -2.0, 0.0, 1.0]\n"
+                                 "objective.weights = [0.5, 1.0, 2.0, 1.5, 0.75, 1.25]\n"
+                                 "dictionary.type = rotated\n",
+                           ("run", "moduli", "compare")),
 }
 
 
@@ -91,7 +100,7 @@ def commands(cfg_dir: Path) -> list[tuple[str, list[str]]]:
                 (f"compare-{name}", ["compare", path, "--algs", *VARIANTS])]
     for label, (base, extra, cmds) in DERIVED.items():
         path = cfg_dir / f"{label}.cfg"
-        path.write_text((CONFIGS / f"{base}.cfg").read_text() + extra)
+        path.write_text(("" if base is None else (CONFIGS / f"{base}.cfg").read_text()) + extra)
         for cmd in cmds:
             algs = ["--algs", *VARIANTS] if cmd == "compare" else []
             out.append((f"{cmd}-{label}", [cmd, str(path), *algs]))
