@@ -165,18 +165,6 @@ def halving_partner(u_grid, u: float) -> int | None:
 # rate constants
 
 
-def global_convexity_constant(beta: float, p: float, diameter_ratio: float) -> float:
-    """Convexity constant valid for every pair in the level set.
-
-    The radius-limited constant beta degrades to beta * L^(1-p) when pairs
-    can be up to L times the condition radius apart (L >= 1).  beta and p
-    are those of a :class:`CurvatureParams`, which checked them.
-    """
-    if diameter_ratio < 1.0:
-        raise ValueError(f"diameter ratio {diameter_ratio} below 1")
-    return beta * min(1.0, diameter_ratio ** (1.0 - p))
-
-
 def decrement_gain(grad_bound: float, radius: float, alpha: float, q: float) -> float:
     """Optimal coefficient of the one-step decrease extracted from a selection.
 
@@ -252,11 +240,14 @@ class RateConstants:
         return self.scale / self.support_size ** (q / (2.0 * (q - 1.0)))
 
 
-def rate_constants(objective: Objective, minimizer: Vector, support_size: int,
-                   params: CurvatureParams, diameter_ratio: float = 1.0) -> RateConstants:
+def rate_constants(objective: Objective, support_size: int,
+                   params: CurvatureParams) -> RateConstants:
     """Derive every recursion and bound constant from the curvature parameters.
 
-    A :class:`CurvatureParams` has q <= 2 <= p, so q < p or p = q = 2.  Valid
+    The minimizer and the level-set diameter are the objective's own.  Pairs
+    in the level set can be up to L = max(1, diameter / radius) times the
+    record's radius apart, so beta degrades to beta * L^(1-p) there.  A
+    :class:`CurvatureParams` has q <= 2 <= p, so q < p or p = q = 2.  Valid
     constants give gain <= scale when p = q = 2 (beta <= alpha), with
     equality when one step reaches the minimum; a gain above scale beyond
     round-off raises "bound vacuous".
@@ -264,7 +255,13 @@ def rate_constants(objective: Objective, minimizer: Vector, support_size: int,
     alpha, q, beta, p = params.alpha, params.q, params.beta, params.p
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    beta_global = global_convexity_constant(beta, p, diameter_ratio)
+    minimizer, diam = objective.known_minimizer, objective.level_set_diameter()
+    if minimizer is None:
+        raise ValueError("objective has no known minimizer")
+    if diam is None:
+        raise ValueError("objective has no closed-form level-set diameter")
+    diameter_ratio = max(1.0, diam / params.radius)
+    beta_global = beta * min(1.0, diameter_ratio ** (1.0 - p))
     initial_gap = objective.value(np.zeros(objective.dimension)) - objective.value(minimizer)
     if not initial_gap > 0:
         raise ValueError("objective is already minimized at the origin")

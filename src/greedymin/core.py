@@ -53,9 +53,9 @@ def norm(a: Vector) -> float:
 
 
 def support_of(coeffs: Vector, tol: float) -> NDArray[np.intp]:
-    """Indices whose coefficient magnitude exceeds tol * max(1, max |c|)."""
+    """Indices whose coefficient magnitude exceeds tol * max |c|."""
     c = np.abs(np.asarray(coeffs, dtype=np.float64))
-    return np.flatnonzero(c > tol * max(1.0, float(c.max(initial=0.0))))
+    return np.flatnonzero(c > tol * c.max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -101,14 +101,14 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
     """Rate constants for the configured problem, or a reason they don't exist.
 
     The theory needs a bounded level set, so without a closed-form level-set
-    diameter there are no constants.  Known closed-form parameters already
-    use that diameter as the condition radius, so the diameter ratio is 1.
-    Estimated parameters sample pairs spanning twice the bounding-ball
-    radius, which also covers every level-set pair, and are relaxed by
-    ``ALPHA_SAFETY`` and ``BETA_SAFETY``.
+    diameter there are no constants.  q defaults to 2 and p to the
+    objective's exponent, for an override and for estimated parameters;
+    closed-form parameters carry their own and take that diameter as their
+    radius.  Estimated parameters sample pairs spanning twice the
+    bounding-ball radius, which also covers every level-set pair, and are
+    relaxed by ``ALPHA_SAFETY`` and ``BETA_SAFETY``.
     """
-    diam = objective.level_set_diameter()
-    if diam is None:
+    if objective.level_set_diameter() is None:
         return None, "level set not known to be bounded"
     xbar = objective.known_minimizer
     if xbar is None:
@@ -119,16 +119,13 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
         return None, "minimizer is the origin"
     ana = cfg.analysis
     q = ana.q if ana.q is not None else 2.0
-    ratio = 1.0
+    p = ana.p if ana.p is not None else objective.exponent
     if ana.alpha is not None:
-        p = ana.p if ana.p is not None else 2.0
         params = CurvatureParams(ana.alpha, q, ana.beta, p, ana.radius, ana.grad_bound)
-        ratio = max(1.0, diam / ana.radius)
     elif objective.known_params is not None:
         params = objective.known_params
     else:
         radius = _effective_radius(objective)
-        p = ana.p if ana.p is not None else objective.exponent
         pair_radius = 2.0 * radius
         alpha_hat, beta_hat = estimate_condition_constants(
             objective, q, p, radius, 10 * ana.sample_count, sub_seed(cfg.seed, "analysis"),
@@ -139,7 +136,7 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
             return None, "estimated convexity constant is not positive"
         params = CurvatureParams(alpha, q, beta, p, pair_radius,
                                  objective.gradient_sup_bound())
-    return rate_constants(objective, xbar, support.size, params, ratio), None
+    return rate_constants(objective, support.size, params), None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_criterion_02_exponential_rate_20_seeds():
     for seed in range(20):
         E, D = make_sparse_quadratic(seed, n=100, s=5, w_low=0.5, w_high=2.0)
         trace = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
-        rc = gm.rate_constants(E, E.known_minimizer, 5, E.known_params)
+        rc = gm.rate_constants(E, 5, E.known_params)
         dist_scale = np.sqrt(rc.initial_gap / rc.beta_global)
         for step in trace:
             power = max(step.k - 1, 0)
@@ -55,7 +55,7 @@ def test_criterion_03_per_step_recursion_fixture_suite():
     for seed in range(20):
         E, D = make_sparse_quadratic(seed, n=100, s=5, w_low=0.5, w_high=2.0)
         trace = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=100))
-        rc = gm.rate_constants(E, E.known_minimizer, 5, E.known_params)
+        rc = gm.rate_constants(E, 5, E.known_params)
         report = gm.check_error_recursion(trace, rc, tol=1e-9)
         assert report.violations == 0
         checked += len(report.ks)
@@ -106,7 +106,7 @@ def test_criterion_05_wcga_consistency():
         trace = gm.run_wcga(E, D, gm.SolverConfig(
             algorithm="wcga", weakness=half, selection_strategy="first_admissible",
             max_steps=60))
-        rc = gm.rate_constants(E, E.known_minimizer, 5, E.known_params)
+        rc = gm.rate_constants(E, 5, E.known_params)
         violations += gm.check_error_recursion(trace, rc, half, tol=1e-9).violations
         for step in trace:
             if step.k >= 2 and step.error > gm.error_bound(rc, step.k, half) + 1e-9:

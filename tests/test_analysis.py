@@ -5,8 +5,8 @@ import greedymin as gm
 from greedymin.analysis import (SequenceBoundInput, check_error_recursion,
                                 check_moduli_equivalence, decrement_gain,
                                 distance_bound, error_bound, estimate_moduli,
-                                fit_rate, global_convexity_constant,
-                                rate_constants, recursive_sequence_bound, verify_trace)
+                                fit_rate, rate_constants, recursive_sequence_bound,
+                                verify_trace)
 from greedymin.config import DEFAULT_U_GRID
 from greedymin.objectives import Objective
 
@@ -194,14 +194,6 @@ def test_moduli_names_bad_s_radius(radius):
 # -- constants ------------------------------------------------------------------
 
 
-def test_global_convexity_constant_examples():
-    assert global_convexity_constant(0.5, 2.0, 1.0) == 0.5
-    assert global_convexity_constant(0.5, 2.0, 4.0) == 0.125
-    assert global_convexity_constant(1.0, 3.0, 2.0) == 0.25
-    with pytest.raises(ValueError, match="below 1"):
-        global_convexity_constant(0.5, 2.0, 0.5)
-
-
 def test_decrement_gain_examples():
     # ratio below q: the unconstrained maximum (q-1) q^(-q/(q-1))
     assert decrement_gain(1.0, 2.0, 0.5, 2.0) == 0.25
@@ -211,9 +203,10 @@ def test_decrement_gain_examples():
 
 
 def test_rate_constants_quadratic_example(unit_quadratic4):
-    params = gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0)   # ratio 1 < 2
-    rc = rate_constants(unit_quadratic4, unit_quadratic4.known_minimizer, 2, params, 1.0)
-    assert rc.is_exponential
+    radius = unit_quadratic4.level_set_diameter()
+    params = gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, radius, 1.0)   # gain ratio 0.32 < 2
+    rc = rate_constants(unit_quadratic4, 2, params)
+    assert rc.is_exponential and rc.diameter_ratio == 1.0
     assert np.isclose(rc.contraction_gain, 1.0, rtol=1e-12)
     assert np.isclose(rc.contraction_factor, 0.5, rtol=1e-12)
     assert np.isclose(rc.initial_gap, 5.0, rtol=1e-12)
@@ -222,10 +215,25 @@ def test_rate_constants_quadratic_example(unit_quadratic4):
                       rtol=1e-12)
 
 
+def test_rate_constants_degrade_beta_beyond_the_record_radius(unit_quadratic4):
+    # pairs up to L = diameter / radius radii apart: beta * L^(1-p)
+    diam = unit_quadratic4.level_set_diameter()
+    rc = rate_constants(unit_quadratic4, 2, gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0))
+    assert np.isclose(diam, 6.32, atol=0.01)
+    assert rc.diameter_ratio == diam / 2.0
+    assert np.isclose(rc.beta_global, 0.158, atol=1e-3)
+    E = gm.DiagonalQuadratic([2.0], [1.0])         # level-set diameter 4
+    for beta, p, radius, want in ((0.5, 2.0, 1.0, 0.125), (1.0, 3.0, 2.0, 0.25),
+                                  (0.5, 2.0, 8.0, 0.5)):   # radius beyond: L = 1
+        rc = rate_constants(E, 1, gm.CurvatureParams(0.5, 2.0, beta, p, radius, 1.0))
+        assert rc.diameter_ratio == max(1.0, 4.0 / radius)
+        assert rc.beta_global == want
+
+
 def test_rate_constants_polynomial_fixture():
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
     params = gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0)
-    rc = rate_constants(E, E.known_minimizer, 1, params, 1.0)
+    rc = rate_constants(E, 1, params)
     # direct substitution as its own oracle
     expected_scale = (4.0 * 1.0 ** 0.25 * 3.0 ** -0.75) ** -2.0
     assert np.isclose(rc.scale, expected_scale, rtol=1e-12)
@@ -235,19 +243,31 @@ def test_rate_constants_polynomial_fixture():
 
 def test_rate_constants_vacuous():
     E = gm.DiagonalQuadratic([2.0], [1.0])
+    radius = E.level_set_diameter()
     # beta > alpha overstates the convexity: gain = 2 * scale
     with pytest.raises(ValueError, match=r"bound vacuous: .* not in \[0, 1\)"):
-        rate_constants(E, E.known_minimizer, 1, gm.CurvatureParams(0.5, 2, 1.0, 2, 2, 1))
+        rate_constants(E, 1, gm.CurvatureParams(0.5, 2, 1.0, 2, radius, 1))
     # alpha = beta on one atom: one step reaches the minimum, gain = scale up to round-off
-    rc = rate_constants(E, E.known_minimizer, 1, gm.CurvatureParams(0.5, 2, 0.5, 2, 2, 1))
+    rc = rate_constants(E, 1, gm.CurvatureParams(0.5, 2, 0.5, 2, radius, 1))
     assert rc.contraction_factor == 0.0
 
 
 def test_rate_constants_validation():
+    params = gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0)
     origin = gm.DiagonalQuadratic([0.0], [1.0])
     with pytest.raises(ValueError, match="minimized at the origin"):
-        rate_constants(origin, np.zeros(1), 1,
-                       gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0), 1.0)
+        rate_constants(origin, 1, params)
+    # a planted wide problem: xbar is a minimizer, but the level set holds
+    # A's null space, so there is no closed-form diameter
+    rng = np.random.default_rng(0)
+    A, xbar = rng.standard_normal((3, 6)), np.array([1.0, 0, 0, -2.0, 0, 0])
+    wide = gm.LeastSquares(A, A @ xbar)
+    wide.known_minimizer = xbar
+    assert wide.level_set_diameter() is None
+    with pytest.raises(ValueError, match="no closed-form level-set diameter"):
+        rate_constants(wide, 1, params)
+    with pytest.raises(ValueError, match="no known minimizer"):
+        rate_constants(ConstantObjective(2), 1, params)
 
 
 # -- sequence bound --------------------------------------------------------------
@@ -322,7 +342,7 @@ def test_sequence_bound_validation():
 def _quad_run(seed=0, n=30, s=4):
     E, D = make_sparse_quadratic(seed, n=n, s=s)
     tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=n))
-    rc = rate_constants(E, E.known_minimizer, s, E.known_params)
+    rc = rate_constants(E, s, E.known_params)
     return E, tr, rc
 
 
@@ -337,7 +357,7 @@ def test_recursion_check_quadratic():
 def test_recursion_check_unit_quadratic_halves():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0], np.ones(4))
     tr = gm.run_wcga(E, gm.CanonicalBasis(4), gm.SolverConfig(algorithm="omp"))
-    rc = rate_constants(E, E.known_minimizer, 2, E.known_params)
+    rc = rate_constants(E, 2, E.known_params)
     errs = [s.error for s in tr]
     for k in range(2, len(errs)):
         assert errs[k] <= 0.5 * errs[k - 1] + 1e-12
@@ -364,7 +384,7 @@ def test_recursion_check_power_sum_fixture():
 def test_verify_trace_matches_direct_checks():
     from dataclasses import replace
     E, D = make_sparse_quadratic(3, n=30, s=4)
-    rc = rate_constants(E, E.known_minimizer, 4, E.known_params)
+    rc = rate_constants(E, 4, E.known_params)
     # overstated constants: the recursion factor 1 - 4 t^2 is at most 0 for
     # every t used here, and every bound stays below 1e-6
     hot = replace(rc, gain=4.0 * rc.scale, initial_gap=1e-6)
@@ -394,8 +414,7 @@ def test_verify_trace_matches_direct_checks():
 
 def _poly_constants():
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
-    return rate_constants(E, E.known_minimizer, 1,
-                          gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0), 1.0)
+    return rate_constants(E, 1, gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0))
 
 
 @pytest.mark.parametrize("kind", ["omp", "wcga", "polynomial"])
@@ -429,8 +448,7 @@ def test_error_bound_schedule_identity():
     for k in range(2, 12):
         assert np.isclose(error_bound(rc, k), error_bound(rc, k, ones), rtol=1e-14)
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
-    rc_poly = rate_constants(E, E.known_minimizer, 1,
-                             gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0), 1.0)
+    rc_poly = rate_constants(E, 1, gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0))
     for k in range(2, 12):
         assert np.isclose(error_bound(rc_poly, k), error_bound(rc_poly, k, ones),
                           rtol=1e-14)
@@ -438,8 +456,7 @@ def test_error_bound_schedule_identity():
 
 def test_error_bound_polynomial_shape():
     E = gm.PowerSum([1.0, 1.0], 4.0, [1.0, 1.0])
-    rc = rate_constants(E, E.known_minimizer, 1,
-                        gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0), 1.0)
+    rc = rate_constants(E, 1, gm.CurvatureParams(1.0, 2.0, 1.0, 4.0, 4.0, 1.0))
     ks = np.arange(2, 10001)
     vals = np.array([error_bound(rc, int(k)) for k in ks])
     assert np.all(vals > 0)
@@ -453,8 +470,7 @@ def test_error_bound_matches_generic_sequence_bound():
     # the closed-form polynomial bound must agree with the generic
     # recursive-sequence bound under the defining substitutions
     E = gm.PowerSum([1.0, 2.0, 1.0], 4.0, [1.0, 0.5, 2.0])
-    rc = rate_constants(E, E.known_minimizer, 2,
-                        gm.CurvatureParams(3.0, 2.0, 0.1, 4.0, 6.0, 2.0), 1.0)
+    rc = rate_constants(E, 2, gm.CurvatureParams(3.0, 2.0, 0.1, 4.0, 6.0, 2.0))
     p, q = rc.params.p, rc.params.q
     ell = (p - q) / (p * (q - 1.0))
     inp = SequenceBoundInput(rc.initial_gap, rc.scale, ell,

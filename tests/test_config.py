@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,32 @@ def test_derive_constants_override_path():
     # radius 1 is far below the level-set diameter, so the ratio degrades beta
     assert rc.diameter_ratio > 1.0
     assert rc.beta_global < 0.25
+
+
+def test_derive_constants_override_takes_the_objective_exponent():
+    # powersum.cfg without analysis.p: the override's p is the objective's 4,
+    # as on the sampled branch, not a default of 2
+    text = (Path(__file__).resolve().parent.parent / "configs" / "powersum.cfg").read_text()
+    text = text.replace("analysis.p = 4.0\n", "") + (
+        "analysis.alpha = 2.0e7\nanalysis.beta = 1.0e-4\n"
+        "analysis.radius = 10.0\nanalysis.grad_bound = 1.0e4\n")
+    cfg = config_from_mapping(parse_config_text(text))
+    assert cfg.analysis.p is None
+    D = gm.build_dictionary(cfg)
+    E = gm.build_objective(cfg, D)
+    rc, reason = gm.derive_constants(cfg, E, D)
+    assert reason is None and rc.params.p == 4.0 and not rc.is_exponential
+
+
+def test_derive_constants_finds_a_support_far_below_one():
+    # the support cut is relative to the largest coefficient, whatever its size
+    data = parse_config_text(QUAD_TEXT) | {"objective.center_low": 1e-11,
+                                           "objective.center_high": 2e-11}
+    cfg = config_from_mapping(data)
+    D = gm.build_dictionary(cfg)
+    E = gm.build_objective(cfg, D)
+    rc, reason = gm.derive_constants(cfg, E, D)
+    assert reason is None and rc.support_size == 4
 
 
 @pytest.mark.parametrize("overrides", [False, True], ids=["sampled", "override"])

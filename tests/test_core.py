@@ -101,9 +101,10 @@ def test_as_point_rejects_bad_input():
 def test_sparse_support_from_coefficients():
     c = np.array([0.0, 2.0, 1e-14, -0.5])
     assert support_of(c, 1e-10).tolist() == [1, 3]
-    # the cut is tol * max(1, max |c|): relative above 1, absolute below
+    # the cut is tol * max |c|, relative at every scale
     assert support_of(np.array([1e3, 2e-8, 0.0]), 1e-10).tolist() == [0]
     assert support_of(np.array([1e-3, 2e-10, 0.0]), 1e-10).tolist() == [0, 1]
+    assert support_of(np.array([0.0, 1e-11, 0.0, -2e-11]), 1e-10).tolist() == [1, 3]
     assert support_of(np.zeros(4), 1e-10).size == 0
 
 

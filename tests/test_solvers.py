@@ -436,7 +436,7 @@ def test_per_step_recursion_invariant_quadratic():
     E = gm.DiagonalQuadratic([3.0, 0.0, 1.0, 0.0, 2.0], np.ones(5))
     D = gm.CanonicalBasis(5)
     tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=10))
-    rc = gm.rate_constants(E, E.known_minimizer, 3, E.known_params)
+    rc = gm.rate_constants(E, 3, E.known_params)
     errs = [s.error for s in tr]
     factor = 1.0 - rc.contraction_gain / rc.support_size
     for k in range(2, len(errs)):

@@ -87,6 +87,26 @@ DERIVED = {
                                  "objective.weights = [0.5, 1.0, 2.0, 1.5, 0.75, 1.25]\n"
                                  "dictionary.type = rotated\n",
                            ("run", "moduli", "compare")),
+    # powersum.cfg's override with no analysis.p: p is the objective's 4
+    "powersum_override_default_p": (None, "name = powersum_override_default_p\n"
+                                          "dimension = 50\nseed = 16\n"
+                                          "objective.type = power_sum\n"
+                                          "objective.exponent = 4\n"
+                                          "objective.center_sparsity = 3\n"
+                                          "objective.weights_low = 0.001\n"
+                                          "objective.weights_high = 1000\n"
+                                          "objective.weights_log = true\n"
+                                          "dictionary.type = rotated\n"
+                                          "solver.algorithm = omp\n"
+                                          "solver.max_steps = 200\n"
+                                          "solver.max_inner_iters = 3000\n"
+                                          "analysis.tail_fraction = 1.0\n"
+                                          "analysis.q = 2.0\n"
+                                          "analysis.alpha = 2.0e7\n"
+                                          "analysis.beta = 1.0e-4\n"
+                                          "analysis.radius = 10.0\n"
+                                          "analysis.grad_bound = 1.0e4\n",
+                                    ("run",)),
 }
 
 
