@@ -28,8 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CurvatureParams, IterateTrace, Vector
-from .objectives import Objective, uniform_ball
+from .objectives import Objective
 from .solvers import WeaknessSchedule
+
+
+#: samples whose stencil values ``estimate_moduli`` reduces as one block
+MODULI_BLOCK = 64
 
 
 @dataclass
@@ -85,7 +89,8 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
     The stencil offsets c of every u are tabulated once, and each sample
     makes one ``value`` call on x and the rows x + c*y of the distinct c, so
     a call stacks the distinct-offset count plus one rows, however many
-    samples are drawn.  On a halving grid many offsets coincide bit for bit
+    samples are drawn, in one buffer that every sample reuses; the extrema are
+    taken over ``MODULI_BLOCK`` samples at once.  On a halving grid many offsets coincide bit for bit
     (0.5*u is the next u, and (2l)*(u/2) is l*u when 2l is on the lambda
     grid too), so those rows are evaluated once.
     """
@@ -111,25 +116,31 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
     cs, where = np.unique(offsets, return_inverse=True)
     where = where.reshape(offsets.shape) + 1          # row 0 of each stack is x
     rng = np.random.default_rng(seed)
+    n = objective.dimension
+    points, y = np.empty((cs.size + 1, n)), np.empty(n)
+    x, vals = points[0], np.empty((MODULI_BLOCK, cs.size + 1))
     rho = np.full_like(u, -np.inf)
     rho1 = np.full_like(u, -np.inf)
     delta1 = np.full_like(u, np.inf)
-    for _ in range(sample_count):
-        x = uniform_ball(rng, objective.dimension, s_radius)
-        y = rng.standard_normal(objective.dimension)
-        y /= np.linalg.norm(y)
-        points = np.empty((cs.size + 1, objective.dimension))
-        points[0] = x
-        np.add(x, cs[:, None] * y, out=points[1:])
-        vals = objective.value(points)
-        ex = vals[0]
-        stencil = vals[where]
-        second = 0.5 * (stencil[:, 0] + stencil[:, 1] - 2.0 * ex)
-        a, b = stencil[:, 2:2 + lam.size], stencil[:, 2 + lam.size:]
-        q = ((1.0 - lam) * a + lam * b - ex) / (lam * (1.0 - lam))
-        np.maximum(rho, second, out=rho)
-        np.maximum(rho1, q.max(axis=1), out=rho1)
-        np.minimum(delta1, q.min(axis=1), out=delta1)
+    for start in range(0, sample_count, MODULI_BLOCK):
+        block = vals[:min(MODULI_BLOCK, sample_count - start)]
+        for row in block:
+            # the draws of uniform_ball, then y; x + c*y is c*y + x
+            rng.standard_normal(out=x)
+            x /= math.sqrt(x.dot(x))
+            x *= s_radius * rng.random() ** (1.0 / n)
+            rng.standard_normal(out=y)
+            y /= math.sqrt(y.dot(y))
+            np.multiply(cs[:, None], y, out=points[1:])
+            points[1:] += x
+            row[:] = objective.value(points)
+        ex, stencil = block[:, :1], block[:, where]
+        second = 0.5 * (stencil[..., 0] + stencil[..., 1] - 2.0 * ex)
+        a, b = stencil[..., 2:2 + lam.size], stencil[..., 2 + lam.size:]
+        q = ((1.0 - lam) * a + lam * b - ex[:, :, None]) / (lam * (1.0 - lam))
+        np.maximum(rho, second.max(axis=0), out=rho)
+        np.maximum(rho1, q.max(axis=(0, 2)), out=rho1)
+        np.minimum(delta1, q.min(axis=(0, 2)), out=delta1)
     return ModulusEstimate(u, rho, rho1, delta1, sample_count, int(seed))
 
 

@@ -40,7 +40,7 @@ def as_points(x, dim: int | None = None) -> Vector:
     if a.ndim not in (1, 2):
         raise ValueError(f"expected a point (n,) or a stack (m, n), got shape {a.shape}")
     a = np.ascontiguousarray(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("point has non-finite entries")
     if dim is not None and a.shape[-1] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[-1]}")

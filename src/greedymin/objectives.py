@@ -274,19 +274,30 @@ class PowerSum(Objective):
         if self.exponent == 2.0:
             self.curvature = (float(weights.max()), float(weights.min()))
 
+    # in place on the fresh d = x - c, with the operands of the out-of-place
+    # formulas: the same bits, as ``**=`` dispatches as ``**`` (square for 2.0)
     def value(self, x: Vector) -> float | Vector:
         d = as_points(x, self.dimension) - self.center
-        return _per_point(np.sum(self.weights * np.abs(d) ** self.exponent, axis=-1))
+        np.abs(d, out=d)
+        d **= self.exponent
+        d *= self.weights
+        return _per_point(np.sum(d, axis=-1))
 
     def gradient(self, x: Vector) -> Vector:
         d = as_points(x, self.dimension) - self.center
         p = self.exponent
-        return p * self.weights * np.sign(d) * np.abs(d) ** (p - 1.0)
+        g = p * self.weights * np.sign(d)
+        np.abs(d, out=d)
+        d **= p - 1.0
+        d *= g
+        return d
 
     def hessian_diag(self, x: Vector) -> Vector:
         d = as_point(x, self.dimension) - self.center
-        p = self.exponent
-        return p * (p - 1.0) * self.weights * np.abs(d) ** (p - 2.0)
+        np.abs(d, out=d)
+        d **= self.exponent - 2.0
+        d *= self.exponent * (self.exponent - 1.0) * self.weights
+        return d
 
     def least_squares_form(self):
         if self.exponent != 2.0:
@@ -447,7 +458,7 @@ def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vec
 
 
 def uniform_ball(rng: np.random.Generator, dimension: int, radius: float) -> Vector:
-    """A point drawn uniformly from a centered ball."""
+    """A uniform point of a centered ball; the estimators make its draws in place."""
     d = rng.standard_normal(dimension)
     d /= np.linalg.norm(d)
     return radius * rng.uniform() ** (1.0 / dimension) * d
@@ -475,9 +486,9 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
     Every fourth pair is displaced along a coordinate axis instead of a
     random direction: for anisotropic separable objectives the extreme
     curvature lives in single coordinates, which isotropic directions in
-    high dimension essentially never hit.  The gaps of each chunk of
-    ``GAP_CHUNK`` consecutive draws are evaluated as one stack, so a call
-    stacks at most ``GAP_CHUNK`` rows.
+    high dimension essentially never hit.  Each chunk of ``GAP_CHUNK`` draws
+    fills two preallocated blocks, x and x' - x, and its gaps are evaluated
+    as one stack, so a call stacks at most ``GAP_CHUNK`` rows.
     """
     if not 1.0 < q <= 2.0:
         raise ValueError(f"q={q} outside (1, 2]")
@@ -492,32 +503,39 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
         raise ValueError(f"pair_radius must be positive and finite, got {pair_radius}")
     rng = np.random.default_rng(seed)
     n = objective.dimension
+    points, steps = np.empty((GAP_CHUNK, n)), np.empty((GAP_CHUNK, n))
     alpha_hat = -np.inf
     beta_hat = np.inf
     used = 0
     for start in range(0, sample_count, GAP_CHUNK):
-        # new lists release the last chunk's rows before this chunk is drawn
-        xs, x_primes, us = [], [], []
-        for i in range(start, min(start + GAP_CHUNK, sample_count)):
-            x = uniform_ball(rng, n, omega_radius)
-            if i % 4 == 3:
-                direction = np.zeros(n)
-                direction[(i // 4) % n] = rng.choice((-1.0, 1.0))
+        # per draw only the generator calls of uniform_ball, a direction and
+        # a length, in that order; the rows are scaled once per chunk
+        size = min(GAP_CHUNK, sample_count - start)
+        x, step, draws = points[:size], steps[:size], []
+        for i, xi, di in zip(range(start, start + size), x, step):
+            rng.standard_normal(out=xi)
+            x_norm, radial = math.sqrt(xi.dot(xi)), omega_radius * rng.random() ** (1.0 / n)
+            if i % 4 == 3:  # an axis direction has norm 1.0 exactly
+                di[:] = 0.0
+                di[(i // 4) % n] = (-1.0, 1.0)[rng.integers(2)]
             else:
-                direction = rng.standard_normal(n)
-                direction /= np.linalg.norm(direction)
-            u = pair_radius * rng.uniform()
-            if u < 1e-12:
+                rng.standard_normal(out=di)
+            draws.append((x_norm, radial, math.sqrt(di.dot(di)), pair_radius * rng.random()))
+        scales = np.array(draws)
+        x /= scales[:, :1]
+        x *= scales[:, 1:2]
+        step /= scales[:, 2:3]
+        step *= scales[:, 3:]
+        us = scales[:, 3].tolist()
+        if min(us) < 1e-12:  # too short to divide by: drop those draws
+            keep = scales[:, 3] >= 1e-12
+            x, step, us = x[keep], step[keep], [u for u in us if u >= 1e-12]
+            if not us:
                 continue
-            xs.append(x)
-            x_primes.append(x + u * direction)
-            us.append(u)
-        if not us:
-            continue
-        gaps = bregman_gap(objective, np.stack(xs), np.stack(x_primes))
-        for gap, u in zip(gaps, us):
-            alpha_hat = max(alpha_hat, gap / u ** q)
-            beta_hat = min(beta_hat, gap / u ** p)
+        gaps = bregman_gap(objective, x, x + step)
+        # Python's max and min skip a NaN ratio and keep the first of equal ones
+        alpha_hat = max(alpha_hat, *(gaps / [u ** q for u in us]).tolist())
+        beta_hat = min(beta_hat, *(gaps / [u ** p for u in us]).tolist())
         used += len(us)
     if used == 0:
         raise ValueError("all sampled pairs were degenerate")
