@@ -509,26 +509,25 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
     used = 0
     for start in range(0, sample_count, GAP_CHUNK):
         # per draw only the generator calls of uniform_ball, a direction and
-        # a length, in that order; the rows are scaled once per chunk
+        # a length, in that order; the rows are scaled once per chunk, their
+        # norms taken by np.vecdot, which runs the BLAS dot of np.linalg.norm
         size = min(GAP_CHUNK, sample_count - start)
-        x, step, draws = points[:size], steps[:size], []
+        x, step, radial, us = points[:size], steps[:size], [], []
         for i, xi, di in zip(range(start, start + size), x, step):
             rng.standard_normal(out=xi)
-            x_norm, radial = math.sqrt(xi.dot(xi)), omega_radius * rng.random() ** (1.0 / n)
-            if i % 4 == 3:  # an axis direction has norm 1.0 exactly
+            radial.append(omega_radius * rng.random() ** (1.0 / n))
+            if i % 4 == 3:  # an axis direction, of norm 1 exactly
                 di[:] = 0.0
                 di[(i // 4) % n] = (-1.0, 1.0)[rng.integers(2)]
             else:
                 rng.standard_normal(out=di)
-            draws.append((x_norm, radial, math.sqrt(di.dot(di)), pair_radius * rng.random()))
-        scales = np.array(draws)
-        x /= scales[:, :1]
-        x *= scales[:, 1:2]
-        step /= scales[:, 2:3]
-        step *= scales[:, 3:]
-        us = scales[:, 3].tolist()
+            us.append(pair_radius * rng.random())
+        x /= np.sqrt(np.vecdot(x, x))[:, None]
+        x *= np.array(radial)[:, None]
+        step /= np.sqrt(np.vecdot(step, step))[:, None]
+        step *= np.array(us)[:, None]
         if min(us) < 1e-12:  # too short to divide by: drop those draws
-            keep = scales[:, 3] >= 1e-12
+            keep = np.array(us) >= 1e-12
             x, step, us = x[keep], step[keep], [u for u in us if u >= 1e-12]
             if not us:
                 continue

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import greedymin as gm
-from greedymin.analysis import (SequenceBoundInput, check_error_recursion,
+from greedymin.analysis import (MODULI_BLOCK, SequenceBoundInput, check_error_recursion,
                                 check_moduli_equivalence, decrement_gain,
                                 distance_bound, error_bound, estimate_moduli,
                                 fit_rate, rate_constants, recursive_sequence_bound,
@@ -139,18 +141,22 @@ MODULI_GRIDS = [(list(DEFAULT_U_GRID), 9, 128 + 1),
                 ([0.3, 0.7, 0.45], 4, 3 * (2 + 2 * 5) + 1)]
 
 
+# sample counts on both sides of the block the extrema are taken over
+MODULI_COUNTS = [1, 12, MODULI_BLOCK - 1, MODULI_BLOCK, MODULI_BLOCK + 1, 2 * MODULI_BLOCK + 5]
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "least_squares", "powersum4"])
 def test_moduli_match_per_point_oracle(kind):
     E = stack_library(6, seed=4)[kind]
-    for grid, lambda_size, rows in MODULI_GRIDS:
+    for (grid, lambda_size, rows), count in itertools.product(MODULI_GRIDS, MODULI_COUNTS):
         counted = CountingObjective(E)
-        est = estimate_moduli(counted, 1.5, grid, 12, lambda_size, seed=23)
-        rho, rho1, delta1 = _moduli_oracle(E, 1.5, grid, 12, lambda_size, 23)
+        est = estimate_moduli(counted, 1.5, grid, count, lambda_size, seed=23)
+        rho, rho1, delta1 = _moduli_oracle(E, 1.5, grid, count, lambda_size, 23)
         assert np.array_equal(est.rho, rho)
         assert np.array_equal(est.rho1, rho1)
         assert np.array_equal(est.delta1, delta1)
         # one value call per sample, on x and its distinct stencil rows
-        assert counted.value_calls == 12
+        assert counted.value_calls == count
         assert counted.max_rows == rows
 
 

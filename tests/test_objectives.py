@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import greedymin as gm
+from greedymin.core import as_points
 from greedymin.objectives import (GAP_CHUNK, LeastSquaresForm, SpanFactor, bregman_gap,
                                   estimate_condition_constants)
 
@@ -356,6 +357,30 @@ def test_stack_rows_bit_identical_to_points(kind, m, n):
     assert np.array_equal(grads, np.stack([E.gradient(row) for row in X]))
     assert type(E.value(X[0])) is float
     assert E.gradient(X[0]).shape == (n,)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
+def test_powersum_kernels_keep_input_and_formula_bits(p):
+    # the kernels work in place on x - c: the input, which as_points passes
+    # through uncopied, stays as it was, and the bits are the formulas'
+    rng = np.random.default_rng(int(p))
+    c, w = rng.standard_normal(9), rng.uniform(0.5, 2.0, 9)
+    E = gm.PowerSum(c, p, w)
+    X = 3.0 * rng.standard_normal((5, 9))
+    X[:, 4] = c[4]                       # d = 0 exactly in one coordinate
+    kept = X.copy()
+    D = X - c
+    assert as_points(X) is X
+    values, grads = E.value(X), E.gradient(X)
+    assert values.tobytes() == np.sum(w * np.abs(D) ** p, axis=-1).tobytes()
+    assert grads.tobytes() == (p * w * np.sign(D) * np.abs(D) ** (p - 1.0)).tobytes()
+    assert np.array_equal(values, [E.value(row) for row in X])
+    assert np.array_equal(grads, np.stack([E.gradient(row) for row in X]))
+    for row, d in zip(X, D):
+        assert as_points(row) is row
+        hess = E.hessian_diag(row)
+        assert hess.tobytes() == (p * (p - 1.0) * w * np.abs(d) ** (p - 2.0)).tobytes()
+    assert X.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 7])
