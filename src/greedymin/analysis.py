@@ -87,12 +87,12 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
     comparison between rho1 and rho holds sample-by-sample.
 
     The stencil offsets c of every u are tabulated once, and each sample
-    makes one ``value`` call on x and the rows x + c*y of the distinct c, so
-    a call stacks the distinct-offset count plus one rows, however many
-    samples are drawn, in one buffer that every sample reuses; the extrema are
-    taken over ``MODULI_BLOCK`` samples at once.  On a halving grid many offsets coincide bit for bit
-    (0.5*u is the next u, and (2l)*(u/2) is l*u when 2l is on the lambda
-    grid too), so those rows are evaluated once.
+    makes one ``value`` call on x and the rows x + c*y of the distinct c, in
+    one reused buffer, so a call stacks the distinct-offset count plus one
+    rows however many samples are drawn; the extrema are taken per
+    ``MODULI_BLOCK`` samples.  On a halving grid many offsets coincide bit
+    for bit (0.5*u is the next u, and (2l)*(u/2) is l*u when 2l is on the
+    lambda grid too), so those rows are evaluated once.
     """
     u = np.asarray([float(v) for v in u_grid], dtype=np.float64)
     if u.size == 0:
@@ -118,7 +118,7 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
     rng = np.random.default_rng(seed)
     n = objective.dimension
     points, y = np.empty((cs.size + 1, n)), np.empty(n)
-    x, vals = points[0], np.empty((MODULI_BLOCK, cs.size + 1))
+    x, vals = points[0], np.empty((min(MODULI_BLOCK, sample_count), cs.size + 1))
     rho = np.full_like(u, -np.inf)
     rho1 = np.full_like(u, -np.inf)
     delta1 = np.full_like(u, np.inf)

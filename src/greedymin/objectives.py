@@ -503,7 +503,7 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
         raise ValueError(f"pair_radius must be positive and finite, got {pair_radius}")
     rng = np.random.default_rng(seed)
     n = objective.dimension
-    points, steps = np.empty((GAP_CHUNK, n)), np.empty((GAP_CHUNK, n))
+    points, steps = np.empty((2, min(GAP_CHUNK, sample_count), n))
     alpha_hat = -np.inf
     beta_hat = np.inf
     used = 0
