@@ -6,7 +6,7 @@ toolkit that derives its per-step error recursions and convergence-rate
 bounds from the smoothness and uniform-convexity behavior of the objective.
 """
 
-from .analysis import (RateConstants, SequenceBoundInput, check_error_recursion,
+from .analysis import (Check, RateConstants, SequenceBoundInput, check_error_recursion,
                        check_moduli_equivalence, error_bound, estimate_moduli, fit_rate,
                        rate_constants, recursive_sequence_bound, verify_trace)
 from .config import (ConfigError, config_from_mapping, load_config, parse_config_text,
@@ -25,8 +25,8 @@ from .solvers import (InnerSolveError, SolverConfig, WeaknessSchedule, restricte
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalBasis", "ConfigError", "CurvatureParams", "DiagonalQuadratic", "Dictionary",
-    "InnerSolveError", "IterateTrace", "LeastSquares", "Objective", "PowerSum",
+    "CanonicalBasis", "Check", "ConfigError", "CurvatureParams", "DiagonalQuadratic",
+    "Dictionary", "InnerSolveError", "IterateTrace", "LeastSquares", "Objective", "PowerSum",
     "RateConstants", "RotatedBasis", "SequenceBoundInput", "SolverConfig", "TraceStep",
     "WeaknessSchedule", "as_point", "bregman_gap", "build_dictionary", "build_objective",
     "check_error_recursion", "check_moduli_equivalence", "config_from_mapping",

@@ -11,6 +11,8 @@ the greedy error sequence e_k = E(x_k) - E(xbar):
   greedy bounds are this generic bound at ``rc.recursion``,
 * empirical rate fitting for comparing observed and guaranteed decay.
 
+Each inequality is checked row by row into one :class:`Check` record.
+
 Sup-type estimates (rho, rho1) are lower bounds of the true suprema and
 inf-type estimates (delta1) upper bounds, but only up to the rounding of the
 sampled differences: each is a difference of computed values of E, whose
@@ -35,6 +37,47 @@ from .solvers import WeaknessSchedule
 #: samples whose stencil values ``estimate_moduli`` reduces as one block
 MODULI_BLOCK = 64
 
+#: factor on rho1(u) in the left side of the moduli comparison
+MODULI_SLACK = 1.05
+
+
+@dataclass(frozen=True)
+class Check:
+    """One inequality lhs <= rhs checked on the rows ``ks``.
+
+    A row fails when its margin rhs - lhs falls below ``floor``.  An
+    absolute tolerance is either folded into ``rhs`` with floor 0 or left
+    out of it with floor -tol.
+    """
+
+    name: str
+    ks: tuple[int, ...]
+    lhs: tuple[float, ...]
+    rhs: tuple[float, ...]
+    floor: float = 0.0
+
+    @property
+    def margins(self) -> list[float]:
+        return [r - l for l, r in zip(self.lhs, self.rhs)]
+
+    @property
+    def rows(self) -> list[tuple[int, float, float, float]]:
+        """One (k, lhs, rhs, margin) tuple per row."""
+        return list(zip(self.ks, self.lhs, self.rhs, self.margins))
+
+    @property
+    def failing(self) -> list[int]:
+        """The ks of the rows whose margin falls below the floor."""
+        return [k for k, m in zip(self.ks, self.margins) if m < self.floor]
+
+    @property
+    def violations(self) -> int:
+        return len(self.failing)
+
+    @property
+    def min_margin(self) -> float | None:
+        return min(self.margins, default=None)
+
 
 @dataclass
 class ModulusEstimate:
@@ -46,31 +89,6 @@ class ModulusEstimate:
     delta1: Vector       # same expression, inf over samples and lambda
     sample_count: int
     seed: int
-
-
-@dataclass
-class EquivalenceRow:
-    u: float
-    right_margin: float            # 2*rho(u) + tol - rho1(u)
-    left_margin: float | None      # slack*rho1(u) + tol - 4*rho(u/2)
-
-    @property
-    def passed(self) -> bool:
-        ok = self.right_margin >= 0.0
-        if self.left_margin is not None:
-            ok = ok and self.left_margin >= 0.0
-        return ok
-
-
-@dataclass
-class ModuliEquivalenceReport:
-    rows: list[EquivalenceRow]
-    slack: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
 
 def estimate_moduli(objective: Objective, s_radius: float, u_grid,
@@ -144,26 +162,27 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
     return ModulusEstimate(u, rho, rho1, delta1, sample_count, int(seed))
 
 
-def check_moduli_equivalence(est: ModulusEstimate, slack: float = 1.05,
-                             tol: float = 1e-9) -> ModuliEquivalenceReport:
+def check_moduli_equivalence(est: ModulusEstimate, slack: float = MODULI_SLACK,
+                             tol: float = 1e-9) -> tuple[Check, Check]:
     """Two-sided comparison of the sampled moduli of smoothness.
 
-    Right side rho1(u) <= 2*rho(u) holds per sample by convexity; the left
-    side 4*rho(u/2) <= rho1(u) is checked with a slack factor because both
-    sides are sup-estimates.  The grid must contain at least one halving
+    Returns the (right, left) checks, whose rows are indices i into
+    ``est.u_grid``.  Right side rho1(u) <= 2*rho(u) + tol holds per sample
+    by convexity; left side 4*rho(u/2) <= slack*rho1(u) + tol carries a
+    slack factor because both sides are sup-estimates, and has a row only
+    where u/2 is on the grid.  The grid must contain at least one halving
     pair u, u/2.
     """
     u = est.u_grid
-    halves = [halving_partner(u, ui) for ui in u]
-    if all(h is None for h in halves):
+    pairs = [(i, h) for i, h in enumerate(halving_partner(u, ui) for ui in u) if h is not None]
+    if not pairs:
         raise ValueError("u_grid contains no halving pair u, u/2")
-    rows: list[EquivalenceRow] = []
-    for i, (ui, h) in enumerate(zip(u, halves)):
-        right = 2.0 * est.rho[i] + tol - est.rho1[i]
-        left = None if h is None else slack * est.rho1[i] + tol - 4.0 * est.rho[h]
-        rows.append(EquivalenceRow(float(ui), float(right),
-                                   None if left is None else float(left)))
-    return ModuliEquivalenceReport(rows, slack, tol)
+    right = Check("right", tuple(range(u.size)), tuple(est.rho1.tolist()),
+                  tuple((2.0 * est.rho + tol).tolist()))
+    ks, halves = (list(ix) for ix in zip(*pairs))
+    left = Check("left", tuple(ks), tuple((4.0 * est.rho[halves]).tolist()),
+                 tuple((slack * est.rho1[ks] + tol).tolist()))
+    return right, left
 
 
 def halving_partner(u_grid, u: float) -> int | None:
@@ -339,33 +358,19 @@ def recursive_sequence_bound(inp: SequenceBoundInput, m: int) -> float:
 # trace checks and bounds
 
 
-@dataclass
-class RecursionReport:
-    """Per-step margins of the error recursion; negative margin = violation."""
-
-    ks: list[int]
-    margins: list[float]
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for m in self.margins if m < 0.0)
-
-    @property
-    def min_margin(self) -> float | None:
-        return min(self.margins) if self.margins else None
-
-
 def check_error_recursion(trace: IterateTrace, rc: RateConstants,
                           schedule: WeaknessSchedule | None = None,
-                          tol: float = 1e-9) -> RecursionReport:
+                          tol: float = 1e-9) -> Check:
     """Check every consecutive error pair against the one-step recursion.
 
-    ``schedule`` supplies the weakness parameters of a WCGA run; omit it for
-    OMP (t = 1).  Violations are reported, not raised.
+    One row per step k >= 2 with lhs e_k and rhs e_{k-1} * factor_k + tol,
+    floor 0.  ``schedule`` supplies the weakness parameters of a WCGA run;
+    omit it for OMP (t = 1).  Violations are reported, not raised.
     """
     rec = rc.recursion(trace.final.k, schedule)
     ks: list[int] = []
-    margins: list[float] = []
+    lhs: list[float] = []
+    rhs: list[float] = []
     prev = None
     for step in trace:
         if step.error is None:
@@ -373,9 +378,10 @@ def check_error_recursion(trace: IterateTrace, rc: RateConstants,
         if prev is not None and step.k >= 2:
             factor = 1.0 - (rec.gains[step.k - 2] / rec.scale) * prev ** rec.exponent
             ks.append(step.k)
-            margins.append(prev * factor + tol - step.error)
+            lhs.append(step.error)
+            rhs.append(prev * factor + tol)
         prev = step.error
-    return RecursionReport(ks, margins)
+    return Check("recursion", tuple(ks), tuple(lhs), tuple(rhs))
 
 
 def error_bound(rc: RateConstants, k: int,
@@ -390,27 +396,12 @@ def error_bound(rc: RateConstants, k: int,
     return recursive_sequence_bound(rc.recursion(k, schedule), k)
 
 
-@dataclass
-class TraceVerification:
-    """Both theory checks of one trace: the one-step recursion and the e_k bound.
-
-    ``bounds`` holds one (k, e_k, bound_k, margin) row per step k >= 2, with
-    margin = bound_k - e_k; ``bound_violations`` counts margins below -tol.
-    """
-
-    recursion: RecursionReport
-    bounds: list[tuple[int, float, float, float]]
-    bound_violations: int
-
-    @property
-    def passed(self) -> bool:
-        return not (self.recursion.violations or self.bound_violations)
-
-
 def verify_trace(trace: IterateTrace, rc: RateConstants,
-                 schedule: WeaknessSchedule | None, tol: float) -> TraceVerification:
+                 schedule: WeaknessSchedule | None, tol: float) -> tuple[Check, Check]:
     """Check a trace against the recursion and the e_k bound of the constants.
 
+    Returns the (recursion, bound) checks.  The bound check has one
+    (k, e_k, bound_k, bound_k - e_k) row per step k >= 2 and floor -tol.
     ``schedule`` supplies the weakness parameters of a WCGA run; pass None
     for OMP (t = 1).  Needs error data (a known minimizer).
     """
@@ -425,9 +416,9 @@ def verify_trace(trace: IterateTrace, rc: RateConstants,
         bs = [running[step.k - 1] for step in rows]
     else:
         bs = [recursive_sequence_bound(rec, step.k) for step in rows]
-    bounds = [(step.k, step.error, b, b - step.error) for step, b in zip(rows, bs)]
-    violations = sum(1 for row in bounds if row[3] < -tol)
-    return TraceVerification(recursion, bounds, violations)
+    bound = Check("bound", tuple(step.k for step in rows),
+                  tuple(step.error for step in rows), tuple(bs), -tol)
+    return recursion, bound
 
 
 def distance_bound(rc: RateConstants, error: float) -> float:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (RateConstants, check_moduli_equivalence, estimate_moduli,
-                       fit_rate, rate_constants, verify_trace)
+from .analysis import (MODULI_SLACK, Check, RateConstants, check_moduli_equivalence,
+                       estimate_moduli, fit_rate, rate_constants, verify_trace)
 from .config import ConfigError, ExperimentConfig, sub_seed
 from .core import CurvatureParams, norm, support_of, write_csv
 from .dictionaries import CanonicalBasis, Dictionary, RotatedBasis
@@ -142,12 +142,15 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
 # ---------------------------------------------------------------------------
 
 
-def _write_report(path: Path, name: str, status: str, lines: list[str],
+def _write_report(path: Path, name: str, checks: tuple[Check, ...], lines: list[str],
                   quiet: bool) -> str:
     """Write a text report headed by its STATUS and name; echo it unless quiet.
 
-    Returns the STATUS, which each command returns in turn.
+    STATUS is VIOLATION when any of the command's ``checks`` has a
+    violation, else OK.  Returns the STATUS, which each command returns in
+    turn.
     """
+    status = "VIOLATION" if any(check.violations for check in checks) else "OK"
     text = "\n".join([f"STATUS: {status}", f"name: {name}", *lines]) + "\n"
     path.write_text(text)
     if not quiet:
@@ -184,11 +187,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
     trace.to_csv(outdir / f"{cfg.name}.trace.csv")
 
     rc, reason = derive_constants(cfg, objective, dictionary)
-    check = None if rc is None else verify_trace(trace, rc, cfg.solver.weakness, BOUND_TOL)
+    checks = () if rc is None else verify_trace(trace, rc, cfg.solver.weakness, BOUND_TOL)
     write_csv(outdir / f"{cfg.name}.bounds.csv", ("k", "e_k", "bound_k", "margin"),
-              [] if check is None else check.bounds)
+              checks[1].rows if checks else [])
 
-    status = "OK" if check is None or check.passed else "VIOLATION"
     final = trace.final
     lines = ["config: " + "; ".join(f"{k}={v}" for k, v in sorted(cfg.raw.items())),
              f"algorithm: {cfg.solver.algorithm}",
@@ -202,13 +204,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
         lines.append(f"constants: skipped ({reason})")
     else:
         lines.extend(_constants_lines(rc))
-        rec = check.recursion
-        rec_min = rec.min_margin
-        bound_min = min((row[3] for row in check.bounds), default=None)
-        lines.append(f"recursion: pairs={len(rec.ks)} violations={rec.violations} "
-                     f"min_margin={'' if rec_min is None else format(rec_min, '.6g')}")
-        lines.append(f"bounds: rows={len(check.bounds)} violations={check.bound_violations} "
-                     f"min_margin={'' if bound_min is None else format(bound_min, '.6g')}")
+        for check, label in zip(checks, ("recursion: pairs", "bounds: rows")):
+            low = check.min_margin
+            lines.append(f"{label}={len(check.ks)} violations={check.violations} "
+                         f"min_margin={'' if low is None else format(low, '.6g')}")
         try:
             fit = fit_rate(trace, cfg.analysis.tail_fraction)
         except ValueError as exc:
@@ -223,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) 
         else:
             lines.append(f"theoretical_rate: k^{rc.theoretical_slope:.6g}")
     lines.append(f"wall_time_s: {time.perf_counter() - t0:.3f}")
-    return _write_report(outdir / f"{cfg.name}.report.txt", cfg.name, status, lines, quiet)
+    return _write_report(outdir / f"{cfg.name}.report.txt", cfg.name, checks, lines, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +241,21 @@ def run_moduli(cfg: ExperimentConfig, output_dir=None, quiet: bool = False) -> s
     est = estimate_moduli(objective, radius, cfg.analysis.u_grid,
                           cfg.analysis.sample_count, cfg.analysis.lambda_grid_size,
                           sub_seed(cfg.seed, "analysis"))
-    eq = check_moduli_equivalence(est)
+    right, left = check_moduli_equivalence(est, MODULI_SLACK, BOUND_TOL)
     outdir = Path(cfg.output_dir if output_dir is None else output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / f"{cfg.name}.moduli.csv", ("u", "rho", "rho1", "delta1"),
               zip(est.u_grid, est.rho, est.rho1, est.delta1))
     lines = [f"samples: {est.sample_count}  seed: {est.seed}",
-             f"two-sided comparison (slack {eq.slack:g}, tol {eq.tol:g}):"]
-    for row in eq.rows:
-        left = "n/a" if row.left_margin is None else f"{row.left_margin:.6g}"
-        lines.append(f"  u={row.u:.6g}  right_margin={row.right_margin:.6g}  "
-                     f"left_margin={left}  {'pass' if row.passed else 'FAIL'}")
-    return _write_report(outdir / f"{cfg.name}.moduli.txt", cfg.name,
-                         "OK" if eq.passed else "VIOLATION", lines, quiet)
+             f"two-sided comparison (slack {MODULI_SLACK:g}, tol {BOUND_TOL:g}):"]
+    lefts = dict(zip(left.ks, left.margins))
+    failing = set(right.failing) | set(left.failing)
+    for i, _, _, margin in right.rows:
+        left_margin = f"{lefts[i]:.6g}" if i in lefts else "n/a"
+        lines.append(f"  u={est.u_grid[i]:.6g}  right_margin={margin:.6g}  "
+                     f"left_margin={left_margin}  {'FAIL' if i in failing else 'pass'}")
+    return _write_report(outdir / f"{cfg.name}.moduli.txt", cfg.name, (right, left),
+                         lines, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
               ([k] + [t[k].error if k < len(t) else None for t in traces]
                for k in range(max(len(t) for t in traces))))
 
-    status = "OK"
+    checks: tuple[Check, ...] = ()
     lines = [] if rc is not None else [f"constants: skipped ({reason})"]
     for d, v, t in zip(descriptors, variants, traces):
         lines += [f"variant: {d}",
@@ -318,18 +319,17 @@ def run_compare(cfg: ExperimentConfig, descriptors: list[str], output_dir=None,
         if t.has_errors:
             lines.append(f"  error_final: {t.final.error:.12g}")
         if rc is not None:
-            check = verify_trace(t, rc, v.weakness, BOUND_TOL)
-            if not check.passed:
-                status = "VIOLATION"
-            lines.append(f"  recursion_violations: {check.recursion.violations}  "
-                         f"bound_violations: {check.bound_violations}")
+            rec, bound = verify_trace(t, rc, v.weakness, BOUND_TOL)
+            checks += (rec, bound)
+            lines.append(f"  recursion_violations: {rec.violations}  "
+                         f"bound_violations: {bound.violations}")
         try:
             fit = fit_rate(t, cfg.analysis.tail_fraction)
         except ValueError as exc:
             lines.append(f"  fitted_slope: skipped ({exc})")
         else:
             lines.append(f"  fitted_slope: {fit.slope:.6g}")
-    return _write_report(outdir / f"{cfg.name}.compare.txt", cfg.name, status, lines, quiet)
+    return _write_report(outdir / f"{cfg.name}.compare.txt", cfg.name, checks, lines, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -392,4 +392,4 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if rip_low is not None:
         lines.append(f"sampled_isometry_ratio: [{rip_low:.6g}, {rip_high:.6g}] "
                      f"over 1000 random {sparsity}-sparse vectors")
-    return _write_report(outdir / f"{name}.report.txt", name, "OK", lines, quiet)
+    return _write_report(outdir / f"{name}.report.txt", name, (), lines, quiet)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import greedymin as gm
+from greedymin import harness
 from greedymin.analysis import (MODULI_BLOCK, SequenceBoundInput, check_error_recursion,
                                 check_moduli_equivalence, decrement_gain,
                                 distance_bound, error_bound, estimate_moduli,
                                 fit_rate, rate_constants, recursive_sequence_bound,
                                 verify_trace)
+from greedymin.cli import main
 from greedymin.config import DEFAULT_U_GRID
 from greedymin.objectives import Objective
 
@@ -26,6 +28,28 @@ class ConstantObjective(Objective):
 
     def gradient(self, x):
         return np.zeros(self.dimension)
+
+
+class ConcaveObjective(Objective):
+    """E = -||x||^2, so rho1(u) = rho(u) = -u^2 and both comparisons fail.
+
+    The minimizer and diameter are stand-ins that give ``moduli`` a ball to
+    sample.
+    """
+
+    def __init__(self, dimension):
+        super().__init__(dimension)
+        self.known_minimizer = np.ones(dimension)
+
+    def value(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return -np.sum(x * x, axis=-1) if x.ndim == 2 else -float(x @ x)
+
+    def gradient(self, x):
+        return -2.0 * np.asarray(x, dtype=np.float64)
+
+    def level_set_diameter(self):
+        return 1.0
 
 
 HALVING_GRID = [1.0 / 2 ** i for i in reversed(range(6))]
@@ -82,20 +106,20 @@ def test_moduli_condition2_consistency():
 def test_equivalence_quadratic_tight():
     E = gm.DiagonalQuadratic([1.0, -2.0], np.ones(2))
     est = estimate_moduli(E, 1.5, HALVING_GRID, 20, 5, seed=8)
-    report = check_moduli_equivalence(est)
-    assert report.passed
+    right, left = check_moduli_equivalence(est)
+    assert right.violations == 0 and left.violations == 0
+    assert left.ks == tuple(range(1, len(HALVING_GRID)))
     # left side is an equality for the pure quadratic: 4*(u/2)^2/2 == u^2/2
-    for row in report.rows:
-        if row.left_margin is not None:
-            i = list(est.u_grid).index(row.u)
-            assert abs(4 * (row.u / 2) ** 2 / 2 - est.rho1[i]) <= 1e-10
+    for i in left.ks:
+        u = est.u_grid[i]
+        assert abs(4 * (u / 2) ** 2 / 2 - est.rho1[i]) <= 1e-10
 
 
 def test_equivalence_least_squares():
     rng = np.random.default_rng(9)
     E = gm.LeastSquares(rng.standard_normal((8, 5)), rng.standard_normal(8))
     est = estimate_moduli(E, 2.0, HALVING_GRID, 60, 7, seed=10)
-    assert check_moduli_equivalence(est).passed
+    assert not any(check.violations for check in check_moduli_equivalence(est))
 
 
 def _moduli_oracle(objective, s_radius, u_grid, sample_count, lambda_grid_size, seed):
@@ -163,7 +187,28 @@ def test_moduli_match_per_point_oracle(kind):
 def test_equivalence_constant_objective():
     est = estimate_moduli(ConstantObjective(3), 1.0, HALVING_GRID, 10, 5, seed=11)
     assert np.all(est.rho == 0.0) and np.all(est.rho1 == 0.0) and np.all(est.delta1 == 0.0)
-    assert check_moduli_equivalence(est).passed
+    assert not any(check.violations for check in check_moduli_equivalence(est))
+
+
+def test_equivalence_concave_objective_fails():
+    est = estimate_moduli(ConcaveObjective(3), 1.0, HALVING_GRID, 10, 5, seed=11)
+    right, left = check_moduli_equivalence(est)
+    assert right.violations == len(HALVING_GRID)
+    assert left.violations == len(HALVING_GRID) - 1
+
+
+def test_moduli_command_reports_a_failing_comparison(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "build_objective",
+                        lambda cfg, dictionary: ConcaveObjective(cfg.dimension))
+    out = tmp_path / "out"
+    cfg = tmp_path / "concave.cfg"
+    cfg.write_text(f"name = concave\ndimension = 5\noutput_dir = {out}\n"
+                   "objective.type = diagonal_quadratic\nobjective.center_sparsity = 2\n"
+                   "analysis.sample_count = 10\n")
+    assert main(["--quiet", "moduli", str(cfg)]) == 2
+    lines = (out / "concave.moduli.txt").read_text().splitlines()
+    assert lines[0] == "STATUS: VIOLATION"
+    assert any(line.endswith("  FAIL") for line in lines)
 
 
 def test_equivalence_requires_halving_pair():
@@ -356,7 +401,7 @@ def test_recursion_check_quadratic():
     _, tr, rc = _quad_run()
     report = check_error_recursion(tr, rc)
     assert report.violations == 0
-    assert report.ks == list(range(2, len(tr)))
+    assert report.ks == tuple(range(2, len(tr)))
     assert report.min_margin >= 0
 
 
@@ -373,7 +418,7 @@ def test_recursion_check_unit_quadratic_halves():
 def test_recursion_check_short_trace_empty():
     report = check_error_recursion(synth_trace([1.0, 0.4]),
                                    _quad_run()[2])
-    assert report.ks == [] and report.violations == 0
+    assert report.ks == () and report.violations == 0
     assert report.min_margin is None
 
 
@@ -401,19 +446,18 @@ def test_verify_trace_matches_direct_checks():
         max_steps=30, seed=5))
     for tr, schedule in ((omp, None), (wcga, sched)):
         for constants in (rc, hot):
-            check = verify_trace(tr, constants, schedule, 1e-9)
+            recursion, bound = verify_trace(tr, constants, schedule, 1e-9)
             rec = check_error_recursion(tr, constants, schedule, tol=1e-9)
-            assert (check.recursion.ks, check.recursion.margins) == (rec.ks, rec.margins)
+            assert recursion == rec
             want = []
             for step in tr:
                 if step.k >= 2:
                     b = error_bound(constants, step.k, schedule)
                     want.append((step.k, step.error, b, b - step.error))
-            assert check.bounds == want and len(want) == len(tr) - 2
+            assert bound.rows == want and len(want) == len(tr) - 2
             violations = sum(1 for row in want if row[3] < -1e-9)
-            assert check.bound_violations == violations
-            assert check.passed == (rec.violations == 0 and violations == 0)
-            assert check.passed == (constants is rc)
+            assert bound.violations == violations
+            assert (recursion.violations == 0 and bound.violations == 0) == (constants is rc)
             if constants is hot:
                 assert rec.violations > 0 and violations > 0
 
@@ -432,11 +476,10 @@ def test_verify_trace_bound_rows_keep_the_bits_of_each_bound(kind):
     tr = synth_trace(rc.initial_gap * 0.9 ** np.arange(301))
     rec = rc.recursion(300, schedule)
     assert (rec.exponent == 0.0) == (kind != "polynomial")
-    check = verify_trace(tr, rc, schedule, 1e-9)
-    assert [row[0] for row in check.bounds] == list(range(2, 301))
-    assert [row[2] for row in check.bounds] == [recursive_sequence_bound(rec, k)
-                                                for k in range(2, 301)]
-    assert check.bounds[-1][2] > 0.0
+    _, bound = verify_trace(tr, rc, schedule, 1e-9)
+    assert bound.ks == tuple(range(2, 301))
+    assert bound.rhs == tuple(recursive_sequence_bound(rec, k) for k in range(2, 301))
+    assert bound.rhs[-1] > 0.0
 
 
 def test_error_bound_exponential_example():

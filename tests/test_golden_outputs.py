@@ -12,6 +12,9 @@ NONZERO_EXITS = {
     "moduli-least_squares_wide": 1,      # wide matrix: no bounded level set to sample
 }
 
+REPORT_SUFFIXES = (".report.txt", ".moduli.txt", ".compare.txt")
+STATUS_LINES = {"0\n": [b"STATUS: OK"], "2\n": [b"STATUS: VIOLATION"], "1\n": []}
+
 
 def _load_tool():
     spec = importlib.util.spec_from_file_location("golden_outputs", TOOL)
@@ -29,10 +32,20 @@ def test_golden_outputs_repeat_with_fixed_exit_codes(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     tool.run_all(first)
     tool.run_all(second)
-    assert _tree(first) == _tree(second)
+    tree = _tree(first)
+    assert tree == _tree(second)
 
     labels = [label for label, _ in tool.commands(tmp_path)]
     assert sorted(p.name for p in first.iterdir()) == sorted(labels)
     codes = {label: (first / label / "exit_code.txt").read_text() for label in labels}
     assert codes == {label: f"{NONZERO_EXITS.get(label, 0)}\n" for label in labels}
     assert set(NONZERO_EXITS) <= set(labels)
+
+    # one STATUS rule for every command: a report's first line is the status
+    # its exit code stands for, and a command that exits 1 writes no report
+    heads = {label: [] for label in labels}
+    for path, data in tree.items():
+        label, name = path.split("/")
+        if name.endswith(REPORT_SUFFIXES):
+            heads[label].append(data.split(b"\n", 1)[0])
+    assert heads == {label: STATUS_LINES[codes[label]] for label in labels}
