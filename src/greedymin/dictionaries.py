@@ -43,6 +43,15 @@ class Dictionary(ABC):
         """The (m x k) block S B of a least-squares form's S on ``subset(indices)``."""
         return form.apply(self.subset(indices))
 
+    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int],
+                   image: np.ndarray) -> np.ndarray:
+        """The (n x k) block S^T S B of a form with a Gram on ``subset(indices)``.
+
+        Given ``image``, S B from :meth:`image`, this is S^T applied to its
+        columns: no second subset.
+        """
+        return np.stack([form.adjoint(s) for s in image.T], axis=1)
+
 
 class CanonicalBasis(Dictionary):
     """Standard unit vectors."""
@@ -71,6 +80,11 @@ class CanonicalBasis(Dictionary):
     def image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray:
         """S's own columns at ``indices``, read without applying S to a unit block."""
         return form.columns(indices)
+
+    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int],
+                   image: np.ndarray) -> np.ndarray:
+        """G's own columns at ``indices``, read as :meth:`image` reads S's."""
+        return form.gram[:, indices]
 
 
 class RotatedBasis(Dictionary):

@@ -22,7 +22,7 @@ from .core import CurvatureParams, Vector, as_point, as_points, norm
 
 
 class LeastSquaresForm(NamedTuple):
-    """(S, S's columns, S^T, y, c) with E(x) = c * ||S x - y||^2 exactly, c > 0.
+    """(S, S's columns, S^T, y, c[, G, S^T y]) with E(x) = c * ||S x - y||^2 exactly, c > 0.
 
     ``apply`` maps an (n, j) block B to the (m, j) block S B.  ``columns``
     reads S's columns at a list of j indices, the (m, j) block S[:, idx],
@@ -32,6 +32,12 @@ class LeastSquaresForm(NamedTuple):
     ``scale`` is c, which must be exact, not just positive: a
     :class:`SpanFactor` reads E and E' of an exact step off the form.  The
     one record an objective hands the solver.
+
+    ``gram`` is the (n, n) Gram matrix G = S^T S and ``adjoint_rhs`` the
+    (n,) vector S^T y, both or neither (the default).  A form that carries
+    them has its selection vector read off G in O(n k) per step instead of
+    from S^T r, at the cost of keeping n^2 floats; only a tall
+    :class:`LeastSquares` does, whose G is formed for its curvature anyway.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -39,6 +45,8 @@ class LeastSquaresForm(NamedTuple):
     adjoint: Callable[[Vector], Vector]
     rhs: Vector
     scale: float
+    gram: np.ndarray | None = None
+    adjoint_rhs: Vector | None = None
 
 
 class Objective(ABC):
@@ -176,6 +184,10 @@ class LeastSquares(Objective):
     certifies full column rank, so the minimizer is unique; only then are
     ``curvature`` and ``known_minimizer`` set.  A wide A, or one whose beta
     is not positive, is not known to be strictly convex and carries neither.
+
+    A tall A keeps that G = A^T A, n^2 floats, and A^T b for its
+    least-squares form, so exact steps read their selection vectors off G
+    (see :class:`SpanFactor`); a wide A forms no G and its form carries none.
     """
 
     def __init__(self, matrix, rhs):
@@ -191,10 +203,11 @@ class LeastSquares(Objective):
         super().__init__(n)
         self.A = A
         self.b = as_point(b, m)
-        self._rho = None
+        self._rho = self._gram = self._aty = None
         if m < n:
             return  # rank deficient by its shape; no eigenvalue is read
         G = A.T @ A
+        self._gram, self._aty = G, A.T @ self.b
         lam = np.linalg.eigvalsh(G)
         # Each computed eigenvalue lies within delta of the exact one, to first
         # order in the unit roundoff u = eps/2 (Higham, Accuracy and Stability
@@ -208,7 +221,7 @@ class LeastSquares(Objective):
         alpha, beta = float(lam[-1]) + delta, float(lam[0]) - delta
         if beta > 0.0:
             # normal equations with one step of iterative refinement
-            xbar = np.linalg.solve(G, A.T @ self.b)
+            xbar = np.linalg.solve(G, self._aty)
             xbar += np.linalg.solve(G, A.T @ (self.b - A @ xbar))
             self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))
@@ -235,7 +248,7 @@ class LeastSquares(Objective):
     # term is a finite entry times 0
     def least_squares_form(self):
         return LeastSquaresForm(lambda block: self.A @ block, lambda idx: self.A[:, idx],
-                                lambda v: self.A.T @ v, self.b, 1.0)
+                                lambda v: self.A.T @ v, self.b, 1.0, self._gram, self._aty)
 
     # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
     def level_set_diameter(self) -> float | None:
@@ -365,17 +378,29 @@ class SpanFactor:
     the O(m k) projection.
 
     The factor also carries the residual r = y - Q Q^T y = y - S B z of the
-    span minimizer, updated by r -= (q^T y) q for each new column q in O(m).
-    So ``value`` gives E = c ||r||^2 and ``gradient`` gives the ambient
-    E' = -2c S^T r with one adjoint product and no product with S.  This is
-    the residual form of OMP that Batch-OMP updates (Rubinstein, Zibulevsky
-    & Elad 2008).
+    span minimizer, updated by r -= (q^T y) q for each new column q in O(m),
+    and its coefficients z, taken once per ``extend``.  So ``value`` gives
+    E = c ||r||^2 and ``gradient`` gives the ambient E' = -2c S^T r with no
+    product with S.  Without a Gram in the form, S^T r is one adjoint
+    product.  With one, the factor keeps the (n, k) block S^T S B, grown by
+    ``extend_gram`` one column per atom (on the canonical basis a read of
+    G's column), and takes S^T r = S^T y - (S^T S B) z in O(n k) with no
+    product with S^T either: the update of Batch-OMP (Rubinstein, Zibulevsky
+    & Elad 2008), for k n floats beside the form's n^2.  Its round-off
+    scales with ||S^T y|| rather than with ||S^T r||: at most about
+    max(m, n) eps ||S^T y||, a relative max(m, n) eps of ||E'(0)|| =
+    2c ||S^T y||, which ``solvers.FORM_RTOL`` covers.  On
+    ``configs/least_squares.cfg`` and the benchmark's 1200 x 600 problem
+    (||S^T y|| of 4 to 16) that is under 1e-11, three orders below the
+    default ``stop_tol``; measured, it is a few eps ||S^T y||.  A factor
+    extended without its Gram columns (``extend`` alone) keeps the adjoint.
 
     A column whose residual after the last pass is at most ``DEPENDENT_TOL``
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
     gets coefficient 0 (the others still minimize over the whole span), leaves
     r alone and raises the "not unique" RuntimeWarning.  The storage for
-    ``capacity`` independent columns, at most m, is allocated once.
+    ``capacity`` independent columns, at most m, and with a Gram for
+    ``capacity`` Gram columns, is allocated once.
     """
 
     # a column in the span keeps a residual near eps * ||s|| after the second pass;
@@ -394,12 +419,26 @@ class SpanFactor:
         self._qty = np.empty(capacity)
         self._rows = np.zeros(m, dtype=bool)
         self._independent: list[int] = []
+        self._z = np.zeros(0)
         self.size = 0
+        # row i is S^T S b_i; the Gram route holds while every column has one
+        self._gram = None if form.gram is None else np.empty((int(capacity), form.gram.shape[0]))
+        self._grams = 0
 
     def extend(self, image: np.ndarray) -> None:
         """Append the columns of the (m, j) image S B of j new atoms B."""
         for s in image.T:
             self._append(s)
+        r = len(self._independent)
+        self._z = np.zeros(self.size)
+        self._z[self._independent] = self._rinv[:r, :r] @ self._qty[:r]
+        self._z.flags.writeable = False  # shared with the caller and read by gradient
+
+    def extend_gram(self, gram_image: np.ndarray) -> None:
+        """Append the (n, j) block S^T S B of the j atoms B whose image was appended last."""
+        j = gram_image.shape[1]
+        self._gram[self._grams:self._grams + j] = gram_image.T
+        self._grams += j
 
     def _append(self, s: Vector) -> None:
         r = len(self._independent)
@@ -431,11 +470,8 @@ class SpanFactor:
         self.size += 1
 
     def coefficients(self) -> Vector:
-        """Least-squares coefficients of the columns appended so far."""
-        r = len(self._independent)
-        z = np.zeros(self.size)
-        z[self._independent] = self._rinv[:r, :r] @ self._qty[:r]
-        return z
+        """Least-squares coefficients of the columns appended so far (the factor's own z)."""
+        return self._z
 
     def value(self) -> float:
         """E at the span minimizer, c ||r||^2."""
@@ -443,7 +479,11 @@ class SpanFactor:
 
     def gradient(self) -> Vector:
         """The ambient gradient E' = -2c S^T r at the span minimizer."""
-        return (-2.0 * float(self.form.scale)) * self.form.adjoint(self._r)
+        if self._gram is not None and self._grams == self.size:
+            st_r = self.form.adjoint_rhs - self._z @ self._gram[:self.size]
+        else:
+            st_r = self.form.adjoint(self._r)
+        return (-2.0 * float(self.form.scale)) * st_r
 
 
 def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vector:

@@ -15,13 +15,16 @@ against the objective at both ends of the run.  That thin QR is carried
 across the run with its residual r, so a step works in residual space: it
 factors only the image S b of the newly selected atom b, which the
 dictionary forms (a read of S's column on the canonical basis, S applied to
-the atom on others), and takes the selection vector D^T(-2c S^T r) with one
-adjoint product and E_k = c ||r||^2.  The exact step returns the factor's
-answer and never falls through to descent; a wrong form fails the check at
-the end of the run.  Without a factor, descent with Armijo backtracking,
-evaluating the restricted gradient once per iterate and preconditioned by the
-diagonal Hessian when available, runs from the start coefficients until
-the restricted gradient coefficients drop below ``inner_tol``.
+the atom on others), and takes E_k = c ||r||^2 and the selection vector
+D^T(-2c S^T r), with S^T r from one adjoint product or, when the form
+carries the Gram matrix G = S^T S, as S^T y - (S^T S B) z in O(n k) from
+the factor's Gram block (a read of G's column on the canonical basis).  The
+exact step returns the factor's answer and never falls through to descent;
+a wrong form, its G included, fails the check at the end of the run.
+Without a factor, descent with Armijo backtracking, evaluating the
+restricted gradient once per iterate and preconditioned by the diagonal
+Hessian when available, runs from the start coefficients until the
+restricted gradient coefficients drop below ``inner_tol``.
 ``inner_tol`` must stay well below ``stop_tol`` or selection could re-pick
 an already selected atom.
 """
@@ -135,16 +138,21 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     :class:`SpanFactor` of the objective's least-squares form carried
     across calls, holding the leading atoms of ``start`` already.  Only the
     atoms after them are appended, as the image under the form's S that
-    ``dictionary.image`` gives, and x is not formed: the
-    analysis comes from the factor's residual r, as D^T(-2c S^T r), and E(x)
-    as c ||r||^2.  Its answer is returned as it is, with no check against
-    ``cfg.inner_tol`` and no descent after it: its restricted gradient sits
-    at the factor's round-off, which grows with the scale of the problem,
-    and ``run_wcga`` checks the form against the objective instead.  Without
-    a factor, descent starts from the coefficients in ``start`` and returns
-    the first iterate whose restricted gradient coefficients are all at most
-    ``cfg.inner_tol`` in magnitude, within ``cfg.max_inner_iters`` iterates,
-    evaluating E there.
+    ``dictionary.image`` gives, and x is not formed: the analysis is
+    D^T(-2c S^T r) at the factor's residual r, and E(x) is c ||r||^2.  S^T r
+    is one adjoint product of r, O(m n), unless the form carries a Gram
+    matrix G = S^T S: then ``dictionary.gram_image`` also gives S^T S of the
+    new atoms (a read of G's columns on the canonical basis), which the
+    factor keeps as an (n, k) block, and S^T r = S^T y - (S^T S B) z costs
+    O(n k) with the coefficients z the step already solved for.  Its answer
+    is returned as it is, with no check against ``cfg.inner_tol`` and no
+    descent after it: its restricted gradient sits at the factor's
+    round-off, which grows with the scale of the problem, and ``run_wcga``
+    checks the form against the objective instead.  Without a factor,
+    descent starts from the coefficients in ``start`` and returns the first
+    iterate whose restricted gradient coefficients are all at most
+    ``cfg.inner_tol`` in magnitude, within ``cfg.max_inner_iters``
+    iterates, evaluating E there.
     """
     if not start:
         raise ValueError("start must be nonempty")
@@ -153,7 +161,11 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         if factor.size > len(idx):
             raise ValueError(f"start has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
-        z = objective.argmin_in_span(dictionary.image(factor.form, idx[factor.size:]), factor)
+        form, new = factor.form, idx[factor.size:]
+        image = dictionary.image(form, new)
+        z = objective.argmin_in_span(image, factor)
+        if form.gram is not None:
+            factor.extend_gram(dictionary.gram_image(form, new, image))
         return dict(zip(idx, z.tolist())), dictionary.analyze(factor.gradient()), factor.value()
     z = np.array([float(v) for v in start.values()])
     basis = dictionary.subset(idx)

@@ -71,6 +71,19 @@ def test_image_is_the_product_on_the_subset_bit_for_bit(basis, kind, indices):
     assert np.array_equal(image, form.apply(basis.subset(indices)))
 
 
+@pytest.mark.parametrize("indices", [[7], [9, 2, 11, 0, 5]])
+def test_gram_image_is_the_gram_on_the_subset(basis, indices):
+    # S^T S B: G's columns on the canonical basis, bit for bit as G on the
+    # unit block; S^T of the image elsewhere, to the rounding of either product
+    form = _forms(basis.size)["least_squares_tall"]
+    gram = basis.gram_image(form, indices, basis.image(form, indices))
+    ref = form.gram @ basis.subset(indices)
+    if isinstance(basis, gm.CanonicalBasis):
+        assert np.array_equal(gram, ref)
+    else:
+        assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(form.gram))
+
+
 def test_canonical_image_reads_every_column_of_a_large_matrix_exactly():
     # A @ e_j is A[:, j] exactly: every other term is a finite entry times 0
     rng = np.random.default_rng(1)

@@ -503,8 +503,8 @@ def _identity_form(y):
 
 
 def _lstsq(E, basis):
-    S, _, _, y, _ = E.least_squares_form()
-    return np.linalg.lstsq(S(basis), y, rcond=None)[0]
+    form = E.least_squares_form()
+    return np.linalg.lstsq(form.apply(basis), form.rhs, rcond=None)[0]
 
 
 @pytest.mark.parametrize("kind", LSQ_FORMS)
@@ -512,7 +512,8 @@ def test_least_squares_form_matches_objective(kind):
     # E(x) = c ||S x - y||^2 with the form's own c, not just up to a factor,
     # and S^T is the adjoint of S: the factor reads E and E' off them
     E = stack_library(8, seed=4)[kind]
-    S, _, St, y, c = E.least_squares_form()
+    form = E.least_squares_form()
+    S, St, y, c = form.apply, form.adjoint, form.rhs, form.scale
     rng = np.random.default_rng(5)
     for x in rng.standard_normal((4, 8)):
         r = S(x[:, None])[:, 0] - y
@@ -534,7 +535,17 @@ def test_every_shipped_form_is_one_record(kind):
     lib = stack_library(8, seed=4)
     A = np.random.default_rng(7).standard_normal((5, 8))
     E = gm.LeastSquares(A, A[:, 0]) if kind == "least_squares_wide" else lib[kind]
-    assert isinstance(E.least_squares_form(), LeastSquaresForm)
+    form = E.least_squares_form()
+    assert isinstance(form, LeastSquaresForm)
+    # only a tall A carries a Gram: the G = A^T A and A^T b it forms in
+    # __init__, the same arrays on every call rather than a copy
+    if kind == "least_squares":
+        assert np.array_equal(form.gram, E.A.T @ E.A)
+        assert np.array_equal(form.adjoint_rhs, E.A.T @ E.b)
+        again = E.least_squares_form()
+        assert again.gram is form.gram and again.adjoint_rhs is form.adjoint_rhs
+    else:
+        assert form.gram is None and form.adjoint_rhs is None
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
@@ -609,6 +620,16 @@ def test_factor_value_and_gradient_match_the_objective(kind, basis_kind):
         assert factor.value() == pytest.approx(E.value(x), rel=1e-10)
         g = E.gradient(x)
         assert gm.norm(factor.gradient() - g) <= 1e-12 * gm.norm(E.gradient(np.zeros(8)))
+
+
+@pytest.mark.parametrize("kind", LSQ_FORMS)
+def test_factor_shares_its_coefficients(kind):
+    # z is solved once per extend: argmin_in_span hands out the factor's own
+    # array, which the Gram route reads too, so it is read-only
+    E = stack_library(8, seed=10)[kind]
+    factor = _fresh_factor(E, 3)
+    z = E.argmin_in_span(_image(E, _bases(8, 3)["rotated"]), factor)
+    assert z is factor.coefficients() and not z.flags.writeable
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "powersum2"])

@@ -543,7 +543,8 @@ def _counted_run(kind, algorithm, D):
 
 def _assert_errors_match_fresh_lstsq(base, D, tr):
     """Each e_k is E at a fresh lstsq solve over the first k selected atoms."""
-    S, _, _, y, _ = base.least_squares_form()
+    form = base.least_squares_form()
+    S, y = form.apply, form.rhs
     e_min = base.value(base.known_minimizer)
     for k in range(1, len(tr)):
         basis = D.subset(tr.support[:k])
@@ -867,3 +868,109 @@ def test_carried_residual_stays_the_span_residual(kind, basis_kind, monkeypatch)
     tr = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=n))
     assert tr.final.k == n and len(deviations) == n
     assert max(deviations) <= 1e-13
+
+
+# -- the selection vector off the Gram matrix ---------------------------------
+
+
+class AdjointCounted(gm.LeastSquares):
+    """A least squares counting the vectors its form's S^T is applied to.
+
+    With ``gram=False`` its form drops G and S^T y, so its runs take the
+    residual adjoint route.
+    """
+
+    def __init__(self, matrix, rhs, gram=True):
+        super().__init__(matrix, rhs)
+        self.gram = gram
+        self.adjoint_calls = 0
+
+    def least_squares_form(self):
+        form = super().least_squares_form()
+
+        def counted(v):
+            self.adjoint_calls += 1
+            return form.adjoint(v)
+
+        counted_form = form._replace(adjoint=counted)
+        return counted_form if self.gram else counted_form._replace(gram=None, adjoint_rhs=None)
+
+
+def _tall_problem(noise: float):
+    """A seeded 60 x 40 A with a 6-sparse x_bar and b = A x_bar + noise * a Gaussian."""
+    rng = np.random.default_rng(23)
+    m, n = 60, 40
+    A = rng.standard_normal((m, n)) / np.sqrt(m)
+    xbar = np.zeros(n)
+    xbar[rng.choice(n, size=6, replace=False)] = rng.uniform(1.0, 2.0, 6)
+    return A, A @ xbar + noise * rng.standard_normal(m)
+
+
+GRAM_VARIANTS = [
+    gm.SolverConfig(algorithm="omp", max_steps=25),
+    gm.SolverConfig(algorithm="wcga", max_steps=25, weakness=gm.WeaknessSchedule.constant(0.5),
+                    selection_strategy="first_admissible"),
+    gm.SolverConfig(algorithm="wcga", max_steps=25, weakness=gm.WeaknessSchedule.constant(0.7),
+                    selection_strategy="random_admissible", seed=3),
+]
+
+
+@pytest.mark.parametrize("cfg", GRAM_VARIANTS, ids=["omp", "wcga_first", "wcga_random"])
+@pytest.mark.parametrize("noise", [0.0, 0.1], ids=["planted", "noisy"])
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, monkeypatch):
+    # at every step the selection vector read off the Gram block agrees with
+    # D^T(-2c A^T r) from the carried residual, and the run selects what the
+    # residual route selects, with the same E_k; on noisy data r stays far
+    # from round-off, so the agreement is not that of two small vectors
+    gaps = []
+
+    class Compared(SpanFactor):
+        def gradient(self):
+            g = super().gradient()
+            ref = (-2.0 * self.form.scale) * (A.T @ self._r)
+            gaps.append(gm.norm(D.analyze(g) - D.analyze(ref)))
+            return g
+
+    monkeypatch.setattr(solvers, "SpanFactor", Compared)
+    A, b = _tall_problem(noise)
+    n = A.shape[1]
+    D = gm.CanonicalBasis(n) if basis_kind == "canonical" else gm.RotatedBasis(n, seed=5)
+    E, residual = AdjointCounted(A, b), AdjointCounted(A, b, gram=False)
+    g0 = D.analyze(E.gradient(np.zeros(n)))
+    tr = gm.run_wcga(E, D, cfg)
+    assert len(gaps) == len(tr) and max(gaps) <= 1e-12 * gm.norm(g0)
+    ref = gm.run_wcga(residual, D, cfg)
+    assert len(tr) > 6 and tr.support == ref.support
+    assert [s.value for s in tr] == [s.value for s in ref]
+    if noise:
+        assert tr.final.value > 1e-4 * tr[0].value
+    # S^T never meets r on the Gram route: the canonical basis reads G's
+    # columns, a rotated one applies S^T to each new image once
+    assert E.adjoint_calls == (0 if basis_kind == "canonical" else len(tr) - 1)
+    assert residual.adjoint_calls == len(ref)
+
+
+class SkewedGram(gm.LeastSquares):
+    """A tall least squares whose form's G is off by a rank-one u v^T.
+
+    S, S^T and S^T y are right, so the form passes the check at 0 and every
+    exact solve is right, but the selection vectors read off G are not.
+    """
+
+    def least_squares_form(self):
+        form = super().least_squares_form()
+        u, v = np.random.default_rng(6).standard_normal((2, self.dimension))
+        return form._replace(gram=form.gram + 1e-3 * np.outer(u, v))
+
+
+def test_greedy_refuses_a_wrong_gram_at_the_end(monkeypatch):
+    # the end-of-run check compares the Gram route's last selection vector
+    # with the objective's gradient at the synthesized x
+    A, b = _tall_problem(0.0)
+    E = SkewedGram(A, b)
+    exact = _record_exact_solves(monkeypatch)
+    with pytest.raises(ValueError, match="^SkewedGram: least-squares form disagrees with "
+                                         "the objective at step 4: "):
+        gm.run_wcga(E, gm.CanonicalBasis(40), gm.SolverConfig(algorithm="omp", max_steps=4))
+    assert exact == [True] * 4
