@@ -285,7 +285,7 @@ def rate_constants(objective: Objective, support_size: int,
     alpha, q, beta, p = params.alpha, params.q, params.beta, params.p
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    minimizer, diam = objective.known_minimizer, objective.level_set_diameter()
+    minimizer, diam = objective.known_minimizer, objective.level_set_diameter
     if minimizer is None:
         raise ValueError("objective has no known minimizer")
     if diam is None:

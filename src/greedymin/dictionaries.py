@@ -43,14 +43,13 @@ class Dictionary(ABC):
         """The (m x k) block S B of a least-squares form's S on ``subset(indices)``."""
         return form.apply(self.subset(indices))
 
-    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int],
-                   image: np.ndarray) -> np.ndarray:
-        """The (n x k) block S^T S B of a form with a Gram on ``subset(indices)``.
+    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray | None:
+        """The (n x k) block S^T S B on ``subset(indices)`` where it is read, not computed.
 
-        Given ``image``, S B from :meth:`image`, this is S^T applied to its
-        columns: no second subset.
+        None here: off the canonical basis the block costs a product with S^T
+        per atom, as much as the S^T r it would save.
         """
-        return np.stack([form.adjoint(s) for s in image.T], axis=1)
+        return None
 
 
 class CanonicalBasis(Dictionary):
@@ -81,10 +80,9 @@ class CanonicalBasis(Dictionary):
         """S's own columns at ``indices``, read without applying S to a unit block."""
         return form.columns(indices)
 
-    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int],
-                   image: np.ndarray) -> np.ndarray:
-        """G's own columns at ``indices``, read as :meth:`image` reads S's."""
-        return form.gram[:, indices]
+    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray | None:
+        """G's own columns at ``indices``, read as :meth:`image` reads S's; None without G."""
+        return None if form.gram is None else form.gram[:, indices]
 
 
 class RotatedBasis(Dictionary):

@@ -92,7 +92,7 @@ def build_objective(cfg: ExperimentConfig, dictionary: Dictionary) -> Objective:
 
 def _effective_radius(objective: Objective) -> float | None:
     """Ball radius (around the origin) certified to contain the level set."""
-    diam = objective.level_set_diameter()
+    diam = objective.level_set_diameter
     return None if diam is None else 1.1 * (norm(objective.known_minimizer) + diam / 2.0)
 
 
@@ -108,7 +108,7 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
     bounding-ball radius, which also covers every level-set pair, and are
     relaxed by ``ALPHA_SAFETY`` and ``BETA_SAFETY``.
     """
-    if objective.level_set_diameter() is None:
+    if objective.level_set_diameter is None:
         return None, "level set not known to be bounded"
     xbar = objective.known_minimizer
     if xbar is None:
@@ -135,7 +135,7 @@ def derive_constants(cfg: ExperimentConfig, objective: Objective,
         if not beta > 0:
             return None, "estimated convexity constant is not positive"
         params = CurvatureParams(alpha, q, beta, p, pair_radius,
-                                 objective.gradient_sup_bound())
+                                 objective.gradient_sup_bound)
     return rate_constants(objective, support.size, params), None
 
 

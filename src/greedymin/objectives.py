@@ -1,13 +1,14 @@
 """Convex objectives with known curvature parameters and sparse minimizers.
 
-Each objective exposes ``value``/``gradient`` plus optional capability hooks
-the solver and the experiment harness exploit when available: a diagonal
-Hessian, a least-squares form that gives exact minimizers over a span, and
-closed-form geometry of the level set {x : E(x) <= E(0)}.  ``value`` and
-``gradient`` also take a stack of points, one per row, and give each row
-exactly the bits of a call on that row alone, so the Monte Carlo estimators
-batch their points: ``estimate_moduli`` a sample's distinct stencil rows per
-call, ``estimate_condition_constants`` the gaps of ``GAP_CHUNK`` draws.
+Each objective exposes ``value``/``gradient``, the closed-form geometry of
+the level set {x : E(x) <= E(0)} as attributes set at construction, and
+optional capability hooks the solver exploits when available: a diagonal
+Hessian and a least-squares form that gives exact minimizers over a span.
+``value`` and ``gradient`` also take a stack of points, one per row, and
+give each row exactly the bits of a call on that row alone, so the Monte
+Carlo estimators batch their points: ``estimate_moduli`` a sample's distinct
+stencil rows per call, ``estimate_condition_constants`` the gaps of
+``GAP_CHUNK`` draws.
 """
 from __future__ import annotations
 
@@ -34,10 +35,11 @@ class LeastSquaresForm(NamedTuple):
     one record an objective hands the solver.
 
     ``gram`` is the (n, n) Gram matrix G = S^T S and ``adjoint_rhs`` the
-    (n,) vector S^T y, both or neither (the default).  A form that carries
-    them has its selection vector read off G in O(n k) per step instead of
-    from S^T r, at the cost of keeping n^2 floats; only a tall
-    :class:`LeastSquares` does, whose G is formed for its curvature anyway.
+    (n,) vector S^T y, both or neither (the default).  On the canonical
+    basis, which reads G's columns, a form that carries them has its
+    selection vector read off G in O(n k) per step instead of from S^T r, at
+    the cost of keeping n^2 floats; only a tall :class:`LeastSquares` does,
+    whose G is formed for its curvature anyway.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -60,9 +62,13 @@ class Objective(ABC):
     honour the stack shape: the first stacks x and a sample's distinct
     stencil rows, the second up to ``GAP_CHUNK`` draws, in one call.
 
-    ``exponent`` is the power type p of its uniform convexity, and
-    ``curvature`` the closed-form (alpha, beta) on {E <= E(0)} for q = 2 and
-    that p, or None when those constants must be sampled.
+    ``exponent`` is the power type p of its uniform convexity.  What E
+    knows without being given a point is set once, in ``__init__``, each
+    None when unknown: ``known_minimizer``; ``level_set_diameter``, of a
+    ball around it containing {E <= E(0)}; ``gradient_sup_bound``, on ||E'||
+    over that set; and ``known_params``, the :class:`CurvatureParams` of a
+    closed-form (alpha, beta) for q = 2 and that p on that diameter, None
+    when those constants must be sampled or the level set is a point.
 
     ``least_squares_form`` returns a :class:`LeastSquaresForm`, or None
     when E has no such form.  ``run_wcga`` builds a :class:`SpanFactor` on
@@ -71,28 +77,25 @@ class Objective(ABC):
     form; a subclass provides the form, not the solve.
     """
 
-    curvature: tuple[float, float] | None = None
     exponent = 2.0
     known_minimizer: Vector | None = None
+    level_set_diameter: float | None = None
+    gradient_sup_bound: float | None = None
+    known_params: CurvatureParams | None = None
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self._dimension = int(dimension)
+        self.dimension = int(dimension)
 
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def known_params(self) -> CurvatureParams | None:
-        """``curvature`` with the level-set geometry; None without it or on a point."""
-        diam = self.level_set_diameter()
-        if self.curvature is None or not diam:
-            return None
-        alpha, beta = self.curvature
-        return CurvatureParams(alpha, 2.0, beta, self.exponent, diam,
-                               self.gradient_sup_bound())
+    def _set_geometry(self, diameter: float, grad_bound: float,
+                      curvature: tuple[float, float] | None = None) -> None:
+        """Set the level-set geometry, and ``known_params`` from a closed-form
+        (alpha, beta) unless the level set is a point."""
+        self.level_set_diameter, self.gradient_sup_bound = diameter, grad_bound
+        if curvature is not None and diameter:
+            (alpha, beta), p = curvature, self.exponent
+            self.known_params = CurvatureParams(alpha, 2.0, beta, p, diameter, grad_bound)
 
     @abstractmethod
     def value(self, x: Vector) -> float | Vector:
@@ -124,14 +127,6 @@ class Objective(ABC):
         factor.extend(image)
         return factor.coefficients()
 
-    def level_set_diameter(self) -> float | None:
-        """Diameter of a ball around ``known_minimizer`` containing {E <= E(0)}, else None."""
-        return None
-
-    def gradient_sup_bound(self) -> float | None:
-        """Upper bound on ||E'(x)|| over {E <= E(0)}, else None."""
-        return None
-
 
 class DiagonalQuadratic(Objective):
     """E(x) = 1/2 * sum_i w_i (x_i - c_i)^2 with positive weights.
@@ -150,8 +145,10 @@ class DiagonalQuadratic(Objective):
         self.center = center
         self.weights = weights
         self.known_minimizer = center.copy()
-        self._e0 = self.value(np.zeros(self.dimension))
-        self.curvature = (float(weights.max()) / 2.0, float(weights.min()) / 2.0)
+        e0 = self.value(np.zeros(self.dimension))
+        self._set_geometry(2.0 * np.sqrt(2.0 * e0 / weights.min()),
+                           float(np.sqrt(2.0 * e0 * weights.max())),
+                           (float(weights.max()) / 2.0, float(weights.min()) / 2.0))
 
     def value(self, x: Vector) -> float | Vector:
         d = as_points(x, self.dimension) - self.center
@@ -160,17 +157,8 @@ class DiagonalQuadratic(Objective):
     def gradient(self, x: Vector) -> Vector:
         return self.weights * (as_points(x, self.dimension) - self.center)
 
-    def hessian_diag(self, x: Vector) -> Vector:
-        return self.weights
-
     def least_squares_form(self):
         return _weighted_form(self.weights, self.center, 0.5)
-
-    def level_set_diameter(self) -> float:
-        return 2.0 * np.sqrt(2.0 * self._e0 / self.weights.min())
-
-    def gradient_sup_bound(self) -> float:
-        return float(np.sqrt(2.0 * self._e0 * self.weights.max()))
 
 
 class LeastSquares(Objective):
@@ -178,16 +166,18 @@ class LeastSquares(Objective):
 
     The curvature constants are the extreme eigenvalues of A^T A, the squared
     extreme singular values of A.  They are computed from the rounded Gram
-    matrix, so ``curvature`` holds a certified bracket: alpha at or above
+    matrix, so ``known_params`` holds a certified bracket: alpha at or above
     sigma_max^2 and beta at or below sigma_min^2, each moved outward by the
     rounding bound of forming A^T A and of its eigensolver.  A positive beta
     certifies full column rank, so the minimizer is unique; only then are
-    ``curvature`` and ``known_minimizer`` set.  A wide A, or one whose beta
-    is not positive, is not known to be strictly convex and carries neither.
+    ``known_minimizer``, the level-set geometry and ``known_params`` set.  A
+    wide A, or one whose beta is not positive, is not known to be strictly
+    convex and carries none of them.
 
     A tall A keeps that G = A^T A, n^2 floats, and A^T b for its
-    least-squares form, so exact steps read their selection vectors off G
-    (see :class:`SpanFactor`); a wide A forms no G and its form carries none.
+    least-squares form, so exact steps on the canonical basis read their
+    selection vectors off G (see :class:`SpanFactor`); a wide A forms no G
+    and its form carries none.
     """
 
     def __init__(self, matrix, rhs):
@@ -203,7 +193,7 @@ class LeastSquares(Objective):
         super().__init__(n)
         self.A = A
         self.b = as_point(b, m)
-        self._rho = self._gram = self._aty = None
+        self._gram = self._aty = None
         if m < n:
             return  # rank deficient by its shape; no eigenvalue is read
         G = A.T @ A
@@ -225,8 +215,9 @@ class LeastSquares(Objective):
             xbar += np.linalg.solve(G, A.T @ (self.b - A @ xbar))
             self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))
-            self._rho = float(np.sqrt(max(e0 - self.value(xbar), 0.0)))
-            self.curvature = (alpha, beta)
+            rho = float(np.sqrt(max(e0 - self.value(xbar), 0.0)))
+            # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
+            self._set_geometry(2.0 * rho / beta ** 0.5, 2.0 * alpha ** 0.5 * rho, (alpha, beta))
 
     @classmethod
     def from_files(cls, matrix_file, rhs_file) -> "LeastSquares":
@@ -250,17 +241,6 @@ class LeastSquares(Objective):
         return LeastSquaresForm(lambda block: self.A @ block, lambda idx: self.A[:, idx],
                                 lambda v: self.A.T @ v, self.b, 1.0, self._gram, self._aty)
 
-    # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
-    def level_set_diameter(self) -> float | None:
-        if self._rho is None:
-            return None
-        return 2.0 * self._rho / self.curvature[1] ** 0.5
-
-    def gradient_sup_bound(self) -> float | None:
-        if self._rho is None:
-            return None
-        return 2.0 * self.curvature[0] ** 0.5 * self._rho
-
 
 class PowerSum(Objective):
     """E(x) = sum_i w_i |x_i - c_i|^p with p >= 2.
@@ -283,9 +263,13 @@ class PowerSum(Objective):
         self.exponent = float(exponent)
         self.weights = weights
         self.known_minimizer = center.copy()
-        self._e0 = self.value(np.zeros(self.dimension))
-        if self.exponent == 2.0:
-            self.curvature = (float(weights.max()), float(weights.min()))
+        e0 = self.value(np.zeros(self.dimension))
+        n, p = self.dimension, self.exponent
+        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
+        per_coord = p * weights ** (1.0 / p) * e0 ** ((p - 1.0) / p)
+        self._set_geometry(2.0 * n ** (0.5 - 1.0 / p) * (e0 / weights.min()) ** (1.0 / p),
+                           float(np.linalg.norm(per_coord)),
+                           (float(weights.max()), float(weights.min())) if p == 2.0 else None)
 
     # in place on the fresh d = x - c, with the operands of the out-of-place
     # formulas: the same bits, as ``**=`` dispatches as ``**`` (square for 2.0)
@@ -316,16 +300,6 @@ class PowerSum(Objective):
         if self.exponent != 2.0:
             return None
         return _weighted_form(self.weights, self.center, 1.0)
-
-    def level_set_diameter(self) -> float:
-        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
-        n, p = self.dimension, self.exponent
-        return 2.0 * n ** (0.5 - 1.0 / p) * (self._e0 / self.weights.min()) ** (1.0 / p)
-
-    def gradient_sup_bound(self) -> float:
-        p = self.exponent
-        per_coord = p * self.weights ** (1.0 / p) * self._e0 ** ((p - 1.0) / p)
-        return float(np.linalg.norm(per_coord))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +357,9 @@ class SpanFactor:
     E = c ||r||^2 and ``gradient`` gives the ambient E' = -2c S^T r with no
     product with S.  Without a Gram in the form, S^T r is one adjoint
     product.  With one, the factor keeps the (n, k) block S^T S B, grown by
-    ``extend_gram`` one column per atom (on the canonical basis a read of
-    G's column), and takes S^T r = S^T y - (S^T S B) z in O(n k) with no
-    product with S^T either: the update of Batch-OMP (Rubinstein, Zibulevsky
+    ``extend_gram`` one column per atom where the dictionary reads it (G's
+    column on the canonical basis), and takes S^T r = S^T y - (S^T S B) z in
+    O(n k) with no product with S^T either: the update of Batch-OMP (Rubinstein, Zibulevsky
     & Elad 2008), for k n floats beside the form's n^2.  Its round-off
     scales with ||S^T y|| rather than with ||S^T r||: at most about
     max(m, n) eps ||S^T y||, a relative max(m, n) eps of ||E'(0)|| =
@@ -393,7 +367,8 @@ class SpanFactor:
     ``configs/least_squares.cfg`` and the benchmark's 1200 x 600 problem
     (||S^T y|| of 4 to 16) that is under 1e-11, three orders below the
     default ``stop_tol``; measured, it is a few eps ||S^T y||.  A factor
-    extended without its Gram columns (``extend`` alone) keeps the adjoint.
+    extended without its Gram columns (``extend`` alone, as on a rotated
+    basis) keeps the adjoint.
 
     A column whose residual after the last pass is at most ``DEPENDENT_TOL``
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
@@ -498,7 +473,8 @@ def bregman_gap(objective: Objective, x: Vector, x_prime: Vector) -> float | Vec
 
 
 def uniform_ball(rng: np.random.Generator, dimension: int, radius: float) -> Vector:
-    """A uniform point of a centered ball; the estimators make its draws in place."""
+    """A uniform point of a centered ball; the estimators make its draws in
+    place, and it is kept as their tests' oracle, which replays those draws."""
     d = rng.standard_normal(dimension)
     d /= np.linalg.norm(d)
     return radius * rng.uniform() ** (1.0 / dimension) * d

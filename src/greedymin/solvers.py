@@ -17,10 +17,11 @@ factors only the image S b of the newly selected atom b, which the
 dictionary forms (a read of S's column on the canonical basis, S applied to
 the atom on others), and takes E_k = c ||r||^2 and the selection vector
 D^T(-2c S^T r), with S^T r from one adjoint product or, when the form
-carries the Gram matrix G = S^T S, as S^T y - (S^T S B) z in O(n k) from
-the factor's Gram block (a read of G's column on the canonical basis).  The
-exact step returns the factor's answer and never falls through to descent;
-a wrong form, its G included, fails the check at the end of the run.
+carries the Gram matrix G = S^T S and the dictionary reads its columns (the
+canonical basis), as S^T y - (S^T S B) z in O(n k) from the factor's Gram
+block.  The exact step returns the factor's answer and never falls through
+to descent; a wrong form, its G included, fails the check at the end of the
+run.
 Without a factor, descent with Armijo backtracking, evaluating the
 restricted gradient once per iterate and preconditioned by the diagonal
 Hessian when available, runs from the start coefficients until the
@@ -140,11 +141,11 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     atoms after them are appended, as the image under the form's S that
     ``dictionary.image`` gives, and x is not formed: the analysis is
     D^T(-2c S^T r) at the factor's residual r, and E(x) is c ||r||^2.  S^T r
-    is one adjoint product of r, O(m n), unless the form carries a Gram
-    matrix G = S^T S: then ``dictionary.gram_image`` also gives S^T S of the
-    new atoms (a read of G's columns on the canonical basis), which the
-    factor keeps as an (n, k) block, and S^T r = S^T y - (S^T S B) z costs
-    O(n k) with the coefficients z the step already solved for.  Its answer
+    is one adjoint product of r, O(m n), unless ``dictionary.gram_image``
+    gives S^T S of the new atoms, a read of the columns of the form's Gram
+    matrix G = S^T S on the canonical basis: then the factor keeps them as
+    an (n, k) block, and S^T r = S^T y - (S^T S B) z costs O(n k) with the
+    coefficients z the step already solved for.  Its answer
     is returned as it is, with no check against ``cfg.inner_tol`` and no
     descent after it: its restricted gradient sits at the factor's
     round-off, which grows with the scale of the problem, and ``run_wcga``
@@ -162,10 +163,10 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
             raise ValueError(f"start has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
         form, new = factor.form, idx[factor.size:]
-        image = dictionary.image(form, new)
-        z = objective.argmin_in_span(image, factor)
-        if form.gram is not None:
-            factor.extend_gram(dictionary.gram_image(form, new, image))
+        z = objective.argmin_in_span(dictionary.image(form, new), factor)
+        gram_image = dictionary.gram_image(form, new)
+        if gram_image is not None:
+            factor.extend_gram(gram_image)
         return dict(zip(idx, z.tolist())), dictionary.analyze(factor.gradient()), factor.value()
     z = np.array([float(v) for v in start.values()])
     basis = dictionary.subset(idx)

@@ -40,6 +40,7 @@ class ConcaveObjective(Objective):
     def __init__(self, dimension):
         super().__init__(dimension)
         self.known_minimizer = np.ones(dimension)
+        self.level_set_diameter = 1.0
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -47,9 +48,6 @@ class ConcaveObjective(Objective):
 
     def gradient(self, x):
         return -2.0 * np.asarray(x, dtype=np.float64)
-
-    def level_set_diameter(self):
-        return 1.0
 
 
 HALVING_GRID = [1.0 / 2 ** i for i in reversed(range(6))]
@@ -254,7 +252,7 @@ def test_decrement_gain_examples():
 
 
 def test_rate_constants_quadratic_example(unit_quadratic4):
-    radius = unit_quadratic4.level_set_diameter()
+    radius = unit_quadratic4.level_set_diameter
     params = gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, radius, 1.0)   # gain ratio 0.32 < 2
     rc = rate_constants(unit_quadratic4, 2, params)
     assert rc.is_exponential and rc.diameter_ratio == 1.0
@@ -268,7 +266,7 @@ def test_rate_constants_quadratic_example(unit_quadratic4):
 
 def test_rate_constants_degrade_beta_beyond_the_record_radius(unit_quadratic4):
     # pairs up to L = diameter / radius radii apart: beta * L^(1-p)
-    diam = unit_quadratic4.level_set_diameter()
+    diam = unit_quadratic4.level_set_diameter
     rc = rate_constants(unit_quadratic4, 2, gm.CurvatureParams(0.5, 2.0, 0.5, 2.0, 2.0, 1.0))
     assert np.isclose(diam, 6.32, atol=0.01)
     assert rc.diameter_ratio == diam / 2.0
@@ -294,7 +292,7 @@ def test_rate_constants_polynomial_fixture():
 
 def test_rate_constants_vacuous():
     E = gm.DiagonalQuadratic([2.0], [1.0])
-    radius = E.level_set_diameter()
+    radius = E.level_set_diameter
     # beta > alpha overstates the convexity: gain = 2 * scale
     with pytest.raises(ValueError, match=r"bound vacuous: .* not in \[0, 1\)"):
         rate_constants(E, 1, gm.CurvatureParams(0.5, 2, 1.0, 2, radius, 1))
@@ -314,7 +312,7 @@ def test_rate_constants_validation():
     A, xbar = rng.standard_normal((3, 6)), np.array([1.0, 0, 0, -2.0, 0, 0])
     wide = gm.LeastSquares(A, A @ xbar)
     wide.known_minimizer = xbar
-    assert wide.level_set_diameter() is None
+    assert wide.level_set_diameter is None
     with pytest.raises(ValueError, match="no closed-form level-set diameter"):
         rate_constants(wide, 1, params)
     with pytest.raises(ValueError, match="no known minimizer"):

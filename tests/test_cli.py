@@ -209,7 +209,7 @@ def test_run_ill_conditioned_file_matrix_skips_constants(tmp_path):
     rng = np.random.default_rng(4)
     A = conditioned_matrix(rng, 20, 8, 1e9)
     cfg = _file_least_squares_cfg(tmp_path, A, A @ rng.standard_normal(8))
-    assert LeastSquares.from_files(tmp_path / "A.csv", tmp_path / "b.csv").curvature is None
+    assert LeastSquares.from_files(tmp_path / "A.csv", tmp_path / "b.csv").known_params is None
     assert main(["--quiet", "run", str(cfg)]) == 0
     report = (tmp_path / "out" / "lsfile.report.txt").read_text()
     assert "constants: skipped (level set not known to be bounded)" in report

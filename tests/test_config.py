@@ -314,5 +314,5 @@ def test_derive_constants_needs_bounded_level_set(overrides):
     cfg = config_from_mapping(data)
     D = gm.build_dictionary(cfg)
     E = gm.build_objective(cfg, D)
-    assert E.known_minimizer is not None and E.level_set_diameter() is None
+    assert E.known_minimizer is not None and E.level_set_diameter is None
     assert gm.derive_constants(cfg, E, D) == (None, "level set not known to be bounded")

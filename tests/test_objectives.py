@@ -120,6 +120,75 @@ def test_quadratic_known_params():
     assert gm.DiagonalQuadratic([0.0, 0.0], [1.0, 1.0]).known_params is None
 
 
+GEOMETRY_KINDS = ["quadratic_planted", "quadratic_origin", "least_squares_tall",
+                  "least_squares_wide", "least_squares_kappa1e9", "powersum2", "powersum4"]
+
+
+def _geometry_case(kind: str) -> gm.Objective:
+    rng = np.random.default_rng(31)
+    c, w = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
+    if kind.startswith("quadratic"):
+        return gm.DiagonalQuadratic(c if kind == "quadratic_planted" else np.zeros(6), w)
+    if kind.startswith("powersum"):
+        return gm.PowerSum(c, float(kind[-1]), w)
+    if kind == "least_squares_kappa1e9":
+        A = conditioned_matrix(np.random.default_rng(4), 20, 8, 1e9)
+    else:
+        A = rng.standard_normal((10, 6) if kind == "least_squares_tall" else (4, 6))
+    m, n = A.shape
+    return gm.LeastSquares(A, A @ rng.standard_normal(n) + rng.standard_normal(m))
+
+
+def _closed_form_geometry(E):
+    """(diameter, gradient bound, (alpha, beta) or None), each formula restated."""
+    zero = np.zeros(E.dimension)
+    if isinstance(E, gm.DiagonalQuadratic):
+        e0, w = E.value(zero), E.weights
+        return (2.0 * np.sqrt(2.0 * e0 / w.min()), float(np.sqrt(2.0 * e0 * w.max())),
+                (float(w.max()) / 2.0, float(w.min()) / 2.0))
+    if isinstance(E, gm.PowerSum):
+        e0, w, n, p = E.value(zero), E.weights, E.dimension, E.exponent
+        return (2.0 * n ** (0.5 - 1.0 / p) * (e0 / w.min()) ** (1.0 / p),
+                float(np.linalg.norm(p * w ** (1.0 / p) * e0 ** ((p - 1.0) / p))),
+                (float(w.max()), float(w.min())) if p == 2.0 else None)
+    m, n = E.A.shape
+    if m < n:
+        return None, None, None
+    G = E.A.T @ E.A
+    lam = np.linalg.eigvalsh(G)
+    eps = float(np.finfo(np.float64).eps)
+    u = eps / 2.0
+    delta = m * u / (1.0 - m * u) * float(np.trace(G)) + n * eps * float(lam[-1])
+    alpha, beta = float(lam[-1]) + delta, float(lam[0]) - delta
+    if not beta > 0.0:
+        return None, None, None
+    rho = float(np.sqrt(max(E.value(zero) - E.value(E.known_minimizer), 0.0)))
+    return 2.0 * rho / beta ** 0.5, 2.0 * alpha ** 0.5 * rho, (alpha, beta)
+
+
+def _bits(v):
+    return None if v is None else np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("kind", GEOMETRY_KINDS)
+def test_closed_form_geometry_is_set_once(kind):
+    # every value is the closed form's, bit for bit, read as a plain attribute;
+    # known_params is None without a closed-form (alpha, beta) or on a point
+    E = _geometry_case(kind)
+    diameter, grad_bound, curvature = _closed_form_geometry(E)
+    assert _bits(E.level_set_diameter) == _bits(diameter)
+    assert _bits(E.gradient_sup_bound) == _bits(grad_bound)
+    unbounded = kind in ("least_squares_wide", "least_squares_kappa1e9")
+    assert (E.level_set_diameter is None) == (E.gradient_sup_bound is None) == unbounded
+    assert (E.known_minimizer is None) == unbounded
+    assert (E.known_params is None) == (kind in ("quadratic_origin", "powersum4") or unbounded)
+    if E.known_params is not None:
+        alpha, beta = curvature
+        assert E.known_params == gm.CurvatureParams(alpha, 2.0, beta, E.exponent, diameter,
+                                                    grad_bound)
+    assert E.known_params is E.known_params
+
+
 def test_powersum_p2_known_params_are_the_extreme_weights():
     # at p = 2 the gap is sum_i w_i d_i^2, so alpha = max w and beta = min w exactly
     rng = np.random.default_rng(10)
@@ -130,7 +199,7 @@ def test_powersum_p2_known_params_are_the_extreme_weights():
     assert params.q == params.p == 2.0
     # the sampler's axis draws reach both, up to the round-off of the sums in each gap
     alpha_hat, beta_hat = estimate_condition_constants(
-        E, 2.0, 2.0, E.level_set_diameter(), 400, seed=0)
+        E, 2.0, 2.0, E.level_set_diameter, 400, seed=0)
     assert alpha_hat <= params.alpha * (1 + 1e-9) and beta_hat >= params.beta * (1 - 1e-9)
     assert alpha_hat >= 0.99 * params.alpha and beta_hat <= 1.01 * params.beta
 
@@ -167,9 +236,9 @@ def test_wide_least_squares_takes_no_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(name))
     rng = np.random.default_rng(10)
     wide = gm.LeastSquares(rng.standard_normal((3, 6)), rng.standard_normal(3))
-    assert calls == [] and wide.level_set_diameter() is None
+    assert calls == [] and wide.level_set_diameter is None
     tall = gm.LeastSquares(rng.standard_normal((6, 3)), rng.standard_normal(6))
-    assert calls == [("eigvalsh", (3, 3))] and tall.curvature is not None
+    assert calls == [("eigvalsh", (3, 3))] and tall.known_params is not None
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6])
@@ -179,7 +248,7 @@ def test_least_squares_curvature_brackets_squared_singular_values(kappa):
     b = A @ rng.standard_normal(A.shape[1]) + 1e-3 * rng.standard_normal(A.shape[0])
     E = gm.LeastSquares(A, b)
     s = np.linalg.svd(A, compute_uv=False)
-    alpha, beta = E.curvature
+    alpha, beta = E.known_params.alpha, E.known_params.beta
     # the bracket widens by the eigenvalue error, which scales with ||A||_2^2
     tol = 1e-8 * s[0] ** 2
     assert s[0] ** 2 <= alpha <= s[0] ** 2 + tol
@@ -187,7 +256,7 @@ def test_least_squares_curvature_brackets_squared_singular_values(kappa):
     ref = np.linalg.lstsq(A, b, rcond=None)[0]
     assert gm.norm(E.known_minimizer - ref) <= 1e-9 * gm.norm(ref)
     # the origin lies in the level set, so the certified ball reaches it
-    assert E.level_set_diameter() >= 2.0 * gm.norm(E.known_minimizer)
+    assert E.level_set_diameter >= 2.0 * gm.norm(E.known_minimizer)
 
 
 def test_least_squares_from_files(tmp_path):
@@ -303,11 +372,11 @@ def test_least_squares_flags_ambiguous_restricted_minimizer():
 def test_level_set_geometry_bounds():
     rng = np.random.default_rng(16)
     for E in _library(seed=17):
-        if E.known_minimizer is None or E.level_set_diameter() is None:
+        if E.known_minimizer is None or E.level_set_diameter is None:
             continue
-        r = E.level_set_diameter() / 2.0
+        r = E.level_set_diameter / 2.0
         e0 = E.value(np.zeros(E.dimension))
-        m0 = E.gradient_sup_bound()
+        m0 = E.gradient_sup_bound
         for _ in range(200):
             x = gm.uniform_ball(rng, E.dimension, 3.0)
             if E.value(x) <= e0:
@@ -319,7 +388,7 @@ def test_monte_carlo_diameter_vs_closed_form():
     rng = np.random.default_rng(18)
     E = gm.DiagonalQuadratic(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
     est = gm.estimate_level_set_diameter(E, seed=19)
-    exact = E.level_set_diameter()
+    exact = E.level_set_diameter
     # inflated outer estimate: above the true reach along sampled rays,
     # below the closed-form bound times the inflation
     assert est <= 1.1 * exact * (1 + 1e-9)
@@ -329,7 +398,7 @@ def test_monte_carlo_diameter_vs_closed_form():
 def test_monte_carlo_gradient_bound():
     rng = np.random.default_rng(20)
     E = gm.DiagonalQuadratic(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
-    r = gm.norm(E.known_minimizer) + E.level_set_diameter() / 2.0
+    r = gm.norm(E.known_minimizer) + E.level_set_diameter / 2.0
     est = gm.estimate_gradient_bound(E, r, 500, seed=21)
     for _ in range(200):
         x = gm.uniform_ball(rng, 5, r)

@@ -922,14 +922,16 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
     # at every step the selection vector read off the Gram block agrees with
     # D^T(-2c A^T r) from the carried residual, and the run selects what the
     # residual route selects, with the same E_k; on noisy data r stays far
-    # from round-off, so the agreement is not that of two small vectors
-    gaps = []
+    # from round-off, so the agreement is not that of two small vectors; a
+    # rotated basis appends no Gram column and takes the residual adjoint
+    gaps, grams = [], []
 
     class Compared(SpanFactor):
         def gradient(self):
             g = super().gradient()
             ref = (-2.0 * self.form.scale) * (A.T @ self._r)
             gaps.append(gm.norm(D.analyze(g) - D.analyze(ref)))
+            grams.append((self._grams, self.size))
             return g
 
     monkeypatch.setattr(solvers, "SpanFactor", Compared)
@@ -940,13 +942,14 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
     g0 = D.analyze(E.gradient(np.zeros(n)))
     tr = gm.run_wcga(E, D, cfg)
     assert len(gaps) == len(tr) and max(gaps) <= 1e-12 * gm.norm(g0)
+    assert all(kept == (size if basis_kind == "canonical" else 0) for kept, size in grams)
     ref = gm.run_wcga(residual, D, cfg)
     assert len(tr) > 6 and tr.support == ref.support
     assert [s.value for s in tr] == [s.value for s in ref]
     if noise:
         assert tr.final.value > 1e-4 * tr[0].value
-    # S^T never meets r on the Gram route: the canonical basis reads G's
-    # columns, a rotated one applies S^T to each new image once
+    # S^T never meets r on the canonical basis, which reads G's columns; a
+    # rotated one applies S^T to r once per step, the empty factor reading S^T y
     assert E.adjoint_calls == (0 if basis_kind == "canonical" else len(tr) - 1)
     assert residual.adjoint_calls == len(ref)
 

@@ -75,7 +75,8 @@ DERIVED = {
     # a rotated basis: the exact step's dense Gram-Schmidt projection
     "quadratic_rotated": ("quadratic", "dictionary.type = rotated\n", ("run", "compare")),
     # a rotated basis: the only label whose exact step applies a dense S to
-    # its atoms (every other least-squares label reads A's columns)
+    # its atoms (every other least-squares label reads A's columns) and takes
+    # S^T r although its tall A's form carries G
     "least_squares_rotated": ("least_squares", "dictionary.type = rotated\n",
                               ("run", "compare")),
     # wide matrix: no closed-form level-set diameter
