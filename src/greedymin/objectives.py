@@ -338,18 +338,25 @@ class SpanFactor:
     Gram-Schmidt.  A second pass runs only when the first cancelled, leaving
     ||w|| < ||s|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart 1976); with it
     Q stays orthonormal to working precision, since twice is enough (Giraud,
-    Langou & Rozloznik 2005).  Q is stored column-contiguous (row j of
-    ``_qt`` is column j), with R^-1 (upper triangular, grown by a column) and
-    Q^T y, so appending a column costs O(m k) and the coefficients O(k^2);
-    nothing already factored is touched.
+    Langou & Rozloznik 2005).  Q is kept with R^-1 (upper triangular, grown
+    by a column) and Q^T y, so appending a column costs O(m k) and the
+    coefficients O(k^2); nothing already factored is touched.
 
     A boolean mask marks the rows that any stored column of Q touches.  A new
     column with no nonzero on those rows (a diagonal S on the canonical
     basis) has Q^T s = 0 exactly, each term having a zero factor, so it is
-    stored as it is without either product with Q: its append costs O(m), for
-    the same bits the projection would give.  A dense S fills the mask with
-    its first column, and every later append pays O(m) for the test on top of
-    the O(m k) projection.
+    stored without either product with Q: its append costs O(m), for the
+    same bits the projection would give.  Until a column needs the
+    projection, Q is kept sparse, each column as the indices and values of
+    its nonzeros (the mask's test), so a diagonal S on the canonical basis
+    holds O(m + k) floats of Q where a dense block holds k m.  The first
+    column that touches a stored row forms the dense (capacity, m) block,
+    column-contiguous (row j of ``_qt`` is column j), writes the sparse
+    columns into it and is projected against it; every later column is
+    stored densely.  A dense S forms the block at its second column, and
+    every later append pays O(m) for the test on top of the O(m k)
+    projection.  Either way an append does the same dense O(m) arithmetic
+    on the new column, in the same order, so the storage changes no bit.
 
     The factor also carries the residual r = y - Q Q^T y = y - S B z of the
     span minimizer, updated by r -= (q^T y) q for each new column q in O(m),
@@ -374,8 +381,10 @@ class SpanFactor:
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
     gets coefficient 0 (the others still minimize over the whole span), leaves
     r alone and raises the "not unique" RuntimeWarning.  The storage for
-    ``capacity`` independent columns, at most m, and with a Gram for
-    ``capacity`` Gram columns, is allocated once.
+    ``capacity`` independent columns, at most m, is allocated once: R^-1 and
+    Q^T y at construction, the dense Q when a column first needs projecting,
+    and, with a Gram, the block of ``capacity`` Gram columns at the first
+    ``extend_gram``, so a factor that is never given one holds none.
     """
 
     # a column in the span keeps a residual near eps * ||s|| after the second pass;
@@ -388,16 +397,18 @@ class SpanFactor:
         self.form = form
         m = form.rhs.shape[0]
         self._r = np.array(form.rhs, dtype=np.float64)
-        capacity = min(int(capacity), m)
-        self._qt = np.empty((capacity, m))
+        self.capacity = capacity = min(int(capacity), m)
+        self._qt = None  # (capacity, m), formed when a column first needs projecting
+        self._sparse: list[tuple[np.ndarray, np.ndarray]] = []  # Q's columns until then
         self._rinv = np.zeros((capacity, capacity))
         self._qty = np.empty(capacity)
         self._rows = np.zeros(m, dtype=bool)
         self._independent: list[int] = []
         self._z = np.zeros(0)
         self.size = 0
-        # row i is S^T S b_i; the Gram route holds while every column has one
-        self._gram = None if form.gram is None else np.empty((int(capacity), form.gram.shape[0]))
+        # row i is S^T S b_i, allocated by the first extend_gram; the Gram
+        # route holds while every column has one
+        self._gram = None if form.gram is None else np.empty((0, form.gram.shape[0]))
         self._grams = 0
 
     def extend(self, image: np.ndarray) -> None:
@@ -412,6 +423,8 @@ class SpanFactor:
     def extend_gram(self, gram_image: np.ndarray) -> None:
         """Append the (n, j) block S^T S B of the j atoms B whose image was appended last."""
         j = gram_image.shape[1]
+        if not len(self._gram):
+            self._gram = np.empty((self.capacity, self._gram.shape[1]))
         self._gram[self._grams:self._grams + j] = gram_image.T
         self._grams += j
 
@@ -419,6 +432,12 @@ class SpanFactor:
         r = len(self._independent)
         s_norm = norm(s)
         if np.any(s[self._rows]):
+            if self._qt is None:
+                self._qt = np.empty((self.capacity, s.shape[0]))
+                for row, (nz, values) in zip(self._qt, self._sparse):
+                    row.fill(0.0)
+                    row[nz] = values
+                self._sparse = None
             q = self._qt[:r]
             h = q @ s
             w = s - h @ q
@@ -434,10 +453,16 @@ class SpanFactor:
             warnings.warn("restricted minimizer is not unique "
                           "(rank-deficient restricted system)", RuntimeWarning)
         else:
-            self._qt[r] = w / rho
-            self._rows |= self._qt[r] != 0.0
-            self._qty[r] = self._qt[r] @ self.form.rhs
-            self._r -= self._qty[r] * self._qt[r]
+            q = w / rho
+            touched = q != 0.0
+            self._rows |= touched
+            if self._qt is None:  # Q is still sparse: keep q's nonzeros
+                nz = touched.nonzero()[0]
+                self._sparse.append((nz, q[nz]))
+            else:
+                self._qt[r] = q
+            self._qty[r] = q @ self.form.rhs
+            self._r -= self._qty[r] * q
             if h is not None:
                 self._rinv[:r, r] = (self._rinv[:r, :r] @ h) / -rho
             self._rinv[r, r] = 1.0 / rho

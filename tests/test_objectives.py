@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -701,21 +702,62 @@ def test_factor_shares_its_coefficients(kind):
     assert z is factor.coefficients() and not z.flags.writeable
 
 
+def _overlapping_atoms(n: int) -> np.ndarray:
+    """e3 and e1, out of order, then (e1 + e3 + e5)/sqrt(3), which overlaps both, then e6."""
+    atoms = np.zeros((n, 4))
+    atoms[[3, 1, 6], [0, 1, 3]] = 1.0
+    atoms[[1, 3, 5], 2] = 1.0 / np.sqrt(3.0)
+    return atoms
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "powersum2"])
 def test_disjoint_column_skips_the_projection_bit_for_bit(kind):
     # a diagonal S on canonical columns: each new column misses every row
-    # the stored ones touch, so skipping Q^T s = 0 must change no bit
+    # the stored ones touch, so skipping Q^T s = 0 must change no bit; the
+    # skipping factor keeps such columns sparse and forms its dense Q only at
+    # the first column that overlaps them, which must change no bit either
     E = stack_library(8, seed=11)[kind]
-    basis = _bases(8, 8)["canonical"]
-    skipping, dense = _fresh_factor(E, 8), _fresh_factor(E, 8)
-    dense._rows[:] = True                 # every append takes the projection
-    for j in range(8):
-        skipping.extend(_image(E, basis[:, j:j + 1]))
-        dense.extend(_image(E, basis[:, j:j + 1]))
-        assert np.count_nonzero(skipping._rows) == j + 1
-        assert np.array_equal(skipping.coefficients(), dense.coefficients())
-        assert skipping.value() == dense.value()
-        assert np.array_equal(skipping.gradient(), dense.gradient())
+    y = E.least_squares_form().rhs
+    for atoms, overlap in ((_bases(8, 8)["canonical"], None), (_overlapping_atoms(8), 2)):
+        k = atoms.shape[1]
+        skipping, dense = _fresh_factor(E, k), _fresh_factor(E, k)
+        dense._rows[:] = True                 # every append takes the projection
+        for j in range(k):
+            skipping.extend(_image(E, atoms[:, j:j + 1]))
+            dense.extend(_image(E, atoms[:, j:j + 1]))
+            assert np.array_equal(skipping._rows, np.any(atoms[:, :j + 1] != 0.0, axis=1))
+            assert (skipping._qt is None) == (overlap is None or j < overlap)
+            assert np.array_equal(skipping.coefficients(), dense.coefficients())
+            assert skipping.value() == dense.value()
+            assert np.array_equal(skipping.gradient(), dense.gradient())
+            ref = np.linalg.lstsq(_image(E, atoms[:, :j + 1]), y, rcond=None)[0]
+            assert np.linalg.norm(skipping.coefficients() - ref) <= 1e-12 * np.linalg.norm(ref)
+        if overlap is not None:
+            assert np.array_equal(skipping._qt[:k], dense._qt[:k])
+
+
+def test_canonical_columns_of_a_diagonal_form_keep_q_sparse():
+    # 300 canonical columns of a diagonal S with m = 3000 never need the
+    # projection, so the factor forms no dense (300, 3000) Q (7.2 MB): it
+    # holds the columns' nonzeros, r, the row mask and the 300 x 300 R^-1
+    n, k = 3000, 300
+    rng = np.random.default_rng(5)
+    E = gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
+    form = E.least_squares_form()
+    cols = rng.permutation(n)[:k]
+    tracemalloc.start()
+    try:
+        factor = SpanFactor(form, capacity=k)
+        for j in cols:
+            factor.extend(form.columns([j]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert factor._qt is None and factor.size == k
+    x = np.zeros(n)
+    x[cols] = factor.coefficients()
+    assert factor.value() == pytest.approx(E.value(x), rel=1e-12)
 
 
 def test_overlapping_columns_take_the_projection():

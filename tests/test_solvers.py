@@ -635,7 +635,7 @@ def test_greedy_creates_one_factor_only_with_a_least_squares_form(monkeypatch):
     class Recording(SpanFactor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made.append(self._qt.shape)
+            made.append((self.capacity, self.form.rhs.shape[0]))
 
     monkeypatch.setattr(solvers, "SpanFactor", Recording)
     E4, D, _ = make_rotated_powersum(seed=16)
@@ -952,6 +952,26 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
     # rotated one applies S^T to r once per step, the empty factor reading S^T y
     assert E.adjoint_calls == (0 if basis_kind == "canonical" else len(tr) - 1)
     assert residual.adjoint_calls == len(ref)
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+def test_gram_block_is_allocated_only_where_steps_fill_it(basis_kind, monkeypatch):
+    # the canonical basis appends one Gram column per step; a rotated one
+    # appends none, so its factor holds no (capacity, n) block beside G
+    made = []
+
+    class Recording(SpanFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "SpanFactor", Recording)
+    A, b = _tall_problem(0.1)
+    n, k = A.shape[1], 12
+    D = gm.CanonicalBasis(n) if basis_kind == "canonical" else gm.RotatedBasis(n, seed=5)
+    tr = gm.run_wcga(gm.LeastSquares(A, b), D, gm.SolverConfig(algorithm="omp", max_steps=k))
+    assert len(tr) - 1 == k and len(made) == 1
+    assert made[0]._gram.shape == ((k, n) if basis_kind == "canonical" else (0, n))
 
 
 class SkewedGram(gm.LeastSquares):
