@@ -129,9 +129,11 @@ def _center(left: dict, n: int) -> dict:
     s = _take(left, "objective.center_sparsity", int)
     if not 0 <= s <= n:
         raise ConfigError(f"objective.center_sparsity: expected int in [0, {n}], got {s!r}")
-    return {"center_sparsity": s,
-            "center_low": _take(left, "objective.center_low", float, 1.0),
-            "center_high": _take(left, "objective.center_high", float, 2.0)}
+    low = _take(left, "objective.center_low", float, 1.0)
+    high = _take(left, "objective.center_high", float, 2.0)
+    if not low <= high:
+        raise ConfigError(f"objective.center_low/high: need low <= high, got {low}, {high}")
+    return {"center_sparsity": s, "center_low": low, "center_high": high}
 
 
 def _weights(left: dict, n: int) -> dict:
@@ -188,7 +190,7 @@ def _weakness(v) -> WeaknessSchedule:
     if not isinstance(ts, list) or not all(_is_number(t) for t in ts):
         raise ConfigError(f"solver.weakness: expected a number or list, got {v!r}")
     try:
-        return WeaknessSchedule.from_sequence(ts)
+        return WeaknessSchedule(ts)
     except ValueError as exc:
         raise ConfigError(f"solver.weakness: {exc}") from exc
 

@@ -190,6 +190,8 @@ class LeastSquares(Objective):
         if not np.all(np.isfinite(b)):
             raise ValueError("rhs has non-finite entries")
         m, n = A.shape
+        if b.size != m:
+            raise ValueError(f"rhs has {b.size} entries, matrix has {m} rows")
         super().__init__(n)
         self.A = A
         self.b = as_point(b, m)

@@ -5,27 +5,29 @@ which picks an atom whose gradient coefficient is at least t_k times the
 largest.  OMP is the same loop with every t_k = 1 and the exact strategy;
 ``SolverConfig(algorithm="omp")`` is held to those settings.
 
-The inner solver re-minimizes the objective over the span of the selected
-atoms, as basis columns in selection order, and returns on both paths the
-coefficients, the selection vector D^T E' and E at its point; x is
-synthesized once, when the run ends.  It solves exactly when it is given a
-``SpanFactor``, and ``run_wcga`` builds one when the objective has a
-least-squares form E(x) = c ||S x - y||^2 (quadratics), which it checks
-against the objective at both ends of the run.  That thin QR is carried
-across the run with its residual r, so a step works in residual space: it
-factors only the image S b of the newly selected atom b, which the
-dictionary forms (a read of S's column on the canonical basis, S applied to
-the atom on others), and takes E_k = c ||r||^2 and the selection vector
-D^T(-2c S^T r), with S^T r from one adjoint product or, when the form
-carries the Gram matrix G = S^T S and the dictionary reads its columns (the
-canonical basis), as S^T y - (S^T S B) z in O(n k) from the factor's Gram
-block.  The exact step returns the factor's answer and never falls through
-to descent; a wrong form, its G included, fails the check at the end of the
-run.
+The loop carries its support as the list of selected atoms in selection
+order and one coefficient vector over them.  The inner solver re-minimizes
+the objective over the span of those atoms, as basis columns in that order,
+and returns on both paths the coefficient vector, the selection vector
+D^T E' and E at its point; x is synthesized once, when the run ends.  It
+solves exactly when it is given a ``SpanFactor``, and ``run_wcga`` builds
+one when the objective has a least-squares form E(x) = c ||S x - y||^2
+(quadratics), which it checks against the objective at both ends of the
+run.  That thin QR is carried across the run with its residual r, so a
+step works in residual space: it factors only the image S b of the newly
+selected atom b, which the dictionary forms (a read of S's column on the
+canonical basis, S applied to the atom on others), and takes
+E_k = c ||r||^2 and the selection vector D^T(-2c S^T r), with S^T r from
+one adjoint product or, when the form carries the Gram matrix G = S^T S and
+the dictionary reads its columns (the canonical basis), as
+S^T y - (S^T S B) z in O(n k) from the factor's Gram block.  The exact step
+returns the factor's answer and never falls through to descent; a wrong
+form, its G included, fails the check at the end of the run.
 Without a factor, descent with Armijo backtracking, evaluating the
 restricted gradient once per iterate and preconditioned by the diagonal
-Hessian when available, runs from the start coefficients until the
-restricted gradient coefficients drop below ``inner_tol``.
+Hessian when available, runs from the previous step's coefficients, the
+new atom's at 0, until the restricted gradient coefficients drop below
+``inner_tol``.
 ``inner_tol`` must stay well below ``stop_tol`` or selection could re-pick
 an already selected atom.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,15 +48,16 @@ from .objectives import Objective, SpanFactor
 class WeaknessSchedule:
     """Per-step weakness parameters t_k in (0, 1] for WCGA selection.
 
-    A finite explicit sequence is padded with its last value for later steps.
+    Any sequence of numbers is taken, and kept as a tuple of floats.  A
+    finite explicit sequence is padded with its last value for later steps.
     """
 
     ts: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.ts:
-            raise ValueError("weakness schedule must not be empty")
         ts = tuple(float(t) for t in self.ts)
+        if not ts:
+            raise ValueError("weakness schedule must not be empty")
         for t in ts:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"weakness parameter t={t} outside (0, 1]")
@@ -63,10 +66,6 @@ class WeaknessSchedule:
     @classmethod
     def constant(cls, t: float) -> "WeaknessSchedule":
         return cls((float(t),))
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[float]) -> "WeaknessSchedule":
-        return cls(tuple(float(t) for t in seq))
 
     def t(self, k: int) -> float:
         """Weakness parameter for step k (1-based)."""
@@ -123,52 +122,56 @@ class InnerSolveError(RuntimeError):
 
 
 def restricted_minimize(objective: Objective, dictionary: Dictionary,
-                        start: Mapping[int, float], cfg: SolverConfig,
-                        factor: SpanFactor | None = None,
-                        ) -> tuple[dict[int, float], Vector, float]:
-    """Minimize the objective over the span of the atoms keyed in ``start``.
+                        idx: Sequence[int], cfg: SolverConfig,
+                        factor: SpanFactor | None = None, start: Sequence[float] = (),
+                        ) -> tuple[Vector, Vector, float]:
+    """Minimize the objective over the span of the atoms ``idx``.
 
-    ``start`` maps each atom to its starting coefficient; its keys, in their
-    order (the selection order in a greedy run), are the basis columns on
-    both solve paths and the keys of the returned coefficients z.  Returns
-    z, the analysis D^T E'(x) of the gradient at its point x = D z, and
-    E(x).  Restricted gradient coefficients are exactly <E'(x), phi_j> for
-    the keyed atoms because the dictionary is orthonormal.
+    The atoms of ``idx``, in their order (the selection order in a greedy
+    run), are the basis columns on both solve paths.  Returns the array z
+    of their coefficients, the analysis D^T E'(x) of the gradient at its
+    point x = B z, and E(x).  Restricted gradient coefficients are exactly
+    <E'(x), phi_j> for the atoms of ``idx`` because the dictionary is
+    orthonormal.  ``start`` holds the starting coefficients of the leading
+    ``len(start)`` atoms, the others starting at 0; it may not be longer
+    than ``idx``.
 
     The solve is exact exactly when ``factor`` is given: a
     :class:`SpanFactor` of the objective's least-squares form carried
-    across calls, holding the leading atoms of ``start`` already.  Only the
-    atoms after them are appended, as the image under the form's S that
-    ``dictionary.image`` gives, and x is not formed: the analysis is
-    D^T(-2c S^T r) at the factor's residual r, and E(x) is c ||r||^2.  S^T r
-    is one adjoint product of r, O(m n), unless ``dictionary.gram_image``
-    gives S^T S of the new atoms, a read of the columns of the form's Gram
-    matrix G = S^T S on the canonical basis: then the factor keeps them as
-    an (n, k) block, and S^T r = S^T y - (S^T S B) z costs O(n k) with the
-    coefficients z the step already solved for.  Its answer
-    is returned as it is, with no check against ``cfg.inner_tol`` and no
-    descent after it: its restricted gradient sits at the factor's
+    across calls, holding the leading atoms of ``idx`` already, so
+    ``start`` is not read.  Only the atoms after them are appended, as the
+    image under the form's S that ``dictionary.image`` gives, and x is not
+    formed: the analysis is D^T(-2c S^T r) at the factor's residual r, and
+    E(x) is c ||r||^2.  S^T r is one adjoint product of r, O(m n), unless
+    ``dictionary.gram_image`` gives S^T S of the new atoms, a read of the
+    columns of the form's Gram matrix G = S^T S on the canonical basis:
+    then the factor keeps them as an (n, k) block, and
+    S^T r = S^T y - (S^T S B) z costs O(n k) with the coefficients z the
+    step already solved for.  Its answer is returned as it is, z being the
+    factor's own read-only array, with no check against ``cfg.inner_tol``
+    and no descent after it: its restricted gradient sits at the factor's
     round-off, which grows with the scale of the problem, and ``run_wcga``
     checks the form against the objective instead.  Without a factor,
-    descent starts from the coefficients in ``start`` and returns the first
-    iterate whose restricted gradient coefficients are all at most
-    ``cfg.inner_tol`` in magnitude, within ``cfg.max_inner_iters``
-    iterates, evaluating E there.
+    descent starts from ``start`` and returns the first iterate whose
+    restricted gradient coefficients are all at most ``cfg.inner_tol`` in
+    magnitude, within ``cfg.max_inner_iters`` iterates, evaluating E there.
     """
-    if not start:
-        raise ValueError("start must be nonempty")
-    idx = list(start)
+    if not len(idx):
+        raise ValueError("idx must be nonempty")
+    if len(start) > len(idx):
+        raise ValueError(f"start has {len(start)} coefficients for {len(idx)} atoms")
     if factor is not None:
         if factor.size > len(idx):
-            raise ValueError(f"start has {len(idx)} atoms, "
+            raise ValueError(f"idx has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
         form, new = factor.form, idx[factor.size:]
         z = objective.argmin_in_span(dictionary.image(form, new), factor)
         gram_image = dictionary.gram_image(form, new)
         if gram_image is not None:
             factor.extend_gram(gram_image)
-        return dict(zip(idx, z.tolist())), dictionary.analyze(factor.gradient()), factor.value()
-    z = np.array([float(v) for v in start.values()])
+        return z, dictionary.analyze(factor.gradient()), factor.value()
+    z = np.zeros(len(idx))
+    z[:len(start)] = start
     basis = dictionary.subset(idx)
 
     # restricted gradient sup-norm at the point x = basis @ z
@@ -184,8 +187,7 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         r = float(np.max(np.abs(g)))
         best_resid = min(best_resid, r)
         if r <= cfg.inner_tol:
-            return (dict(zip(idx, (float(v) for v in z))), dictionary.analyze(grad),
-                    objective.value(x))
+            return z, dictionary.analyze(grad), objective.value(x)
         if it + 1 == cfg.max_inner_iters:
             break  # no iteration left to check a further step
         val = objective.value(x)
@@ -291,21 +293,20 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     # distances are read off the coefficients against the minimizer's: by
     # orthonormality ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2,
     # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels;
-    # abar_I is kept in selection order, an entry filled as each atom is selected
+    # abar_I is gathered at idx, in the order of z
     abar = None if xbar is None else dictionary.analyze(xbar)
-    abar_support = np.empty(min(cfg.max_steps, n))
+    idx: list[int] = []
+    z = np.zeros(0)
     outside = np.ones(n, dtype=bool)
 
-    def dist_of(coeffs: dict[int, float]) -> float | None:
+    def dist_of(z: Vector) -> float | None:
         if abar is None:
             return None
-        k = len(coeffs)
-        d = np.fromiter(coeffs.values(), np.float64, k) - abar_support[:k]
+        d = z - abar[idx]
         tail = abar[outside]
         return float(np.sqrt(np.dot(d, d) + np.dot(tail, tail)))
 
     rng = np.random.default_rng(cfg.seed)
-    coeffs: dict[int, float] = {}
     g0 = g = dictionary.analyze(objective.gradient(np.zeros(n)))
     g_sup = float(np.max(np.abs(g)))
     stopped = g_sup <= cfg.stop_tol
@@ -313,37 +314,35 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     if factor is not None and not stopped:
         _check_form(objective, 0, factor.value(), dictionary.analyze(factor.gradient()),
                     g0, g0, val)
-    steps = [TraceStep(0, val, error_of(val), dist_of(coeffs), None, None, g_sup, stopped)]
+    steps = [TraceStep(0, val, error_of(val), dist_of(z), None, None, g_sup, stopped)]
 
     for m in range(1, cfg.max_steps + 1):
         if stopped:
             break
         j, coeff = weak_select(g, cfg.weakness.t(m), cfg.selection_strategy, rng)
-        if j in coeffs:
+        if not outside[j]:
             cause = ("the exact solve's round-off at this problem's scale exceeds stop_tol"
                      if factor is not None
                      else f"stop_tol must stay above inner_tol ({cfg.inner_tol:g})")
             raise RuntimeError(f"atom {j} reselected at step {m}: |g_{j}| = {abs(g[j]):.3g} "
                                f"> stop_tol ({cfg.stop_tol:g}); {cause}")
         outside[j] = False
-        if abar is not None:
-            abar_support[m - 1] = abar[j]
+        idx.append(j)
         try:
-            coeffs, g, val = restricted_minimize(objective, dictionary, {**coeffs, j: 0.0},
-                                                 cfg, factor)
+            z, g, val = restricted_minimize(objective, dictionary, idx, cfg, factor, z)
         except InnerSolveError as exc:
             err = InnerSolveError(f"step {m}: {exc}", exc.residual)
-            err.step, err.support_size = m, len(coeffs) + 1
+            err.step, err.support_size = m, len(idx)
             raise err from exc
         sel_sup = g_sup
         g_sup = float(np.max(np.abs(g)))
         stopped = g_sup <= cfg.stop_tol
-        steps.append(TraceStep(m, val, error_of(val), dist_of(coeffs), j, coeff, sel_sup, stopped))
+        steps.append(TraceStep(m, val, error_of(val), dist_of(z), j, coeff, sel_sup, stopped))
 
     dense = np.zeros(n)
-    dense[list(coeffs)] = list(coeffs.values())
+    dense[idx] = z
     x = dictionary.synthesize(dense)
-    if factor is not None and coeffs:
+    if factor is not None and idx:
         _check_form(objective, steps[-1].k, factor.value(), g,
                     dictionary.analyze(objective.gradient(x)), g0)
     return IterateTrace(steps, x)

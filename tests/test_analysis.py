@@ -438,7 +438,7 @@ def test_verify_trace_matches_direct_checks():
     # every t used here, and every bound stays below 1e-6
     hot = replace(rc, gain=4.0 * rc.scale, initial_gap=1e-6)
     omp = gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp", max_steps=30))
-    sched = gm.WeaknessSchedule.from_sequence([1.0, 0.5, 0.8])
+    sched = gm.WeaknessSchedule([1.0, 0.5, 0.8])
     wcga = gm.run_wcga(E, D, gm.SolverConfig(
         algorithm="wcga", weakness=sched, selection_strategy="random_admissible",
         max_steps=30, seed=5))
@@ -470,7 +470,7 @@ def test_verify_trace_bound_rows_keep_the_bits_of_each_bound(kind):
     # geometric rows come from one running product, polynomial rows from a
     # sum per row; either way each bound_k is recursive_sequence_bound's
     rc = _poly_constants() if kind == "polynomial" else _quad_run(seed=5)[2]
-    schedule = gm.WeaknessSchedule.from_sequence([1.0, 0.5, 0.8]) if kind == "wcga" else None
+    schedule = gm.WeaknessSchedule([1.0, 0.5, 0.8]) if kind == "wcga" else None
     tr = synth_trace(rc.initial_gap * 0.9 ** np.arange(301))
     rec = rc.recursion(300, schedule)
     assert (rec.exponent == 0.0) == (kind != "polynomial")
@@ -526,7 +526,7 @@ def test_error_bound_matches_generic_sequence_bound():
         assert np.isclose(error_bound(rc, k), recursive_sequence_bound(inp, k),
                           rtol=1e-12)
     # schedule-weighted variant: gains scale with t^(q/(q-1))
-    sched = gm.WeaknessSchedule.from_sequence([1.0, 0.7, 0.4, 0.9])
+    sched = gm.WeaknessSchedule([1.0, 0.7, 0.4, 0.9])
     gains = tuple(rc.gain * sched.t(j) ** (q / (q - 1.0)) for j in range(2, 202))
     inp_w = SequenceBoundInput(rc.initial_gap, rc.scale, ell, gains)
     for k in (2, 3, 10, 100):

@@ -228,6 +228,13 @@ def test_run_non_finite_file_input_names_it(tmp_path, capsys, entry, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_run_short_file_rhs_names_both_lengths(tmp_path, capsys):
+    A = np.random.default_rng(5).standard_normal((6, 4))
+    cfg = _file_least_squares_cfg(tmp_path, A, np.ones(5))
+    assert main(["--quiet", "run", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: rhs has 5 entries, matrix has 6 rows\n"
+
+
 def test_compare_t1_identical_columns(quad_cfg):
     path, out = quad_cfg
     assert main(["--quiet", "compare", str(path),

@@ -137,6 +137,8 @@ REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_
     (QUAD_TEXT, {"objective.center": [1.0] * 20}, "objective.center"),   # conflicting pairs
     (QUAD_TEXT, {"objective.weights": 2.0}, "objective.weights"),
     (QUAD_TEXT, {"objective.center_low": float("nan")}, "objective.center_low"),  # non-finite
+    (QUAD_TEXT, {"objective.center_low": 3.0, "objective.center_high": 1.0},
+     "objective.center_low/high"),                                     # empty range
     (QUAD_TEXT, {"analysis.alpha": float("nan")} | OVERRIDES, "analysis.alpha"),
     (CENTER_TEXT, {"objective.center": [float("nan"), 1.0]}, "objective.center"),
     (CENTER_TEXT, {"objective.center": [1.0, 0.0], "objective.weights": float("inf")},
@@ -158,7 +160,8 @@ REMOVED_KEYS = ("dictionary.seed", "solver.seed", "analysis.u_max", "analysis.u_
      "analysis.grad_bound"),
 ], ids=[*REMOVED_KEYS, "typo", "bool-dimension", "bool-max-steps", "bool-stop-tol",
         "exponent-on-quadratic", "weights-on-least-squares", "center-with-sparsity",
-        "weights-with-range", "nan-center-low", "nan-alpha", "nan-center", "inf-weights",
+        "weights-with-range", "nan-center-low", "inverted-center-range",
+        "nan-alpha", "nan-center", "inf-weights",
         "inf-exponent", "inf-u-grid", "zero-sample-count",
         "one-lambda", "empty-u-grid", "no-halving-pair", "list-output-dir", "zero-max-steps",
         "negative-alpha", "zero-beta", "zero-radius", "negative-grad-bound"])
@@ -178,7 +181,7 @@ def test_wrong_length_list_is_reported_as_a_count(key):
 
 
 FIELD_CASES = [
-    ("objective.center_low", 3.0, lambda c: c.objective["center_low"]),
+    ("objective.center_low", 1.5, lambda c: c.objective["center_low"]),
     ("objective.center_high", 5.0, lambda c: c.objective["center_high"]),
     ("solver.stop_tol", 1e-6, lambda c: c.solver.stop_tol),
     ("solver.inner_tol", 1e-12, lambda c: c.solver.inner_tol),

@@ -52,9 +52,9 @@ class Conjugated(Objective):
                              adjoint=lambda v: self.q.T @ form.adjoint(v))
 
 
-def point_of(D, coeffs):
-    """x = B z for coefficients keyed by atom, B the atoms in key order (descent's iterate)."""
-    return D.subset(list(coeffs)) @ np.array(list(coeffs.values()))
+def point_of(D, idx, z):
+    """x = B z, B the atoms idx in order and z their coefficients (descent's iterate)."""
+    return D.subset(idx) @ z
 
 
 # -- restricted minimization -------------------------------------------------
@@ -63,8 +63,8 @@ def point_of(D, coeffs):
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     factor = SpanFactor(unit_quadratic4.least_squares_form(), capacity=1)
-    coeffs, g, e = restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
-    assert coeffs == {0: 3.0}
+    z, g, e = restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), factor)
+    assert z.tolist() == [3.0]
     assert abs(g[0]) <= 1e-10
     x = np.array([3.0, 0.0, 0.0, 0.0])
     assert abs(unit_quadratic4.gradient(x)[0]) <= 1e-10
@@ -73,10 +73,10 @@ def test_restricted_single_coordinate(unit_quadratic4):
 
 def test_restricted_warm_start_already_optimal(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    warm = {0: 3.0, 2: 1.0}
-    coeffs, _, e = restricted_minimize(unit_quadratic4, D, warm, gm.SolverConfig())
-    assert coeffs == warm
-    assert np.allclose(point_of(D, coeffs), unit_quadratic4.known_minimizer)
+    idx, warm = [0, 2], [3.0, 1.0]
+    z, _, e = restricted_minimize(unit_quadratic4, D, idx, gm.SolverConfig(), start=warm)
+    assert z.tolist() == warm
+    assert np.allclose(point_of(D, idx, z), unit_quadratic4.known_minimizer)
     assert e == unit_quadratic4.value(unit_quadratic4.known_minimizer)
 
 
@@ -87,9 +87,7 @@ def test_restricted_full_support_matches_normal_equations():
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
     factor = SpanFactor(E.least_squares_form(), capacity=6)
-    coeffs, _, _ = restricted_minimize(E, D, {j: 0.0 for j in range(6)}, gm.SolverConfig(),
-                                       factor)
-    x = np.array([coeffs[j] for j in range(6)])
+    x, _, _ = restricted_minimize(E, D, list(range(6)), gm.SolverConfig(), factor)
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
 
@@ -99,22 +97,23 @@ def test_restricted_descent_path_matches_oracle():
     E = Stripped(gm.DiagonalQuadratic(rng.standard_normal(5),
                                       rng.uniform(0.5, 2.0, 5)))
     D = gm.CanonicalBasis(5)
-    coeffs, _, _ = restricted_minimize(E, D, {j: 0.0 for j in (0, 2, 4)},
-                                       gm.SolverConfig(inner_tol=1e-9, max_inner_iters=5000))
+    idx = [0, 2, 4]
+    z, _, _ = restricted_minimize(E, D, idx,
+                                  gm.SolverConfig(inner_tol=1e-9, max_inner_iters=5000))
     expected = np.zeros(5)
-    expected[[0, 2, 4]] = E.base.center[[0, 2, 4]]
-    assert np.allclose(point_of(D, coeffs), expected, atol=1e-8)
+    expected[idx] = E.base.center[idx]
+    assert np.allclose(point_of(D, idx, z), expected, atol=1e-8)
 
 
 def test_restricted_never_worse_than_warm_start():
     E, D, _ = make_rotated_powersum(seed=1)
     rng = np.random.default_rng(2)
-    warm = {3: rng.uniform(), 10: rng.uniform(), 17: rng.uniform()}
+    idx, warm = [3, 10, 17], [rng.uniform(), rng.uniform(), rng.uniform()]
     dense = np.zeros(D.size)
-    dense[list(warm)] = list(warm.values())
+    dense[idx] = warm
     start_val = E.value(D.synthesize(dense))
-    coeffs, _, e = restricted_minimize(E, D, warm, gm.SolverConfig(max_inner_iters=3000))
-    assert e == E.value(point_of(D, coeffs))
+    z, _, e = restricted_minimize(E, D, idx, gm.SolverConfig(max_inner_iters=3000), start=warm)
+    assert e == E.value(point_of(D, idx, z))
     assert e <= start_val + 1e-12 * (1 + abs(start_val))
 
 
@@ -122,7 +121,7 @@ def test_restricted_exhaustion_carries_best_residual():
     E = Stripped(gm.DiagonalQuadratic([5.0, 0.0], [1.0, 1.0]))
     D = gm.CanonicalBasis(2)
     with pytest.raises(InnerSolveError) as err:
-        restricted_minimize(E, D, {0: 0.0}, gm.SolverConfig(max_inner_iters=1))
+        restricted_minimize(E, D, [0], gm.SolverConfig(max_inner_iters=1))
     assert err.value.residual == 5.0        # |E'(0)| at the start, the only point checked
 
 
@@ -140,8 +139,8 @@ def test_restricted_last_iteration_takes_no_unchecked_step():
     # the one allowed iteration checks the start and stops: no value, no line search
     E = ValueCounted(gm.DiagonalQuadratic([5.0, 0.0], [1.0, 1.0]))
     with pytest.raises(InnerSolveError) as err:
-        restricted_minimize(E, gm.CanonicalBasis(2), {0: 0.5},
-                            gm.SolverConfig(max_inner_iters=1))
+        restricted_minimize(E, gm.CanonicalBasis(2), [0], gm.SolverConfig(max_inner_iters=1),
+                            start=[0.5])
     assert E.value_calls == 0
     assert err.value.residual == 4.5
 
@@ -149,24 +148,28 @@ def test_restricted_last_iteration_takes_no_unchecked_step():
 def test_restricted_validation(unit_quadratic4):
     D = gm.CanonicalBasis(4)
     with pytest.raises(ValueError, match="nonempty"):
-        restricted_minimize(unit_quadratic4, D, {}, gm.SolverConfig())
+        restricted_minimize(unit_quadratic4, D, [], gm.SolverConfig())
+    with pytest.raises(ValueError, match="start has 2 coefficients for 1 atoms"):
+        restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), start=[3.0, 0.0])
     factor = SpanFactor(unit_quadratic4.least_squares_form(), capacity=4)
-    restricted_minimize(unit_quadratic4, D, {0: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
-    with pytest.raises(ValueError, match="start has 1 atoms, the factor already holds 2"):
-        restricted_minimize(unit_quadratic4, D, {0: 0.0}, gm.SolverConfig(), factor)
+    restricted_minimize(unit_quadratic4, D, [0, 1], gm.SolverConfig(), factor)
+    with pytest.raises(ValueError, match="idx has 1 atoms, the factor already holds 2"):
+        restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), factor)
 
 
 def test_restricted_with_factor_orders_atoms_by_warm_start():
     E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(E.least_squares_form(), capacity=6)
-    start = {4: 0.0, 1: 0.0, 2: 0.0}
-    coeffs, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
-    assert list(coeffs) == [4, 1, 2] and factor.size == 3
+    idx = [4, 1, 2]
+    z, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), factor)
+    # the coefficients are those of the atoms in idx order: B^T W B z = B^T W c
+    B = D.subset(idx)
+    oracle = np.linalg.solve(B.T @ (E.weights[:, None] * B), B.T @ (E.weights * E.center))
+    assert np.allclose(z, oracle, rtol=0, atol=1e-12) and factor.size == 3
     fresh = SpanFactor(E.least_squares_form(), capacity=3)
-    coeffs_plain, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), fresh)
-    assert list(coeffs_plain) == [4, 1, 2]
-    assert np.allclose(list(coeffs.values()), list(coeffs_plain.values()), rtol=0, atol=1e-12)
+    z_plain, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), fresh)
+    assert np.allclose(z, z_plain, rtol=0, atol=1e-12)
 
 
 class GradientCounted(gm.DiagonalQuadratic):
@@ -194,11 +197,11 @@ def test_restricted_with_factor_calls_neither_value_nor_gradient():
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(E.least_squares_form(), capacity=6)
-    coeffs, E.value_calls, E.gradient_calls = {}, 0, 0
+    idx, z, E.value_calls, E.gradient_calls = [], np.zeros(0), 0, 0
     for j in (4, 1, 2, 5):
-        start = {**coeffs, j: 0.0}
-        coeffs, _, _ = restricted_minimize(E, D, start, gm.SolverConfig(), factor)
-        assert factor.size == len(start)
+        idx.append(j)
+        z, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), factor, z)
+        assert factor.size == len(idx) == len(z)
     assert E.value_calls == 0 and E.gradient_calls == 0
 
 
@@ -208,9 +211,8 @@ def test_restricted_returns_the_gradient_at_its_point(path):
     E = base if path == "exact" else Stripped(base)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(base.least_squares_form(), capacity=2) if path == "exact" else None
-    coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0},
-                                       gm.SolverConfig(max_inner_iters=3000), factor)
-    x = point_of(D, coeffs)
+    z, g, e = restricted_minimize(E, D, [4, 1], gm.SolverConfig(max_inner_iters=3000), factor)
+    x = point_of(D, [4, 1], z)
     if path == "descent":
         assert np.array_equal(g, D.analyze(E.gradient(x))) and e == E.value(x)
     else:
@@ -235,8 +237,9 @@ def test_restricted_returns_an_exact_solve_that_fails_its_check():
     E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
     factor = SpanFactor(E.least_squares_form(), capacity=2)
-    coeffs, g, e = restricted_minimize(E, D, {4: 0.0, 1: 0.0}, gm.SolverConfig(), factor)
-    assert factor.size == 2 and coeffs == dict(zip([4, 1], factor.coefficients().tolist()))
+    z, g, e = restricted_minimize(E, D, [4, 1], gm.SolverConfig(), factor)
+    # the factor's own coefficients, read-only
+    assert factor.size == 2 and z is factor.coefficients() and not z.flags.writeable
     assert np.array_equal(g, D.analyze(factor.gradient())) and e == factor.value()
     assert np.max(np.abs(g[[4, 1]])) > 1e-10
     with pytest.raises(ValueError, match="^SkewedAdjoint: least-squares form disagrees "
@@ -249,14 +252,14 @@ def test_restricted_descent_one_gradient_per_iteration(iters):
     # the residual check opens each iteration; nothing is evaluated before the loop
     base = GradientCounted([40.0, -30.0, 20.0, 0.0], [0.5, 1.0, 2.0, 1.0])
     with pytest.raises(InnerSolveError):
-        restricted_minimize(Stripped(base), gm.CanonicalBasis(4), {0: 0.0, 1: 0.0, 2: 0.0},
+        restricted_minimize(Stripped(base), gm.CanonicalBasis(4), [0, 1, 2],
                             gm.SolverConfig(max_inner_iters=iters))
     assert base.gradient_calls == iters
     # unit weights: one full gradient step lands on the minimizer, the second check returns
     base = GradientCounted([5.0, -2.0], [1.0, 1.0])
-    coeffs, _, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), {0: 0.0, 1: 0.0},
-                                       gm.SolverConfig(max_inner_iters=iters + 1))
-    assert coeffs == {0: 5.0, 1: -2.0} and base.gradient_calls == 2
+    z, _, _ = restricted_minimize(Stripped(base), gm.CanonicalBasis(2), [0, 1],
+                                  gm.SolverConfig(max_inner_iters=iters + 1))
+    assert z.tolist() == [5.0, -2.0] and base.gradient_calls == 2
 
 
 # -- greedy runs ---------------------------------------------------------------
@@ -339,7 +342,7 @@ def test_algorithm_config_mismatch():
     with pytest.raises(ValueError, match=r"^weakness: omp selects at t = 1, got \(0.5,\)"):
         gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule.constant(0.5))
     with pytest.raises(ValueError, match="^weakness: "):
-        gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule.from_sequence([1.0, 0.5]))
+        gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule([1.0, 0.5]))
     with pytest.raises(ValueError, match="^selection_strategy: omp selects exactly"):
         gm.SolverConfig(algorithm="omp", selection_strategy="first_admissible")
     assert gm.SolverConfig(algorithm="omp", weakness=gm.WeaknessSchedule.constant(1.0),
@@ -367,12 +370,12 @@ def test_greedy_exact_run_evaluates_the_objective_a_fixed_number_of_times(K):
 def test_monotonicity_orthogonality_freshness(monkeypatch):
     solve, iterates = solvers.restricted_minimize, []
 
-    def recording_solve(objective, dictionary, start, cfg, factor=None):
-        coeffs, g, e = solve(objective, dictionary, start, cfg, factor)
+    def recording_solve(objective, dictionary, idx, cfg, factor=None, start=()):
+        z, g, e = solve(objective, dictionary, idx, cfg, factor, start)
         dense = np.zeros(dictionary.size)
-        dense[list(coeffs)] = list(coeffs.values())
+        dense[idx] = z
         iterates.append(dictionary.synthesize(dense))
-        return coeffs, g, e
+        return z, g, e
 
     monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
     problems = [make_sparse_quadratic(seed, n=30, s=6)
@@ -451,12 +454,12 @@ def test_inner_failure_reports_step_index():
 
 
 def test_weakness_schedule():
-    s = gm.WeaknessSchedule.from_sequence([0.5, 0.8])
+    s = gm.WeaknessSchedule([0.5, 0.8])
     assert s.t(1) == 0.5 and s.t(2) == 0.8 and s.t(9) == 0.8
     with pytest.raises(ValueError):
         gm.WeaknessSchedule.constant(0.0)
     with pytest.raises(ValueError):
-        gm.WeaknessSchedule.from_sequence([])
+        gm.WeaknessSchedule([])
     with pytest.raises(ValueError):
         s.t(0)
 
@@ -730,9 +733,9 @@ def _record_exact_solves(monkeypatch) -> list[bool]:
     exact = []
     solve = solvers.restricted_minimize
 
-    def recording_solve(objective, dictionary, start, cfg, factor=None):
+    def recording_solve(objective, dictionary, idx, cfg, factor=None, start=()):
         exact.append(factor is not None)
-        return solve(objective, dictionary, start, cfg, factor)
+        return solve(objective, dictionary, idx, cfg, factor, start)
 
     monkeypatch.setattr(solvers, "restricted_minimize", recording_solve)
     return exact
