@@ -45,7 +45,7 @@ MODULI_SLACK = 1.05
 class Check:
     """One inequality lhs <= rhs checked on the rows ``ks``.
 
-    A row fails when its margin rhs - lhs falls below ``floor``.  An
+    A row fails when its margin rhs - lhs falls below ``floor`` or is NaN.  An
     absolute tolerance is either folded into ``rhs`` with floor 0 or left
     out of it with floor -tol.
     """
@@ -67,8 +67,8 @@ class Check:
 
     @property
     def failing(self) -> list[int]:
-        """The ks of the rows whose margin falls below the floor."""
-        return [k for k, m in zip(self.ks, self.margins) if m < self.floor]
+        """The ks of the rows whose margin falls below the floor or is NaN."""
+        return [k for k, m in zip(self.ks, self.margins) if not m >= self.floor]
 
     @property
     def violations(self) -> int:
@@ -110,7 +110,8 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
     rows however many samples are drawn; the extrema are taken per
     ``MODULI_BLOCK`` samples.  On a halving grid many offsets coincide bit
     for bit (0.5*u is the next u, and (2l)*(u/2) is l*u when 2l is on the
-    lambda grid too), so those rows are evaluated once.
+    lambda grid too), so those rows are evaluated once.  A sampled E that is
+    not finite, E overflowing on the ball, raises ValueError.
     """
     u = np.asarray([float(v) for v in u_grid], dtype=np.float64)
     if u.size == 0:
@@ -152,6 +153,9 @@ def estimate_moduli(objective: Objective, s_radius: float, u_grid,
             np.multiply(cs[:, None], y, out=points[1:])
             points[1:] += x
             row[:] = objective.value(points)
+        if not np.isfinite(block).all():
+            raise ValueError(f"a sampled E is {block.max()}: E overflows on the ball "
+                             f"of radius {s_radius:g}")
         ex, stencil = block[:, :1], block[:, where]
         second = 0.5 * (stencil[..., 0] + stencil[..., 1] - 2.0 * ex)
         a, b = stencil[..., 2:2 + lam.size], stencil[..., 2 + lam.size:]

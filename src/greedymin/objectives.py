@@ -251,6 +251,14 @@ class PowerSum(Objective):
     bounded sets) and uniformly convex of power type p, so its curvature
     constants are level-set dependent and are estimated numerically.  At
     p = 2 the gap is exactly sum_i w_i d_i^2, so they are the extreme weights.
+
+    With d = x - c, the kernels evaluate E as the dot of w with (d^2)^(p/2),
+    E' as |d|^(p-2) * (p w) * d and the Hessian diagonal as
+    |d|^(p-2) * (p (p-1) w).  Each term of E is within about (p/2 + 2) eps of
+    w_i |d_i|^p and the dot of nonnegative terms adds at most n eps of E;
+    each entry of E' and of the Hessian is within about 4 eps of the exact
+    one.  Where an exact term or entry is below the normal range, the error
+    is instead a few subnormal units times p max(w).
     """
 
     def __init__(self, center, exponent: float, weights):
@@ -265,31 +273,36 @@ class PowerSum(Objective):
         self.exponent = float(exponent)
         self.weights = weights
         self.known_minimizer = center.copy()
-        e0 = self.value(np.zeros(self.dimension))
         n, p = self.dimension, self.exponent
+        e0 = self.value(np.zeros(n))
+        if not math.isfinite(e0):
+            raise ValueError(f"E(0) = sum_i w_i |c_i|^{p:g} overflows: {e0}")
         # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
         per_coord = p * weights ** (1.0 / p) * e0 ** ((p - 1.0) / p)
         self._set_geometry(2.0 * n ** (0.5 - 1.0 / p) * (e0 / weights.min()) ** (1.0 / p),
                            float(np.linalg.norm(per_coord)),
                            (float(weights.max()), float(weights.min())) if p == 2.0 else None)
 
-    # in place on the fresh d = x - c, with the operands of the out-of-place
-    # formulas: the same bits, as ``**=`` dispatches as ``**`` (square for 2.0)
+    # In place on the fresh d = x - c.  numpy's scalar power squares at an
+    # exponent of 2, copies at 1 and fills ones at 0, so at p = 2 and p = 4
+    # no kernel calls libm's pow, and at p = 3 only ``value`` does.  The
+    # gradient takes |d|^(p-2), not (d^2)^(p/2-1): d^2 underflows below
+    # |d| ~ 1e-154, where |d|^(p-1) may still be normal.  Each step is
+    # elementwise and np.vecdot reduces each row by itself, so row i of a
+    # stack has the bits of row i alone.
     def value(self, x: Vector) -> float | Vector:
-        d = as_points(x, self.dimension) - self.center
-        np.abs(d, out=d)
-        d **= self.exponent
-        d *= self.weights
-        return _per_point(np.sum(d, axis=-1))
+        s = as_points(x, self.dimension) - self.center
+        s *= s
+        s **= 0.5 * self.exponent
+        return _per_point(np.vecdot(s, self.weights))
 
     def gradient(self, x: Vector) -> Vector:
         d = as_points(x, self.dimension) - self.center
-        p = self.exponent
-        g = p * self.weights * np.sign(d)
-        np.abs(d, out=d)
-        d **= p - 1.0
-        d *= g
-        return d
+        u = np.abs(d)
+        u **= self.exponent - 2.0
+        u *= self.exponent * self.weights
+        u *= d
+        return u
 
     def hessian_diag(self, x: Vector) -> Vector:
         d = as_point(x, self.dimension) - self.center
@@ -531,7 +544,8 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
     curvature lives in single coordinates, which isotropic directions in
     high dimension essentially never hit.  Each chunk of ``GAP_CHUNK`` draws
     fills two preallocated blocks, x and x' - x, and its gaps are evaluated
-    as one stack, so a call stacks at most ``GAP_CHUNK`` rows.
+    as one stack, so a call stacks at most ``GAP_CHUNK`` rows.  A
+    pair_radius ** p or a sampled gap that overflows raises ValueError.
     """
     if not 1.0 < q <= 2.0:
         raise ValueError(f"q={q} outside (1, 2]")
@@ -544,6 +558,10 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
     pair_radius = omega_radius if pair_radius is None else float(pair_radius)
     if not (pair_radius > 0 and math.isfinite(pair_radius)):
         raise ValueError(f"pair_radius must be positive and finite, got {pair_radius}")
+    try:  # every pair length u is at most pair_radius, so u ** p and u ** q stay finite
+        pair_radius ** p
+    except OverflowError:
+        raise ValueError(f"pair_radius ** p overflows: {pair_radius:g} ** {p:g}") from None
     rng = np.random.default_rng(seed)
     n = objective.dimension
     points, steps = np.empty((2, min(GAP_CHUNK, sample_count), n))
@@ -575,6 +593,9 @@ def estimate_condition_constants(objective: Objective, q: float, p: float,
             if not us:
                 continue
         gaps = bregman_gap(objective, x, x + step)
+        if not np.isfinite(gaps).all():
+            raise ValueError(f"a sampled gap is {gaps.max()}: E overflows within "
+                             f"{omega_radius + pair_radius:g} of the origin")
         # Python's max and min skip a NaN ratio and keep the first of equal ones
         alpha_hat = max(alpha_hat, *(gaps / [u ** q for u in us]).tolist())
         beta_hat = min(beta_hat, *(gaps / [u ** p for u in us]).tolist())

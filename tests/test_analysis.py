@@ -1,11 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import greedymin as gm
 from greedymin import harness
-from greedymin.analysis import (MODULI_BLOCK, SequenceBoundInput, check_error_recursion,
+from greedymin.analysis import (MODULI_BLOCK, Check, SequenceBoundInput, check_error_recursion,
                                 check_moduli_equivalence, decrement_gain,
                                 distance_bound, error_bound, estimate_moduli,
                                 fit_rate, rate_constants, recursive_sequence_bound,
@@ -193,6 +194,21 @@ def test_equivalence_concave_objective_fails():
     right, left = check_moduli_equivalence(est)
     assert right.violations == len(HALVING_GRID)
     assert left.violations == len(HALVING_GRID) - 1
+
+
+def test_check_fails_a_nan_margin():
+    check = Check("c", (1, 2, 3), (0.0, np.nan, 2.0), (1.0, 1.0, 1.0))
+    assert check.failing == [2, 3] and check.violations == 2
+
+
+def test_moduli_names_a_non_finite_sampled_value():
+    # E(0) = 34^200 is finite, but E overflows on most of the ball of radius 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        E = gm.PowerSum([34.0], 200.0, [1.0])
+        with pytest.raises(ValueError, match="a sampled E is inf: E overflows on the ball "
+                                             "of radius 10"):
+            estimate_moduli(E, 10.0, HALVING_GRID, 20, 5, seed=0)
 
 
 def test_moduli_command_reports_a_failing_comparison(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,40 @@ def test_run_short_file_rhs_names_both_lengths(tmp_path, capsys):
     cfg = _file_least_squares_cfg(tmp_path, A, np.ones(5))
     assert main(["--quiet", "run", str(cfg)]) == 1
     assert capsys.readouterr().err == "error: rhs has 5 entries, matrix has 6 rows\n"
+
+
+OVERFLOW_CFG = """
+name = overflow
+dimension = 4
+seed = 3
+output_dir = {out}
+objective.type = power_sum
+objective.weights_low = 1
+objective.weights_high = 2
+"""
+
+
+@pytest.mark.parametrize("command,extra,message", [
+    ("moduli", "objective.exponent = 200\nobjective.center = [10, 0, 0, 2]\n",
+     "error: a sampled E is inf: E overflows on the ball of radius 33.0949\n"),
+    ("run", "objective.exponent = 200\nobjective.center = [10, 0, 0, 2]\n",
+     "error: pair_radius ** p overflows: 66.1897 ** 200\n"),
+    ("moduli", "objective.exponent = 4\nobjective.center = [1e90, 0, 0, 2]\n",
+     "error: E(0) = sum_i w_i |c_i|^4 overflows: inf\n"),
+    ("run", "objective.exponent = 4\nobjective.center = [1e90, 0, 0, 2]\n",
+     "error: E(0) = sum_i w_i |c_i|^4 overflows: inf\n"),
+], ids=["p200-moduli", "p200-run", "e0-moduli", "e0-run"])
+def test_overflowing_power_sum_exits_1_naming_it(tmp_path, capsys, command, extra, message):
+    # at p = 200 E overflows near the level set, and a center of 1e90 overflows E(0);
+    # either way no report is written, so none can say STATUS: OK over a NaN
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(OVERFLOW_CFG.format(out=tmp_path / "out") + extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([command, str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert not list((tmp_path / "out").glob("*.txt"))
 
 
 def test_compare_t1_identical_columns(quad_cfg):

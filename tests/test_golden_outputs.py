@@ -10,6 +10,10 @@ NONZERO_EXITS = {
     "compare-quadratic_overstated": 2,
     "moduli-quadratic_origin": 1,        # minimizer at the origin: nothing to sample
     "moduli-least_squares_wide": 1,      # wide matrix: no bounded level set to sample
+    "run-powersum_p200": 1,              # p = 200: pair_radius ** p overflows
+    "moduli-powersum_p200": 1,           # p = 200: a sampled E overflows
+    "run-powersum_huge_center": 1,       # E(0) overflows
+    "moduli-powersum_huge_center": 1,
 }
 
 REPORT_SUFFIXES = (".report.txt", ".moduli.txt", ".compare.txt")

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -276,6 +277,9 @@ def test_power_sum_validation():
         gm.PowerSum([1.0], 1.5, [1.0])
     with pytest.raises(ValueError, match="weights"):
         gm.PowerSum([1.0], 2.0, [0.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match=r"E\(0\) = .* overflows: inf"):
+            gm.PowerSum([1e90, 2.0], 4.0, [1.0, 1.0])
 
 
 def test_estimate_constants_unit_quadratic():
@@ -333,6 +337,17 @@ def test_estimate_constants_argument_validation():
         estimate_condition_constants(E, 2.0, 1.0, 1.0, 10, seed=0)
     with pytest.raises(ValueError):
         estimate_condition_constants(E, 2.0, 2.0, 1.0, 0, seed=0)
+    with pytest.raises(ValueError, match=r"pair_radius \*\* p overflows: 100 \*\* 200"):
+        estimate_condition_constants(E, 2.0, 200.0, 1.0, 10, seed=0, pair_radius=100.0)
+
+
+def test_estimate_constants_names_an_overflowing_gap():
+    # E(0) = 34^200 is finite, E at 38 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        E = gm.PowerSum([34.0], 200.0, [1.0])
+        with pytest.raises(ValueError, match="a sampled gap is .*: E overflows within 4 of"):
+            estimate_condition_constants(E, 2.0, 200.0, 2.0, 50, seed=0, pair_radius=2.0)
 
 
 @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
@@ -442,8 +457,8 @@ def test_powersum_kernels_keep_input_and_formula_bits(p):
     D = X - c
     assert as_points(X) is X
     values, grads = E.value(X), E.gradient(X)
-    assert values.tobytes() == np.sum(w * np.abs(D) ** p, axis=-1).tobytes()
-    assert grads.tobytes() == (p * w * np.sign(D) * np.abs(D) ** (p - 1.0)).tobytes()
+    assert values.tobytes() == np.vecdot((D * D) ** (p / 2.0), w).tobytes()
+    assert grads.tobytes() == (np.abs(D) ** (p - 2.0) * (p * w) * D).tobytes()
     assert np.array_equal(values, [E.value(row) for row in X])
     assert np.array_equal(grads, np.stack([E.gradient(row) for row in X]))
     for row, d in zip(X, D):
@@ -451,6 +466,37 @@ def test_powersum_kernels_keep_input_and_formula_bits(p):
         hess = E.hessian_diag(row)
         assert hess.tobytes() == (p * (p - 1.0) * w * np.abs(d) ** (p - 2.0)).tobytes()
     assert X.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_powersum_kernels_match_exact_arithmetic(p):
+    # against 60-digit decimal arithmetic on |d| from 1e-150 to 1e30 and
+    # d = 0, with c = 0 so that d = x exactly: E within 2 n eps relative
+    # (at most n eps from the sum of nonnegative terms, p/2 + 2 eps per
+    # term), E' and the Hessian within 8 eps per entry, plus a few
+    # subnormal units times p max(w) where an exact entry underflows
+    n, eps, sub = 64, np.finfo(np.float64).eps, Decimal(2) ** -1074
+    rng = np.random.default_rng(int(4 * p))
+    w = rng.uniform(0.5, 2.0, n)
+    X = 10.0 ** rng.uniform(-150.0, 30.0, (3, n)) * rng.choice((-1.0, 1.0), (3, n))
+    X[:, 0], X[0, 1], X[1, 2] = 0.0, 1e-150, 1e30
+    E = gm.PowerSum(np.zeros(n), p, w)
+    values, grads = E.value(X), E.gradient(X)
+    floor = 8 * Decimal(p * w.max()) * sub
+    P = Decimal(p)
+    with localcontext(prec=60):
+        for x, value, grad in zip(X, values, grads):
+            hess = E.hessian_diag(x)
+            a = [abs(Decimal(v)) for v in x]
+            exact = sum(Decimal(wi) * ai ** P for wi, ai in zip(w, a))
+            assert abs(Decimal(value) - exact) <= 2 * n * Decimal(eps) * exact
+            for wi, xi, ai, g, h in zip(w, x, a, grad, hess):
+                power = ai ** (P - 2) if p != 2.0 else Decimal(1)  # 0^0 = 1
+                want = (P * Decimal(wi) * power * Decimal(xi),
+                        P * (P - 1) * Decimal(wi) * power)
+                for got, exact_entry in zip((g, h), want):
+                    err = abs(Decimal(got) - exact_entry)
+                    assert err <= 8 * Decimal(eps) * abs(exact_entry) + floor
 
 
 @pytest.mark.parametrize("m", [1, 7])

@@ -108,6 +108,23 @@ DERIVED = {
                                           "analysis.radius = 10.0\n"
                                           "analysis.grad_bound = 1.0e4\n",
                                     ("run",)),
+    # p = 200: E overflows on the sampled ball, so moduli's sampled E and
+    # run's pair_radius ** p are not finite (exit 1)
+    "powersum_p200": (None, "name = powersum_p200\ndimension = 4\nseed = 3\n"
+                            "objective.type = power_sum\n"
+                            "objective.exponent = 200\n"
+                            "objective.center = [10, 0, 0, 2]\n"
+                            "objective.weights_low = 1\n"
+                            "objective.weights_high = 2\n",
+                      ("run", "moduli")),
+    # a center whose E(0) overflows at p = 4 (exit 1)
+    "powersum_huge_center": (None, "name = powersum_huge_center\ndimension = 4\nseed = 3\n"
+                                   "objective.type = power_sum\n"
+                                   "objective.exponent = 4\n"
+                                   "objective.center = [1e90, 0, 0, 2]\n"
+                                   "objective.weights_low = 1\n"
+                                   "objective.weights_high = 2\n",
+                             ("run", "moduli")),
 }
 
 
