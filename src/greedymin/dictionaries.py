@@ -22,10 +22,15 @@ SELECTION_STRATEGIES = ("exact", "first_admissible", "random_admissible")
 class Dictionary(ABC):
     """An orthonormal basis of R^n with analysis and synthesis maps."""
 
+    def __init__(self, dimension: int):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        self._n = int(dimension)
+
     @property
-    @abstractmethod
     def size(self) -> int:
         """Number of atoms (equals the ambient dimension)."""
+        return self._n
 
     @abstractmethod
     def analyze(self, x: Vector) -> Vector:
@@ -39,30 +44,22 @@ class Dictionary(ABC):
     def subset(self, indices: Sequence[int]) -> np.ndarray:
         """Matrix (n x k) whose columns are the requested atoms, in that order."""
 
-    def image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray:
-        """The (m x k) block S B of a least-squares form's S on ``subset(indices)``."""
-        return form.apply(self.subset(indices))
+    def compose(self, form: LeastSquaresForm) -> LeastSquaresForm:
+        """The form of z -> E(D z), c ||S D z - y||^2, in the atoms' coefficients.
 
-    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray | None:
-        """The (n x k) block S^T S B on ``subset(indices)`` where it is read, not computed.
-
-        None here: off the canonical basis the block costs a product with S^T
-        per atom, as much as the S^T r it would save.
+        Its map is S D, its columns are S applied to the atoms and its
+        adjoint is D^T S^T; y and c are the form's.  It carries no G: D^T G D
+        would cost a product with S^T per atom, as much as the D^T S^T r it
+        would save.
         """
-        return None
+        return form._replace(apply=lambda block: form.apply(self.subset(range(self._n)) @ block),
+                             columns=lambda idx: form.apply(self.subset(idx)),
+                             adjoint=lambda v: self.analyze(form.adjoint(v)),
+                             gram=None, adjoint_rhs=None)
 
 
 class CanonicalBasis(Dictionary):
     """Standard unit vectors."""
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self._n = int(dimension)
-
-    @property
-    def size(self) -> int:
-        return self._n
 
     def analyze(self, x: Vector) -> Vector:
         return as_point(x, self._n).copy()
@@ -76,13 +73,9 @@ class CanonicalBasis(Dictionary):
             B[j, col] = 1.0
         return B
 
-    def image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray:
-        """S's own columns at ``indices``, read without applying S to a unit block."""
-        return form.columns(indices)
-
-    def gram_image(self, form: LeastSquaresForm, indices: Sequence[int]) -> np.ndarray | None:
-        """G's own columns at ``indices``, read as :meth:`image` reads S's; None without G."""
-        return None if form.gram is None else form.gram[:, indices]
+    def compose(self, form: LeastSquaresForm) -> LeastSquaresForm:
+        """The form itself: D is the identity, so its columns, G's included, are read."""
+        return form
 
 
 class RotatedBasis(Dictionary):
@@ -94,19 +87,13 @@ class RotatedBasis(Dictionary):
     """
 
     def __init__(self, dimension: int, seed: int):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self._n = int(dimension)
+        super().__init__(dimension)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         q, r = np.linalg.qr(rng.standard_normal((self._n, self._n)))
         signs = np.sign(np.diag(r))
         signs[signs == 0] = 1.0
         self.q = q * signs
-
-    @property
-    def size(self) -> int:
-        return self._n
 
     def analyze(self, x: Vector) -> Vector:
         return self.q.T @ as_point(x, self._n)

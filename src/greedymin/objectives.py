@@ -32,14 +32,15 @@ class LeastSquaresForm(NamedTuple):
     vector v to the (n,) vector S^T v.  ``rhs`` is the (m,) vector y and
     ``scale`` is c, which must be exact, not just positive: a
     :class:`SpanFactor` reads E and E' of an exact step off the form.  The
-    one record an objective hands the solver.
+    one record an objective hands the solver, which factors its composition
+    with a dictionary (``Dictionary.compose``): the form of z -> E(D z).
 
     ``gram`` is the (n, n) Gram matrix G = S^T S and ``adjoint_rhs`` the
     (n,) vector S^T y, both or neither (the default).  On the canonical
-    basis, which reads G's columns, a form that carries them has its
-    selection vector read off G in O(n k) per step instead of from S^T r, at
-    the cost of keeping n^2 floats; only a tall :class:`LeastSquares` does,
-    whose G is formed for its curvature anyway.
+    basis, whose composition is the form itself, a form that carries them
+    has its selection vector read off G in O(n k) per step instead of from
+    S^T r, at the cost of keeping n^2 floats; only a tall
+    :class:`LeastSquares` does, whose G is formed for its curvature anyway.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -72,9 +73,9 @@ class Objective(ABC):
 
     ``least_squares_form`` returns a :class:`LeastSquaresForm`, or None
     when E has no such form.  ``run_wcga`` builds a :class:`SpanFactor` on
-    that record as it is, and ``argmin_in_span`` extends the factor with
-    the image S B of the new atoms, which the dictionary forms from the
-    form; a subclass provides the form, not the solve.
+    that record composed with its dictionary, and ``argmin_in_span``
+    extends the factor with the composed form's columns of the new atoms; a
+    subclass provides the form, not the solve.
     """
 
     exponent = 2.0
@@ -91,7 +92,11 @@ class Objective(ABC):
     def _set_geometry(self, diameter: float, grad_bound: float,
                       curvature: tuple[float, float] | None = None) -> None:
         """Set the level-set geometry, and ``known_params`` from a closed-form
-        (alpha, beta) unless the level set is a point."""
+        (alpha, beta) unless the level set is a point.  Raises ValueError when
+        the diameter or the gradient bound is not finite."""
+        for name, bound in (("level-set diameter", diameter), ("gradient bound", grad_bound)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{type(self).__name__}: the {name} overflows: {bound}")
         self.level_set_diameter, self.gradient_sup_bound = diameter, grad_bound
         if curvature is not None and diameter:
             (alpha, beta), p = curvature, self.exponent
@@ -119,10 +124,11 @@ class Objective(ABC):
         """Exact coefficients minimizing E over the span of a carried factor.
 
         ``factor`` is a :class:`SpanFactor` of this objective's least-squares
-        form carried across calls: ``image``, the (m, j) block S B of the new
-        atoms B, is appended to it and the coefficients are those of all its
-        columns.  A pass-through, kept so that perfbench's tracer sees one
-        call per exact step until its hook moves to ``SpanFactor.extend``.
+        form composed with a dictionary, carried across calls: ``image``, the
+        (m, j) block S B of the new atoms B, is appended to it and the
+        coefficients are those of all its columns.  A pass-through, kept so
+        that perfbench's tracer sees one call per exact step until its hook
+        moves to ``SpanFactor.extend``.
         """
         factor.extend(image)
         return factor.coefficients()
@@ -277,10 +283,11 @@ class PowerSum(Objective):
         e0 = self.value(np.zeros(n))
         if not math.isfinite(e0):
             raise ValueError(f"E(0) = sum_i w_i |c_i|^{p:g} overflows: {e0}")
-        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set
-        per_coord = p * weights ** (1.0 / p) * e0 ** ((p - 1.0) / p)
+        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set; the scalar
+        # stays outside the norm, whose squares would overflow first
         self._set_geometry(2.0 * n ** (0.5 - 1.0 / p) * (e0 / weights.min()) ** (1.0 / p),
-                           float(np.linalg.norm(per_coord)),
+                           float(p * e0 ** ((p - 1.0) / p)
+                                 * np.linalg.norm(weights ** (1.0 / p))),
                            (float(weights.max()), float(weights.min())) if p == 2.0 else None)
 
     # In place on the fresh d = x - c.  numpy's scalar power squares at an
@@ -347,8 +354,8 @@ class SpanFactor:
 
     For the form E(x) = c * ||S x - y||^2, minimizing over x = B z is solved
     as z = R^-1 (Q^T y) from S B = Q R.  The factor applies no S: it is
-    given the image s = S b of each new atom b, which the dictionary forms
-    from ``form`` (on the canonical basis a read of S's columns, else S
+    given the image s = S b of each new atom b, which a composed form reads
+    (``Dictionary.compose``: S's columns on the canonical basis, else S
     applied to the atoms), and orthogonalizes s against Q by classical
     Gram-Schmidt.  A second pass runs only when the first cancelled, leaving
     ||w|| < ||s|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart 1976); with it
@@ -376,21 +383,21 @@ class SpanFactor:
     The factor also carries the residual r = y - Q Q^T y = y - S B z of the
     span minimizer, updated by r -= (q^T y) q for each new column q in O(m),
     and its coefficients z, taken once per ``extend``.  So ``value`` gives
-    E = c ||r||^2 and ``gradient`` gives the ambient E' = -2c S^T r with no
-    product with S.  Without a Gram in the form, S^T r is one adjoint
+    E = c ||r||^2 and ``gradient`` gives the form's E' = -2c S^T r with no
+    product with S; for a composed form, S^T is D^T S^T and E' is in the
+    atoms' coefficients.  Without a Gram in the form, S^T r is one adjoint
     product.  With one, the factor keeps the (n, k) block S^T S B, grown by
-    ``extend_gram`` one column per atom where the dictionary reads it (G's
-    column on the canonical basis), and takes S^T r = S^T y - (S^T S B) z in
-    O(n k) with no product with S^T either: the update of Batch-OMP (Rubinstein, Zibulevsky
-    & Elad 2008), for k n floats beside the form's n^2.  Its round-off
+    ``extend_gram`` with G's columns of the new atoms, and takes
+    S^T r = S^T y - (S^T S B) z in O(n k) with no product with S^T either:
+    the update of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008), for k n
+    floats beside the form's n^2.  Its round-off
     scales with ||S^T y|| rather than with ||S^T r||: at most about
     max(m, n) eps ||S^T y||, a relative max(m, n) eps of ||E'(0)|| =
     2c ||S^T y||, which ``solvers.FORM_RTOL`` covers.  On
     ``configs/least_squares.cfg`` and the benchmark's 1200 x 600 problem
     (||S^T y|| of 4 to 16) that is under 1e-11, three orders below the
     default ``stop_tol``; measured, it is a few eps ||S^T y||.  A factor
-    extended without its Gram columns (``extend`` alone, as on a rotated
-    basis) keeps the adjoint.
+    extended without its Gram columns (``extend`` alone) keeps the adjoint.
 
     A column whose residual after the last pass is at most ``DEPENDENT_TOL``
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
@@ -398,8 +405,8 @@ class SpanFactor:
     r alone and raises the "not unique" RuntimeWarning.  The storage for
     ``capacity`` independent columns, at most m, is allocated once: R^-1 and
     Q^T y at construction, the dense Q when a column first needs projecting,
-    and, with a Gram, the block of ``capacity`` Gram columns at the first
-    ``extend_gram``, so a factor that is never given one holds none.
+    and the block of ``capacity`` Gram columns at construction iff the form
+    carries G, which a form composed off the canonical basis does not.
     """
 
     # a column in the span keeps a residual near eps * ||s|| after the second pass;
@@ -421,9 +428,8 @@ class SpanFactor:
         self._independent: list[int] = []
         self._z = np.zeros(0)
         self.size = 0
-        # row i is S^T S b_i, allocated by the first extend_gram; the Gram
-        # route holds while every column has one
-        self._gram = None if form.gram is None else np.empty((0, form.gram.shape[0]))
+        # row i is S^T S b_i; the Gram route holds while every column has one
+        self._gram = None if form.gram is None else np.empty((capacity, form.gram.shape[0]))
         self._grams = 0
 
     def extend(self, image: np.ndarray) -> None:
@@ -435,12 +441,10 @@ class SpanFactor:
         self._z[self._independent] = self._rinv[:r, :r] @ self._qty[:r]
         self._z.flags.writeable = False  # shared with the caller and read by gradient
 
-    def extend_gram(self, gram_image: np.ndarray) -> None:
+    def extend_gram(self, gram_columns: np.ndarray) -> None:
         """Append the (n, j) block S^T S B of the j atoms B whose image was appended last."""
-        j = gram_image.shape[1]
-        if not len(self._gram):
-            self._gram = np.empty((self.capacity, self._gram.shape[1]))
-        self._gram[self._grams:self._grams + j] = gram_image.T
+        j = gram_columns.shape[1]
+        self._gram[self._grams:self._grams + j] = gram_columns.T
         self._grams += j
 
     def _append(self, s: Vector) -> None:

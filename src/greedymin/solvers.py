@@ -13,14 +13,15 @@ D^T E' and E at its point; x is synthesized once, when the run ends.  It
 solves exactly when it is given a ``SpanFactor``, and ``run_wcga`` builds
 one when the objective has a least-squares form E(x) = c ||S x - y||^2
 (quadratics), which it checks against the objective at both ends of the
-run.  That thin QR is carried across the run with its residual r, so a
-step works in residual space: it factors only the image S b of the newly
-selected atom b, which the dictionary forms (a read of S's column on the
-canonical basis, S applied to the atom on others), and takes
-E_k = c ||r||^2 and the selection vector D^T(-2c S^T r), with S^T r from
-one adjoint product or, when the form carries the Gram matrix G = S^T S and
-the dictionary reads its columns (the canonical basis), as
-S^T y - (S^T S B) z in O(n k) from the factor's Gram block.  The exact step
+run.  The factor is of that form composed with the dictionary,
+z -> c ||S D z - y||^2, so an exact step works in coefficient space.  Its
+thin QR is carried across the run with its residual r: a step factors only
+the column S D e_j of the newly selected atom j (a read of S's column on
+the canonical basis, S applied to the atom on others), and takes
+E_k = c ||r||^2 and the selection vector -2c D^T S^T r, with D^T S^T r from
+one adjoint product or, when the composed form carries the Gram matrix
+G = S^T S (on the canonical basis, where it is the form itself), as
+S^T y - G[:, I] z in O(n k) from the factor's Gram block.  The exact step
 returns the factor's answer and never falls through to descent; a wrong
 form, its G included, fails the check at the end of the run.
 Without a factor, descent with Armijo backtracking, evaluating the
@@ -137,16 +138,16 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     than ``idx``.
 
     The solve is exact exactly when ``factor`` is given: a
-    :class:`SpanFactor` of the objective's least-squares form carried
-    across calls, holding the leading atoms of ``idx`` already, so
-    ``start`` is not read.  Only the atoms after them are appended, as the
-    image under the form's S that ``dictionary.image`` gives, and x is not
-    formed: the analysis is D^T(-2c S^T r) at the factor's residual r, and
-    E(x) is c ||r||^2.  S^T r is one adjoint product of r, O(m n), unless
-    ``dictionary.gram_image`` gives S^T S of the new atoms, a read of the
-    columns of the form's Gram matrix G = S^T S on the canonical basis:
-    then the factor keeps them as an (n, k) block, and
-    S^T r = S^T y - (S^T S B) z costs O(n k) with the coefficients z the
+    :class:`SpanFactor` of ``dictionary.compose(form)``, the objective's
+    least-squares form in the atoms' coefficients, carried across calls and
+    holding the leading atoms of ``idx`` already, so ``start`` is not read.
+    Only the atoms after them are appended, as the composed form's columns,
+    and x is not formed: the analysis is the factor's gradient
+    -2c D^T S^T r at its residual r, and E(x) is c ||r||^2.  D^T S^T r is
+    one adjoint product of r, O(m n), unless the composed form carries the
+    Gram matrix G = S^T S, as the canonical basis's does: then the factor
+    keeps G's columns of the new atoms as an (n, k) block, and
+    S^T r = S^T y - G[:, I] z costs O(n k) with the coefficients z the
     step already solved for.  Its answer is returned as it is, z being the
     factor's own read-only array, with no check against ``cfg.inner_tol``
     and no descent after it: its restricted gradient sits at the factor's
@@ -165,11 +166,10 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
             raise ValueError(f"idx has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
         form, new = factor.form, idx[factor.size:]
-        z = objective.argmin_in_span(dictionary.image(form, new), factor)
-        gram_image = dictionary.gram_image(form, new)
-        if gram_image is not None:
-            factor.extend_gram(gram_image)
-        return z, dictionary.analyze(factor.gradient()), factor.value()
+        z = objective.argmin_in_span(form.columns(new), factor)
+        if form.gram is not None:
+            factor.extend_gram(form.gram[:, new])
+        return z, factor.gradient(), factor.value()
     z = np.zeros(len(idx))
     z[:len(start)] = start
     basis = dictionary.subset(idx)
@@ -260,8 +260,9 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
 
     Selection reads the analysis D^T E' at the previous iterate that the
     restricted solve returned.  This is the one place a :class:`SpanFactor` is
-    built: with a least-squares form every restricted solve of the run
-    takes the exact path, without one every solve descends.
+    built, on the objective's least-squares form composed with the
+    dictionary: with a form every restricted solve of the run takes the
+    exact path, without one every solve descends.
 
     Every row is recorded one way: E_k comes from the restricted solve, and
     dist_k from its coefficients against those of the known minimizer; x
@@ -289,7 +290,8 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
         return max(gap, 0.0)
 
     form = objective.least_squares_form()
-    factor = None if form is None else SpanFactor(form, capacity=min(cfg.max_steps, n))
+    factor = (None if form is None
+              else SpanFactor(dictionary.compose(form), capacity=min(cfg.max_steps, n)))
     # distances are read off the coefficients against the minimizer's: by
     # orthonormality ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2,
     # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels;
@@ -312,8 +314,7 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
     stopped = g_sup <= cfg.stop_tol
     val = objective.value(np.zeros(n))
     if factor is not None and not stopped:
-        _check_form(objective, 0, factor.value(), dictionary.analyze(factor.gradient()),
-                    g0, g0, val)
+        _check_form(objective, 0, factor.value(), factor.gradient(), g0, g0, val)
     steps = [TraceStep(0, val, error_of(val), dist_of(z), None, None, g_sup, stopped)]
 
     for m in range(1, cfg.max_steps + 1):

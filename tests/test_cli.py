@@ -270,6 +270,21 @@ def test_overflowing_power_sum_exits_1_naming_it(tmp_path, capsys, command, extr
     assert not list((tmp_path / "out").glob("*.txt"))
 
 
+@pytest.mark.parametrize("command", ["run", "moduli"])
+def test_overflowing_gradient_bound_exits_1_naming_it(tmp_path, capsys, command):
+    # 2 E(0) max(w) = 1e300 * 1e300 overflows; unchecked, the inf bound would reach
+    # rate_constants and fail there as "scale must be positive", naming nothing
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"name = huge\ndimension = 2\nseed = 3\noutput_dir = {tmp_path / 'out'}\n"
+                   "objective.type = diagonal_quadratic\nobjective.center = [1e150, 0]\n"
+                   "objective.weights = [1, 1e300]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--quiet", command, str(cfg)]) == 1
+    assert capsys.readouterr().err == ("error: DiagonalQuadratic: the gradient bound "
+                                       "overflows: inf\n")
+
+
 def test_compare_t1_identical_columns(quad_cfg):
     path, out = quad_cfg
     assert main(["--quiet", "compare", str(path),

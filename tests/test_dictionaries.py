@@ -41,6 +41,14 @@ def test_analyze_rejects_stack(basis):
         basis.analyze(np.ones((3, basis.size)))
 
 
+@pytest.mark.parametrize("make", [gm.CanonicalBasis, lambda n: gm.RotatedBasis(n, seed=1)],
+                         ids=["canonical", "rotated"])
+def test_dimension_must_be_positive(make):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        make(0)
+    assert make(3).size == 3
+
+
 def test_subset_columns(basis):
     B = basis.subset([1, 4, 9])
     for col, j in enumerate([1, 4, 9]):
@@ -65,24 +73,43 @@ def _forms(n: int) -> dict:
 @pytest.mark.parametrize("kind", ["least_squares_tall", "least_squares_wide", "quadratic",
                                   "powersum2"])
 def test_image_is_the_product_on_the_subset_bit_for_bit(basis, kind, indices):
-    # the canonical basis reads S's columns; a reordered or dropped column fails
+    # the composed form's columns are S on the atoms, with the bits of its
+    # map S D on the unit block: the canonical basis reads S's columns; a
+    # reordered or dropped column fails
     form = _forms(basis.size)[kind]
-    image = basis.image(form, indices)
+    composed = basis.compose(form)
+    image = composed.columns(indices)
     assert np.array_equal(image, form.apply(basis.subset(indices)))
+    assert np.array_equal(image, composed.apply(np.eye(basis.size)[:, indices]))
 
 
 @pytest.mark.parametrize("indices", [[7], [9, 2, 11, 0, 5]])
 def test_gram_image_is_the_gram_on_the_subset(basis, indices):
-    # S^T S B: G's columns on the canonical basis, bit for bit as G on the
-    # unit block; no block elsewhere, where it would cost a product with S^T,
-    # nor from a form without G
+    # S^T S B: the composed form's G on the canonical basis, whose columns
+    # are bit for bit G on the unit block; no G elsewhere, where it would
+    # cost a product with S^T per atom, nor from a form without G
     forms = _forms(basis.size)
-    gram = basis.gram_image(forms["least_squares_tall"], indices)
+    tall = forms["least_squares_tall"]
+    composed = basis.compose(tall)
     if isinstance(basis, gm.CanonicalBasis):
-        assert np.array_equal(gram, forms["least_squares_tall"].gram @ basis.subset(indices))
+        assert np.array_equal(composed.gram[:, indices], tall.gram @ basis.subset(indices))
+        assert composed.adjoint_rhs is tall.adjoint_rhs
     else:
-        assert gram is None
-    assert basis.gram_image(forms["least_squares_wide"], indices) is None
+        assert composed.gram is None and composed.adjoint_rhs is None
+    assert basis.compose(forms["least_squares_wide"]).gram is None
+
+
+@pytest.mark.parametrize("kind", ["least_squares_tall", "least_squares_wide", "quadratic",
+                                  "powersum2"])
+def test_composed_adjoint_is_the_analysis_of_the_adjoint(basis, kind):
+    # D^T S^T v, bit for bit; y and c pass through, and the canonical basis
+    # hands back the form itself
+    form = _forms(basis.size)[kind]
+    composed = basis.compose(form)
+    v = np.random.default_rng(4).standard_normal(form.rhs.shape[0])
+    assert np.array_equal(composed.adjoint(v), basis.analyze(form.adjoint(v)))
+    assert composed.rhs is form.rhs and composed.scale == form.scale
+    assert (composed is form) == isinstance(basis, gm.CanonicalBasis)
 
 
 def test_canonical_image_reads_every_column_of_a_large_matrix_exactly():
@@ -92,10 +119,11 @@ def test_canonical_image_reads_every_column_of_a_large_matrix_exactly():
     A /= np.sqrt(1200)
     form = gm.LeastSquares(A, rng.standard_normal(1200)).least_squares_form()
     D = gm.CanonicalBasis(600)
+    columns = D.compose(form).columns
     for j in range(600):
-        assert np.array_equal(D.image(form, [j]), form.apply(D.subset([j])))
+        assert np.array_equal(columns([j]), form.apply(D.subset([j])))
     shuffled = rng.permutation(600).tolist()
-    assert np.array_equal(D.image(form, shuffled), form.apply(D.subset(shuffled)))
+    assert np.array_equal(columns(shuffled), form.apply(D.subset(shuffled)))
 
 
 def test_rotated_determinism_and_orthogonality():

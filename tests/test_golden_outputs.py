@@ -53,3 +53,9 @@ def test_golden_outputs_repeat_with_fixed_exit_codes(tmp_path):
         if name.endswith(REPORT_SUFFIXES):
             heads[label].append(data.split(b"\n", 1)[0])
     assert heads == {label: STATUS_LINES[codes[label]] for label in labels}
+
+    # a command that completes prints nothing to stderr: no overflow, no
+    # "not unique", no other warning on a shipped config
+    noisy = {label: tree[f"{label}/stderr.txt"].decode() for label in labels
+             if codes[label] != "1\n" and tree[f"{label}/stderr.txt"]}
+    assert noisy == {}

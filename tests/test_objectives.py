@@ -151,7 +151,7 @@ def _closed_form_geometry(E):
     if isinstance(E, gm.PowerSum):
         e0, w, n, p = E.value(zero), E.weights, E.dimension, E.exponent
         return (2.0 * n ** (0.5 - 1.0 / p) * (e0 / w.min()) ** (1.0 / p),
-                float(np.linalg.norm(p * w ** (1.0 / p) * e0 ** ((p - 1.0) / p))),
+                float(p * e0 ** ((p - 1.0) / p) * np.linalg.norm(w ** (1.0 / p))),
                 (float(w.max()), float(w.min())) if p == 2.0 else None)
     m, n = E.A.shape
     if m < n:
@@ -189,6 +189,29 @@ def test_closed_form_geometry_is_set_once(kind):
         assert E.known_params == gm.CurvatureParams(alpha, 2.0, beta, E.exponent, diameter,
                                                     grad_bound)
     assert E.known_params is E.known_params
+
+
+def test_powersum_gradient_bound_is_finite_where_its_terms_square_past_overflow():
+    # at p = 200, center [10, 0, 0, 2]: the bound p E(0)^((p-1)/p) ||w^(1/p)|| is
+    # about 4e201, finite, though each per-coordinate term squared is not
+    p, w = 200.0, np.array([1.0, 1.5, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = gm.PowerSum([10.0, 0.0, 0.0, 2.0], p, w)
+    with localcontext(prec=50):
+        P = Decimal(p)
+        e0 = sum(Decimal(wi) * Decimal(ci) ** 200 for wi, ci in zip(w, [10, 0, 0, 2]))
+        ref = P * e0 ** ((P - 1) / P) * sum(Decimal(wi) ** (2 / P) for wi in w).sqrt()
+    assert E.gradient_sup_bound == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_non_finite_geometry_names_the_class_and_the_quantity():
+    # 2 E(0) max(w) = 1e300 * 1e300 overflows, so the gradient bound would be inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="^DiagonalQuadratic: the gradient bound "
+                                             "overflows: inf$"):
+            gm.DiagonalQuadratic([1e150, 0.0], [1.0, 1e300])
 
 
 def test_powersum_p2_known_params_are_the_extreme_weights():
@@ -746,6 +769,29 @@ def test_factor_shares_its_coefficients(kind):
     factor = _fresh_factor(E, 3)
     z = E.argmin_in_span(_image(E, _bases(8, 3)["rotated"]), factor)
     assert z is factor.coefficients() and not z.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "powersum2", "least_squares",
+                                  "least_squares_wide"])
+def test_composed_factor_gradient_is_the_analysis_of_the_ambient_one(kind):
+    # a factor of D.compose(form) gives (-2c) (D^T S^T r), one of the form
+    # itself D^T((-2c) S^T r): equal bit for bit because every shipped c is
+    # 1/2 or 1, so -2c is a power of two and scaling commutes with D^T exactly
+    n = 8
+    lib = stack_library(n, seed=12)
+    A = np.random.default_rng(13).standard_normal((5, n))
+    E = gm.LeastSquares(A, A @ np.arange(n)) if kind == "least_squares_wide" else lib[kind]
+    D = gm.RotatedBasis(n, seed=14)
+    form = E.least_squares_form()
+    assert -2.0 * form.scale in (-1.0, -2.0)
+    atoms = [5, 1, 6, 3, 0, 7, 2, 4][:min(n, form.rhs.shape[0])]
+    composed = SpanFactor(D.compose(form), capacity=len(atoms))
+    ambient = SpanFactor(form, capacity=len(atoms))
+    for j in atoms:
+        z = E.argmin_in_span(composed.form.columns([j]), composed)
+        assert np.array_equal(z, E.argmin_in_span(form.apply(D.subset([j])), ambient))
+        assert composed.value() == ambient.value()
+        assert np.array_equal(composed.gradient(), D.analyze(ambient.gradient()))
 
 
 def _overlapping_atoms(n: int) -> np.ndarray:

@@ -160,14 +160,14 @@ def test_restricted_validation(unit_quadratic4):
 def test_restricted_with_factor_orders_atoms_by_warm_start():
     E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(E.least_squares_form(), capacity=6)
+    factor = SpanFactor(D.compose(E.least_squares_form()), capacity=6)
     idx = [4, 1, 2]
     z, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), factor)
     # the coefficients are those of the atoms in idx order: B^T W B z = B^T W c
     B = D.subset(idx)
     oracle = np.linalg.solve(B.T @ (E.weights[:, None] * B), B.T @ (E.weights * E.center))
     assert np.allclose(z, oracle, rtol=0, atol=1e-12) and factor.size == 3
-    fresh = SpanFactor(E.least_squares_form(), capacity=3)
+    fresh = SpanFactor(D.compose(E.least_squares_form()), capacity=3)
     z_plain, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), fresh)
     assert np.allclose(z, z_plain, rtol=0, atol=1e-12)
 
@@ -196,7 +196,7 @@ def test_restricted_with_factor_calls_neither_value_nor_gradient():
     # the exact path reads the selection vector off the factor's residual
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(E.least_squares_form(), capacity=6)
+    factor = SpanFactor(D.compose(E.least_squares_form()), capacity=6)
     idx, z, E.value_calls, E.gradient_calls = [], np.zeros(0), 0, 0
     for j in (4, 1, 2, 5):
         idx.append(j)
@@ -210,7 +210,8 @@ def test_restricted_returns_the_gradient_at_its_point(path):
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = base if path == "exact" else Stripped(base)
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(base.least_squares_form(), capacity=2) if path == "exact" else None
+    factor = (SpanFactor(D.compose(base.least_squares_form()), capacity=2)
+              if path == "exact" else None)
     z, g, e = restricted_minimize(E, D, [4, 1], gm.SolverConfig(max_inner_iters=3000), factor)
     x = point_of(D, [4, 1], z)
     if path == "descent":
@@ -236,11 +237,11 @@ def test_restricted_returns_an_exact_solve_that_fails_its_check():
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(E.least_squares_form(), capacity=2)
+    factor = SpanFactor(D.compose(E.least_squares_form()), capacity=2)
     z, g, e = restricted_minimize(E, D, [4, 1], gm.SolverConfig(), factor)
-    # the factor's own coefficients, read-only
+    # the factor's own coefficients, read-only, and its coefficient-space gradient
     assert factor.size == 2 and z is factor.coefficients() and not z.flags.writeable
-    assert np.array_equal(g, D.analyze(factor.gradient())) and e == factor.value()
+    assert np.array_equal(g, factor.gradient()) and e == factor.value()
     assert np.max(np.abs(g[[4, 1]])) > 1e-10
     with pytest.raises(ValueError, match="^SkewedAdjoint: least-squares form disagrees "
                                          "with the objective at 0"):
@@ -579,10 +580,12 @@ def test_canonical_greedy_reads_each_atom_column_once(kind, algorithm):
 
 
 class AppliedCanonical(gm.CanonicalBasis):
-    """The canonical basis forming each image as S on the unit block, as other bases do."""
+    """The canonical basis forming the columns of a form as other bases do: S on the unit
+    block.  The form keeps its G, which the base composition drops, so only the column
+    read differs from the canonical basis's."""
 
-    def image(self, form, indices):
-        return gm.Dictionary.image(self, form, indices)
+    def compose(self, form):
+        return form._replace(columns=gm.Dictionary.compose(self, form).columns)
 
 
 @pytest.mark.parametrize("algorithm", ["omp", "wcga"])
@@ -672,8 +675,18 @@ def test_greedy_factor_holds_the_objective_form_itself(monkeypatch):
 
     monkeypatch.setattr(solvers, "SpanFactor", Recording)
     E = FormKept(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
-    gm.run_wcga(E, gm.RotatedBasis(6, seed=3), gm.SolverConfig(algorithm="omp"))
+    # the canonical basis composes to the form itself; a rotated one to the
+    # form of z -> E(D z), whose y and c are the form's
+    gm.run_wcga(E, gm.CanonicalBasis(6), gm.SolverConfig(algorithm="omp"))
     assert len(made) == 1 and made[0].form is E.form
+    D = gm.RotatedBasis(6, seed=3)
+    gm.run_wcga(E, D, gm.SolverConfig(algorithm="omp"))
+    composed = made[1].form
+    assert len(made) == 2 and composed is not E.form
+    assert composed.rhs is E.form.rhs and composed.scale == E.form.scale
+    v = np.random.default_rng(2).standard_normal(6)
+    assert np.array_equal(composed.adjoint(v), D.analyze(E.form.adjoint(v)))
+    assert np.array_equal(composed.columns([4, 1]), E.form.apply(D.subset([4, 1])))
 
 
 # -- the exact path against the objective -------------------------------------
@@ -933,7 +946,7 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
         def gradient(self):
             g = super().gradient()
             ref = (-2.0 * self.form.scale) * (A.T @ self._r)
-            gaps.append(gm.norm(D.analyze(g) - D.analyze(ref)))
+            gaps.append(gm.norm(g - D.analyze(ref)))
             grams.append((self._grams, self.size))
             return g
 
@@ -952,15 +965,16 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
     if noise:
         assert tr.final.value > 1e-4 * tr[0].value
     # S^T never meets r on the canonical basis, which reads G's columns; a
-    # rotated one applies S^T to r once per step, the empty factor reading S^T y
-    assert E.adjoint_calls == (0 if basis_kind == "canonical" else len(tr) - 1)
+    # rotated one composes a form without G or S^T y, so it applies S^T to r
+    # once per step and once more for the empty factor
+    assert E.adjoint_calls == (0 if basis_kind == "canonical" else len(tr))
     assert residual.adjoint_calls == len(ref)
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
 def test_gram_block_is_allocated_only_where_steps_fill_it(basis_kind, monkeypatch):
     # the canonical basis appends one Gram column per step; a rotated one
-    # appends none, so its factor holds no (capacity, n) block beside G
+    # composes a form without G, so its factor holds no block beside G
     made = []
 
     class Recording(SpanFactor):
@@ -974,7 +988,10 @@ def test_gram_block_is_allocated_only_where_steps_fill_it(basis_kind, monkeypatc
     D = gm.CanonicalBasis(n) if basis_kind == "canonical" else gm.RotatedBasis(n, seed=5)
     tr = gm.run_wcga(gm.LeastSquares(A, b), D, gm.SolverConfig(algorithm="omp", max_steps=k))
     assert len(tr) - 1 == k and len(made) == 1
-    assert made[0]._gram.shape == ((k, n) if basis_kind == "canonical" else (0, n))
+    if basis_kind == "canonical":
+        assert made[0]._gram.shape == (k, n) and made[0]._grams == k
+    else:
+        assert made[0]._gram is None
 
 
 class SkewedGram(gm.LeastSquares):
