@@ -27,6 +27,9 @@ class Dictionary(ABC):
             raise ValueError("dimension must be >= 1")
         self._n = int(dimension)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._n})"
+
     @property
     def size(self) -> int:
         """Number of atoms (equals the ambient dimension)."""
@@ -94,6 +97,9 @@ class RotatedBasis(Dictionary):
         signs = np.sign(np.diag(r))
         signs[signs == 0] = 1.0
         self.q = q * signs
+
+    def __repr__(self) -> str:
+        return f"RotatedBasis({self._n}, seed={self.seed})"
 
     def analyze(self, x: Vector) -> Vector:
         return self.q.T @ as_point(x, self._n)

@@ -80,11 +80,7 @@ def build_objective(cfg: ExperimentConfig, dictionary: Dictionary) -> Objective:
     rows = spec["rows"]
     A = rng.standard_normal((rows, cfg.dimension))
     A /= np.sqrt(rows)  # in place: no second m x n array
-    xbar = _sparse_center(cfg, dictionary, rng)
-    obj = LeastSquares(A, A @ xbar)
-    if obj.known_minimizer is None:
-        obj.known_minimizer = xbar       # planted solution; E(xbar) = 0 is the minimum
-    return obj
+    return LeastSquares.planted(A, _sparse_center(cfg, dictionary, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +354,7 @@ def run_demo_cs(rows: int, cols: int, sparsity: int, seed: int,
     if sparsity:
         idx = np.sort(rng.choice(cols, size=sparsity, replace=False))
         xbar[idx] = rng.uniform(1.0, 2.0, size=sparsity) * rng.choice((-1.0, 1.0), size=sparsity)
-    objective = LeastSquares(A, A @ xbar)
-    if objective.known_minimizer is None:
-        objective.known_minimizer = xbar
+    objective = LeastSquares.planted(A, xbar)
     cfg = SolverConfig(algorithm="omp", max_steps=rows, seed=sub_seed(seed, "solver"))
     trace = run_wcga(objective, CanonicalBasis(cols), cfg)
 

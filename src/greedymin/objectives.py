@@ -15,11 +15,14 @@ from __future__ import annotations
 import math
 import warnings
 from abc import ABC, abstractmethod
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import CurvatureParams, Vector, as_point, as_points, norm
+
+if TYPE_CHECKING:
+    from .dictionaries import Dictionary
 
 
 class LeastSquaresForm(NamedTuple):
@@ -152,8 +155,11 @@ class DiagonalQuadratic(Objective):
         self.weights = weights
         self.known_minimizer = center.copy()
         e0 = self.value(np.zeros(self.dimension))
+        # sqrt(2 e0 max(w)) taken as a product of roots, whose factors are each
+        # at most sqrt(DBL_MAX) while 2 e0 is finite: the product itself would
+        # overflow where the bound does not
         self._set_geometry(2.0 * np.sqrt(2.0 * e0 / weights.min()),
-                           float(np.sqrt(2.0 * e0 * weights.max())),
+                           float(np.sqrt(2.0 * e0) * np.sqrt(weights.max())),
                            (float(weights.max()) / 2.0, float(weights.min()) / 2.0))
 
     def value(self, x: Vector) -> float | Vector:
@@ -175,10 +181,17 @@ class LeastSquares(Objective):
     matrix, so ``known_params`` holds a certified bracket: alpha at or above
     sigma_max^2 and beta at or below sigma_min^2, each moved outward by the
     rounding bound of forming A^T A and of its eigensolver.  A positive beta
-    certifies full column rank, so the minimizer is unique; only then are
-    ``known_minimizer``, the level-set geometry and ``known_params`` set.  A
-    wide A, or one whose beta is not positive, is not known to be strictly
-    convex and carries none of them.
+    certifies full column rank, so the minimizer is unique; only then are the
+    level-set geometry and ``known_params`` set.  A wide A, or one whose beta
+    is not positive, is not known to be strictly convex and carries neither.
+
+    ``known_minimizer`` comes from one of two places.  A problem built by
+    :meth:`planted` is told its minimizer xbar and forms b = A xbar itself,
+    so xbar is kept as given, for every shape of A, with E(xbar) = 0
+    exactly and no solve.  A problem given b (``LeastSquares(A, b)``,
+    :meth:`from_files`) has no known solution: its xbar solves the normal
+    equations G x = A^T b with one step of iterative refinement, and only
+    when beta certifies that it is unique.
 
     A tall A keeps that G = A^T A, n^2 floats, and A^T b for its
     least-squares form, so exact steps on the canonical basis read their
@@ -187,11 +200,23 @@ class LeastSquares(Objective):
     """
 
     def __init__(self, matrix, rhs):
-        A = np.ascontiguousarray(matrix, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("matrix must be 2-D")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix has non-finite entries")
+        self._set_up(_checked_matrix(matrix), rhs, None)
+
+    @classmethod
+    def planted(cls, matrix, minimizer) -> "LeastSquares":
+        """E(x) = ||A x - A xbar||^2, keeping the planted xbar as ``known_minimizer``.
+
+        Raises ValueError unless E(xbar) is exactly 0.0, so that every error
+        e_k = E(x_k) - E(xbar) is measured from the true minimum.
+        """
+        A = _checked_matrix(matrix)
+        xbar = as_point(minimizer, A.shape[1]).copy()
+        obj = cls.__new__(cls)
+        obj._set_up(A, A @ xbar, xbar)
+        return obj
+
+    def _set_up(self, A: np.ndarray, rhs, xbar: Vector | None) -> None:
+        """Validate b against A and derive the rest; ``xbar`` is the planted minimizer or None."""
         b = np.asarray(rhs, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise ValueError("rhs has non-finite entries")
@@ -202,6 +227,12 @@ class LeastSquares(Objective):
         self.A = A
         self.b = as_point(b, m)
         self._gram = self._aty = None
+        if xbar is not None:
+            e_min = self.value(xbar)
+            if e_min != 0.0:
+                raise ValueError(f"planted minimizer does not solve A x = b exactly: "
+                                 f"E = {e_min:.3g}")
+            self.known_minimizer = xbar
         if m < n:
             return  # rank deficient by its shape; no eigenvalue is read
         G = A.T @ A
@@ -218,10 +249,11 @@ class LeastSquares(Objective):
         delta = m * u / (1.0 - m * u) * float(np.trace(G)) + n * eps * float(lam[-1])
         alpha, beta = float(lam[-1]) + delta, float(lam[0]) - delta
         if beta > 0.0:
-            # normal equations with one step of iterative refinement
-            xbar = np.linalg.solve(G, self._aty)
-            xbar += np.linalg.solve(G, A.T @ (self.b - A @ xbar))
-            self.known_minimizer = xbar
+            if xbar is None:
+                # normal equations with one step of iterative refinement
+                xbar = np.linalg.solve(G, self._aty)
+                xbar += np.linalg.solve(G, A.T @ (self.b - A @ xbar))
+                self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))
             rho = float(np.sqrt(max(e0 - self.value(xbar), 0.0)))
             # sqrt(beta) <= sigma_min and sqrt(alpha) >= sigma_max keep both bounds sound
@@ -327,6 +359,16 @@ class PowerSum(Objective):
 # ---------------------------------------------------------------------------
 
 
+def _checked_matrix(matrix) -> np.ndarray:
+    """A C-contiguous float64 copy or view of a finite 2-D matrix."""
+    A = np.ascontiguousarray(matrix, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError("matrix must be 2-D")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    return A
+
+
 def _per_point(values):
     """A Python float for the 0-d result of one point, the (m,) array of a stack."""
     return float(values) if np.ndim(values) == 0 else values
@@ -352,8 +394,11 @@ def _weighted_form(weights: Vector, center: Vector, scale: float) -> LeastSquare
 class SpanFactor:
     """Thin QR of S B for a :class:`LeastSquaresForm`, grown a column at a time.
 
-    For the form E(x) = c * ||S x - y||^2, minimizing over x = B z is solved
-    as z = R^-1 (Q^T y) from S B = Q R.  The factor applies no S: it is
+    A factor is built on a dictionary D and an objective's form, and factors
+    their composition ``D.compose(form)``, the form of z -> E(D z); it keeps
+    D, so that a solve on other atoms can refuse it.  For the form
+    E(x) = c * ||S x - y||^2, minimizing over x = B z is solved as
+    z = R^-1 (Q^T y) from S B = Q R.  The factor applies no S: it is
     given the image s = S b of each new atom b, which a composed form reads
     (``Dictionary.compose``: S's columns on the canonical basis, else S
     applied to the atoms), and orthogonalizes s against Q by classical
@@ -414,9 +459,14 @@ class SpanFactor:
     # close to the eps * max(m, k) cutoff of lstsq
     DEPENDENT_TOL = 1e-12
 
-    def __init__(self, form: LeastSquaresForm, capacity: int):
-        """An empty factor of ``form``, kept whole as ``self.form``, for ``capacity`` columns."""
-        self.form = form
+    def __init__(self, dictionary: Dictionary, form: LeastSquaresForm, capacity: int):
+        """An empty factor of ``dictionary.compose(form)`` for ``capacity`` columns.
+
+        The composed form is kept whole as ``self.form`` and ``dictionary``,
+        whose atoms its columns are, as ``self.dictionary``.
+        """
+        self.dictionary = dictionary
+        self.form = form = dictionary.compose(form)
         m = form.rhs.shape[0]
         self._r = np.array(form.rhs, dtype=np.float64)
         self.capacity = capacity = min(int(capacity), m)

@@ -138,9 +138,11 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     than ``idx``.
 
     The solve is exact exactly when ``factor`` is given: a
-    :class:`SpanFactor` of ``dictionary.compose(form)``, the objective's
-    least-squares form in the atoms' coefficients, carried across calls and
-    holding the leading atoms of ``idx`` already, so ``start`` is not read.
+    :class:`SpanFactor` built on this ``dictionary`` (the same object, else
+    ValueError naming both), whose form is ``dictionary.compose(form)``, the
+    objective's least-squares form in the atoms' coefficients, carried
+    across calls and holding the leading atoms of ``idx`` already, so
+    ``start`` is not read.
     Only the atoms after them are appended, as the composed form's columns,
     and x is not formed: the analysis is the factor's gradient
     -2c D^T S^T r at its residual r, and E(x) is c ||r||^2.  D^T S^T r is
@@ -162,6 +164,9 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     if len(start) > len(idx):
         raise ValueError(f"start has {len(start)} coefficients for {len(idx)} atoms")
     if factor is not None:
+        if factor.dictionary is not dictionary:
+            raise ValueError(f"the factor's atoms are those of {factor.dictionary!r}, "
+                             f"not of {dictionary!r}")
         if factor.size > len(idx):
             raise ValueError(f"idx has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
@@ -291,7 +296,7 @@ def run_wcga(objective: Objective, dictionary: Dictionary, cfg: SolverConfig) ->
 
     form = objective.least_squares_form()
     factor = (None if form is None
-              else SpanFactor(dictionary.compose(form), capacity=min(cfg.max_steps, n)))
+              else SpanFactor(dictionary, form, capacity=min(cfg.max_steps, n)))
     # distances are read off the coefficients against the minimizer's: by
     # orthonormality ||x - xbar||^2 = ||z - abar_I||^2 + ||abar off I||^2,
     # the second sum taken directly since ||abar||^2 - ||abar_I||^2 cancels;

@@ -272,16 +272,18 @@ def test_overflowing_power_sum_exits_1_naming_it(tmp_path, capsys, command, extr
 
 @pytest.mark.parametrize("command", ["run", "moduli"])
 def test_overflowing_gradient_bound_exits_1_naming_it(tmp_path, capsys, command):
-    # 2 E(0) max(w) = 1e300 * 1e300 overflows; unchecked, the inf bound would reach
-    # rate_constants and fail there as "scale must be positive", naming nothing
+    # E(0) = 1e300 * 1.09^200 ~ 3e307 is finite, but the bound p E(0)^(199/200)
+    # w^(1/200) ~ 6e309 is not; unchecked, the inf bound would reach rate_constants
+    # and fail there as "scale must be positive", naming nothing.  No diagonal
+    # quadratic serves: its bound overflows only where its diameter does first
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(f"name = huge\ndimension = 2\nseed = 3\noutput_dir = {tmp_path / 'out'}\n"
-                   "objective.type = diagonal_quadratic\nobjective.center = [1e150, 0]\n"
-                   "objective.weights = [1, 1e300]\n")
+    cfg.write_text(f"name = huge\ndimension = 1\nseed = 3\noutput_dir = {tmp_path / 'out'}\n"
+                   "objective.type = power_sum\nobjective.exponent = 200\n"
+                   "objective.center = [1.09]\nobjective.weights = [1e300]\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["--quiet", command, str(cfg)]) == 1
-    assert capsys.readouterr().err == ("error: DiagonalQuadratic: the gradient bound "
+    assert capsys.readouterr().err == ("error: PowerSum: the gradient bound "
                                        "overflows: inf\n")
 
 

@@ -319,3 +319,68 @@ def test_derive_constants_needs_bounded_level_set(overrides):
     E = gm.build_objective(cfg, D)
     assert E.known_minimizer is not None and E.level_set_diameter is None
     assert gm.derive_constants(cfg, E, D) == (None, "level set not known to be bounded")
+
+
+# -- planted least-squares problems ---------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _demo_cs_planted(rows: int, cols: int, sparsity: int, seed: int) -> np.ndarray:
+    """The xbar that demo-cs plants, drawn here as its generator draws it."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((rows, cols))
+    xbar = np.zeros(cols)
+    if sparsity:
+        idx = np.sort(rng.choice(cols, size=sparsity, replace=False))
+        xbar[idx] = rng.uniform(1.0, 2.0, size=sparsity) * rng.choice((-1.0, 1.0), size=sparsity)
+    return xbar
+
+
+def _harness_problem(shape: str, monkeypatch, tmp_path):
+    """(objective, planted xbar) of a harness-built least-squares problem."""
+    if shape == "tall":
+        cfg = gm.load_config(CONFIGS / "least_squares.cfg")
+        rng = np.random.default_rng(gm.sub_seed(cfg.seed, "objective"))
+        rng.standard_normal((cfg.objective["rows"], cfg.dimension))
+        dictionary = gm.build_dictionary(cfg)
+        xbar = gm.harness._sparse_center(cfg, dictionary, rng)
+        return gm.build_objective(cfg, dictionary), xbar
+    made = []
+
+    def recording(objective, dictionary, cfg):
+        made.append(objective)
+        return gm.run_wcga(objective, dictionary, cfg)
+
+    monkeypatch.setattr(gm.harness, "run_wcga", recording)
+    args = (16, 16, 8, 2) if shape == "square" else (50, 200, 4, 7)
+    gm.run_demo_cs(*args, output_dir=tmp_path, quiet=True)
+    return made[0], _demo_cs_planted(*args)
+
+
+@pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+def test_harness_keeps_the_planted_minimizer_bit_for_bit(shape, monkeypatch, tmp_path):
+    # tall: configs/least_squares.cfg (60 x 30); square and wide: demo-cs 16 x 16
+    # and 50 x 200.  E is measured from E(xbar) = 0, not from a solve's round-off
+    E, xbar = _harness_problem(shape, monkeypatch, tmp_path)
+    assert E.known_minimizer.tobytes() == xbar.tobytes()
+    assert E.value(E.known_minimizer) == 0.0
+    # the certified bracket still decides whether the level set is bounded
+    assert (E.level_set_diameter is None) == (shape == "wide")
+
+
+@pytest.mark.parametrize("shape", ["tall", "square"])
+def test_planted_set_up_makes_no_normal_equation_solve(shape, monkeypatch, tmp_path):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    E, _ = _harness_problem(shape, monkeypatch, tmp_path)
+    assert E.known_params is not None and calls == []
+    # a problem given only b still solves the normal equations, twice
+    gm.LeastSquares(E.A, E.b)
+    assert len(calls) == 2

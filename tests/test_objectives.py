@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -146,7 +147,7 @@ def _closed_form_geometry(E):
     zero = np.zeros(E.dimension)
     if isinstance(E, gm.DiagonalQuadratic):
         e0, w = E.value(zero), E.weights
-        return (2.0 * np.sqrt(2.0 * e0 / w.min()), float(np.sqrt(2.0 * e0 * w.max())),
+        return (2.0 * np.sqrt(2.0 * e0 / w.min()), float(np.sqrt(2.0 * e0) * np.sqrt(w.max())),
                 (float(w.max()) / 2.0, float(w.min()) / 2.0))
     if isinstance(E, gm.PowerSum):
         e0, w, n, p = E.value(zero), E.weights, E.dimension, E.exponent
@@ -206,12 +207,27 @@ def test_powersum_gradient_bound_is_finite_where_its_terms_square_past_overflow(
 
 
 def test_non_finite_geometry_names_the_class_and_the_quantity():
-    # 2 E(0) max(w) = 1e300 * 1e300 overflows, so the gradient bound would be inf
+    # at p = 200, E(0) = 1e300 * 1.09^200 ~ 3e307 is finite, but the gradient bound
+    # p E(0)^(199/200) w^(1/200) ~ 6e309 is not
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="^DiagonalQuadratic: the gradient bound "
+        with pytest.raises(ValueError, match="^PowerSum: the gradient bound "
                                              "overflows: inf$"):
-            gm.DiagonalQuadratic([1e150, 0.0], [1.0, 1e300])
+            gm.PowerSum([1.09], 200.0, [1e300])
+        # E(0) = 5e307, so the diameter 2 sqrt(2 E(0) / min(w)) = 2e308 overflows
+        with pytest.raises(ValueError, match="^DiagonalQuadratic: the level-set diameter "
+                                             "overflows: inf$"):
+            gm.DiagonalQuadratic([1e154, 0.0], [1.0, 1e-308])
+
+
+def test_quadratic_gradient_bound_is_finite_where_its_product_overflows():
+    # 2 E(0) max(w) = 1e300 * 1e300 overflows, but the bound sqrt(2 E(0) max(w))
+    # is 1e300: its roots are taken first, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = gm.DiagonalQuadratic([1e150, 0.0], [1.0, 1e300])
+    assert E.gradient_sup_bound == pytest.approx(1e300, rel=4e-16)
+    assert E.level_set_diameter == 2e150
 
 
 def test_powersum_p2_known_params_are_the_extreme_weights():
@@ -293,6 +309,64 @@ def test_least_squares_from_files(tmp_path):
     np.savetxt(vb, b, delimiter=",")
     E = gm.LeastSquares.from_files(ma, vb)
     assert np.allclose(E.A, A) and np.allclose(E.b, b)
+
+
+def _refined_normal_equations(A, b):
+    """The normal-equation solve with one step of refinement, restated."""
+    G = A.T @ A
+    x = np.linalg.solve(G, A.T @ b)
+    x += np.linalg.solve(G, A.T @ (b - A @ x))
+    return x
+
+
+def test_least_squares_given_b_keeps_the_refined_normal_equation_minimizer(tmp_path):
+    rng = np.random.default_rng(41)
+    A, b = rng.standard_normal((12, 5)), rng.standard_normal(12)
+    ma, vb = tmp_path / "a.csv", tmp_path / "b.csv"
+    np.savetxt(ma, A, delimiter=",")
+    np.savetxt(vb, b, delimiter=",")
+    for E in (gm.LeastSquares(A, b), gm.LeastSquares.from_files(ma, vb)):
+        assert np.array_equal(E.A, A) and np.array_equal(E.b, b)
+        assert np.array_equal(E.known_minimizer, _refined_normal_equations(A, b))
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (6, 6), (4, 9)])
+def test_planted_least_squares_keeps_its_minimizer(shape):
+    rng = np.random.default_rng(42)
+    A, xbar = rng.standard_normal(shape), rng.standard_normal(shape[1])
+    given = xbar.copy()
+    E = gm.LeastSquares.planted(A, xbar)
+    assert np.array_equal(E.b, A @ xbar) and np.array_equal(xbar, given)
+    assert E.known_minimizer.tobytes() == xbar.tobytes() and E.known_minimizer is not xbar
+    assert E.value(E.known_minimizer) == 0.0
+    # the same bracket and geometry as the problem given b, measured from E(xbar) = 0
+    solved = gm.LeastSquares(A, A @ xbar)
+    assert E.known_params == solved.known_params
+    assert (E.level_set_diameter is None) == (shape[0] < shape[1])
+
+
+class ExactResidual(gm.LeastSquares):
+    """Least squares whose E sums each residual row exactly (``math.fsum``)."""
+
+    def value(self, x):
+        r = [math.fsum([*(a * xi for a, xi in zip(row, x)), -bi])
+             for row, bi in zip(self.A, self.b)]
+        return math.fsum(ri * ri for ri in r)
+
+
+def test_planted_refuses_a_minimizer_that_does_not_solve_exactly():
+    # b = fl(1 + 2^-60) = 1, so the exact residual at xbar is 2^-60, not 0
+    A, xbar = [[1.0, 1.0]], [1.0, 2.0 ** -60]
+    assert gm.LeastSquares.planted(A, xbar).value(xbar) == 0.0
+    with pytest.raises(ValueError, match=r"^planted minimizer does not solve A x = b "
+                                         r"exactly: E = 7\.52e-37$"):
+        ExactResidual.planted(A, xbar)
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 3"):
+        gm.LeastSquares.planted(A, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        gm.LeastSquares.planted(A, [1.0, np.nan])
+    with pytest.raises(ValueError, match="matrix must be 2-D"):
+        gm.LeastSquares.planted([1.0, 1.0], [1.0])
 
 
 def test_power_sum_validation():
@@ -625,7 +699,7 @@ def _bases(n: int, k: int) -> dict[str, np.ndarray]:
 
 def _fresh_factor(E, k):
     """An empty factor of E's least-squares form with room for k columns."""
-    return SpanFactor(E.least_squares_form(), capacity=k)
+    return SpanFactor(gm.CanonicalBasis(E.dimension), E.least_squares_form(), capacity=k)
 
 
 def _image(E, basis):
@@ -736,7 +810,7 @@ def test_span_factor_reorthogonalizes_an_ill_conditioned_block():
     t = np.linspace(0.0, 1.0, 60)
     block = t[:, None] ** np.arange(8)
     y = np.cos(3.0 * t)
-    factor = SpanFactor(_identity_form(y), capacity=8)
+    factor = SpanFactor(gm.CanonicalBasis(60), _identity_form(y), capacity=8)
     for j in range(8):
         factor.extend(block[:, j:j + 1])
     q = factor._qt[:8]
@@ -785,8 +859,8 @@ def test_composed_factor_gradient_is_the_analysis_of_the_ambient_one(kind):
     form = E.least_squares_form()
     assert -2.0 * form.scale in (-1.0, -2.0)
     atoms = [5, 1, 6, 3, 0, 7, 2, 4][:min(n, form.rhs.shape[0])]
-    composed = SpanFactor(D.compose(form), capacity=len(atoms))
-    ambient = SpanFactor(form, capacity=len(atoms))
+    composed = SpanFactor(D, form, capacity=len(atoms))
+    ambient = SpanFactor(gm.CanonicalBasis(n), form, capacity=len(atoms))
     for j in atoms:
         z = E.argmin_in_span(composed.form.columns([j]), composed)
         assert np.array_equal(z, E.argmin_in_span(form.apply(D.subset([j])), ambient))
@@ -839,7 +913,7 @@ def test_canonical_columns_of_a_diagonal_form_keep_q_sparse():
     cols = rng.permutation(n)[:k]
     tracemalloc.start()
     try:
-        factor = SpanFactor(form, capacity=k)
+        factor = SpanFactor(gm.CanonicalBasis(n), form, capacity=k)
         for j in cols:
             factor.extend(form.columns([j]))
         peak = tracemalloc.get_traced_memory()[1]
@@ -859,7 +933,7 @@ def test_overlapping_columns_take_the_projection():
     for j, rows in enumerate(((0, 1), (1, 2), (3,), (0, 3))):
         cols[rows, j] = 1.0
     y = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
-    factor = SpanFactor(_identity_form(y), capacity=4)
+    factor = SpanFactor(gm.CanonicalBasis(5), _identity_form(y), capacity=4)
     for j in range(4):
         factor.extend(cols[:, j:j + 1])
     q = factor._qt[:4]

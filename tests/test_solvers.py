@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def point_of(D, idx, z):
 
 def test_restricted_single_coordinate(unit_quadratic4):
     D = gm.CanonicalBasis(4)
-    factor = SpanFactor(unit_quadratic4.least_squares_form(), capacity=1)
+    factor = SpanFactor(D, unit_quadratic4.least_squares_form(), capacity=1)
     z, g, e = restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), factor)
     assert z.tolist() == [3.0]
     assert abs(g[0]) <= 1e-10
@@ -86,7 +87,7 @@ def test_restricted_full_support_matches_normal_equations():
     b = rng.standard_normal(10)
     E = gm.LeastSquares(A, b)
     D = gm.CanonicalBasis(6)
-    factor = SpanFactor(E.least_squares_form(), capacity=6)
+    factor = SpanFactor(D, E.least_squares_form(), capacity=6)
     x, _, _ = restricted_minimize(E, D, list(range(6)), gm.SolverConfig(), factor)
     oracle = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.allclose(x, oracle, atol=1e-8)
@@ -151,7 +152,7 @@ def test_restricted_validation(unit_quadratic4):
         restricted_minimize(unit_quadratic4, D, [], gm.SolverConfig())
     with pytest.raises(ValueError, match="start has 2 coefficients for 1 atoms"):
         restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), start=[3.0, 0.0])
-    factor = SpanFactor(unit_quadratic4.least_squares_form(), capacity=4)
+    factor = SpanFactor(D, unit_quadratic4.least_squares_form(), capacity=4)
     restricted_minimize(unit_quadratic4, D, [0, 1], gm.SolverConfig(), factor)
     with pytest.raises(ValueError, match="idx has 1 atoms, the factor already holds 2"):
         restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), factor)
@@ -160,14 +161,14 @@ def test_restricted_validation(unit_quadratic4):
 def test_restricted_with_factor_orders_atoms_by_warm_start():
     E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(D.compose(E.least_squares_form()), capacity=6)
+    factor = SpanFactor(D, E.least_squares_form(), capacity=6)
     idx = [4, 1, 2]
     z, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), factor)
     # the coefficients are those of the atoms in idx order: B^T W B z = B^T W c
     B = D.subset(idx)
     oracle = np.linalg.solve(B.T @ (E.weights[:, None] * B), B.T @ (E.weights * E.center))
     assert np.allclose(z, oracle, rtol=0, atol=1e-12) and factor.size == 3
-    fresh = SpanFactor(D.compose(E.least_squares_form()), capacity=3)
+    fresh = SpanFactor(D, E.least_squares_form(), capacity=3)
     z_plain, _, _ = restricted_minimize(E, D, idx, gm.SolverConfig(), fresh)
     assert np.allclose(z, z_plain, rtol=0, atol=1e-12)
 
@@ -196,7 +197,7 @@ def test_restricted_with_factor_calls_neither_value_nor_gradient():
     # the exact path reads the selection vector off the factor's residual
     E = EvalCounted(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(D.compose(E.least_squares_form()), capacity=6)
+    factor = SpanFactor(D, E.least_squares_form(), capacity=6)
     idx, z, E.value_calls, E.gradient_calls = [], np.zeros(0), 0, 0
     for j in (4, 1, 2, 5):
         idx.append(j)
@@ -205,12 +206,26 @@ def test_restricted_with_factor_calls_neither_value_nor_gradient():
     assert E.value_calls == 0 and E.gradient_calls == 0
 
 
+def test_restricted_refuses_a_factor_of_another_dictionary():
+    # a factor of the bare form has canonical atoms; on a rotated basis its exact
+    # step would minimize over them, not over the basis's atoms
+    E = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
+    D = gm.RotatedBasis(6, seed=3)
+    for built_on in (gm.CanonicalBasis(6), gm.RotatedBasis(6, seed=4)):
+        factor = SpanFactor(built_on, E.least_squares_form(), capacity=2)
+        with pytest.raises(ValueError, match=rf"^the factor's atoms are those of "
+                                             rf"{re.escape(repr(built_on))}, not of "
+                                             rf"RotatedBasis\(6, seed=3\)$"):
+            restricted_minimize(E, D, [4], gm.SolverConfig(), factor)
+        assert factor.size == 0
+
+
 @pytest.mark.parametrize("path", ["exact", "descent"])
 def test_restricted_returns_the_gradient_at_its_point(path):
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = base if path == "exact" else Stripped(base)
     D = gm.RotatedBasis(6, seed=3)
-    factor = (SpanFactor(D.compose(base.least_squares_form()), capacity=2)
+    factor = (SpanFactor(D, base.least_squares_form(), capacity=2)
               if path == "exact" else None)
     z, g, e = restricted_minimize(E, D, [4, 1], gm.SolverConfig(max_inner_iters=3000), factor)
     x = point_of(D, [4, 1], z)
@@ -237,7 +252,7 @@ def test_restricted_returns_an_exact_solve_that_fails_its_check():
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
     E = SkewedAdjoint(base.center, base.weights)
     D = gm.RotatedBasis(6, seed=3)
-    factor = SpanFactor(D.compose(E.least_squares_form()), capacity=2)
+    factor = SpanFactor(D, E.least_squares_form(), capacity=2)
     z, g, e = restricted_minimize(E, D, [4, 1], gm.SolverConfig(), factor)
     # the factor's own coefficients, read-only, and its coefficient-space gradient
     assert factor.size == 2 and z is factor.coefficients() and not z.flags.writeable
