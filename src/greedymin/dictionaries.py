@@ -50,15 +50,13 @@ class Dictionary(ABC):
     def compose(self, form: LeastSquaresForm) -> LeastSquaresForm:
         """The form of z -> E(D z), c ||S D z - y||^2, in the atoms' coefficients.
 
-        Its map is S D, its columns are S applied to the atoms and its
-        adjoint is D^T S^T; y and c are the form's.  It carries no G: D^T G D
-        would cost a product with S^T per atom, as much as the D^T S^T r it
-        would save.
+        Its columns are S applied to the atoms and its adjoint is D^T S^T;
+        y and c are the form's.  It has no map of its own, as nothing applies
+        S D to a block.  It carries no G: D^T G D would cost a product with
+        S^T per atom, as much as the D^T S^T r it would save.
         """
-        return form._replace(apply=lambda block: form.apply(self.subset(range(self._n)) @ block),
-                             columns=lambda idx: form.apply(self.subset(idx)),
-                             adjoint=lambda v: self.analyze(form.adjoint(v)),
-                             gram=None, adjoint_rhs=None)
+        return form._replace(apply=None, columns=lambda idx: form.apply(self.subset(idx)),
+                             adjoint=lambda v: self.analyze(form.adjoint(v)), gram=None)
 
 
 class CanonicalBasis(Dictionary):

@@ -26,9 +26,10 @@ if TYPE_CHECKING:
 
 
 class LeastSquaresForm(NamedTuple):
-    """(S, S's columns, S^T, y, c[, G, S^T y]) with E(x) = c * ||S x - y||^2 exactly, c > 0.
+    """(S, S's columns, S^T, y, c[, G]) with E(x) = c * ||S x - y||^2 exactly, c > 0.
 
-    ``apply`` maps an (n, j) block B to the (m, j) block S B.  ``columns``
+    ``apply`` maps an (n, j) block B to the (m, j) block S B; a form
+    composed with a dictionary has no map of its own (None).  ``columns``
     reads S's columns at a list of j indices, the (m, j) block S[:, idx],
     with the bits of ``apply`` on the unit block of those indices: the
     image of canonical atoms without a product.  ``adjoint`` maps an (m,)
@@ -38,21 +39,17 @@ class LeastSquaresForm(NamedTuple):
     one record an objective hands the solver, which factors its composition
     with a dictionary (``Dictionary.compose``): the form of z -> E(D z).
 
-    ``gram`` is the (n, n) Gram matrix G = S^T S and ``adjoint_rhs`` the
-    (n,) vector S^T y, both or neither (the default).  On the canonical
-    basis, whose composition is the form itself, a form that carries them
-    has its selection vector read off G in O(n k) per step instead of from
-    S^T r, at the cost of keeping n^2 floats; only a tall
-    :class:`LeastSquares` does, whose G is formed for its curvature anyway.
+    ``gram`` is the (n, n) Gram matrix G = S^T S, or None (the default).
+    Only a tall :class:`LeastSquares` carries one, whose G is formed for its
+    curvature anyway; a :class:`SpanFactor` of it decides how to use it.
     """
 
-    apply: Callable[[np.ndarray], np.ndarray]
+    apply: Callable[[np.ndarray], np.ndarray] | None
     columns: Callable[[Sequence[int]], np.ndarray]
     adjoint: Callable[[Vector], Vector]
     rhs: Vector
     scale: float
     gram: np.ndarray | None = None
-    adjoint_rhs: Vector | None = None
 
 
 class Objective(ABC):
@@ -155,10 +152,11 @@ class DiagonalQuadratic(Objective):
         self.weights = weights
         self.known_minimizer = center.copy()
         e0 = self.value(np.zeros(self.dimension))
-        # sqrt(2 e0 max(w)) taken as a product of roots, whose factors are each
-        # at most sqrt(DBL_MAX) while 2 e0 is finite: the product itself would
-        # overflow where the bound does not
-        self._set_geometry(2.0 * np.sqrt(2.0 * e0 / weights.min()),
+        # sqrt(2 e0 / min(w)) and sqrt(2 e0 max(w)) taken as a quotient and a
+        # product of roots, each root at most sqrt(DBL_MAX) while 2 e0 is
+        # finite: the quotient or product itself would overflow where the
+        # diameter or the bound does not
+        self._set_geometry(2.0 * np.sqrt(2.0 * e0) / np.sqrt(weights.min()),
                            float(np.sqrt(2.0 * e0) * np.sqrt(weights.max())),
                            (float(weights.max()) / 2.0, float(weights.min()) / 2.0))
 
@@ -193,10 +191,10 @@ class LeastSquares(Objective):
     equations G x = A^T b with one step of iterative refinement, and only
     when beta certifies that it is unique.
 
-    A tall A keeps that G = A^T A, n^2 floats, and A^T b for its
-    least-squares form, so exact steps on the canonical basis read their
-    selection vectors off G (see :class:`SpanFactor`); a wide A forms no G
-    and its form carries none.
+    A tall A keeps that G = A^T A, n^2 floats, for its least-squares form,
+    so exact steps on the canonical basis read their selection vectors off
+    G (see :class:`SpanFactor`); a wide A forms no G and its form carries
+    none.
     """
 
     def __init__(self, matrix, rhs):
@@ -226,7 +224,7 @@ class LeastSquares(Objective):
         super().__init__(n)
         self.A = A
         self.b = as_point(b, m)
-        self._gram = self._aty = None
+        self._gram = None
         if xbar is not None:
             e_min = self.value(xbar)
             if e_min != 0.0:
@@ -236,7 +234,7 @@ class LeastSquares(Objective):
         if m < n:
             return  # rank deficient by its shape; no eigenvalue is read
         G = A.T @ A
-        self._gram, self._aty = G, A.T @ self.b
+        self._gram = G
         lam = np.linalg.eigvalsh(G)
         # Each computed eigenvalue lies within delta of the exact one, to first
         # order in the unit roundoff u = eps/2 (Higham, Accuracy and Stability
@@ -251,7 +249,7 @@ class LeastSquares(Objective):
         if beta > 0.0:
             if xbar is None:
                 # normal equations with one step of iterative refinement
-                xbar = np.linalg.solve(G, self._aty)
+                xbar = np.linalg.solve(G, A.T @ self.b)
                 xbar += np.linalg.solve(G, A.T @ (self.b - A @ xbar))
                 self.known_minimizer = xbar
             e0 = self.value(np.zeros(self.dimension))
@@ -279,7 +277,7 @@ class LeastSquares(Objective):
     # term is a finite entry times 0
     def least_squares_form(self):
         return LeastSquaresForm(lambda block: self.A @ block, lambda idx: self.A[:, idx],
-                                lambda v: self.A.T @ v, self.b, 1.0, self._gram, self._aty)
+                                lambda v: self.A.T @ v, self.b, 1.0, self._gram)
 
 
 class PowerSum(Objective):
@@ -315,9 +313,11 @@ class PowerSum(Objective):
         e0 = self.value(np.zeros(n))
         if not math.isfinite(e0):
             raise ValueError(f"E(0) = sum_i w_i |c_i|^{p:g} overflows: {e0}")
-        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set; the scalar
-        # stays outside the norm, whose squares would overflow first
-        self._set_geometry(2.0 * n ** (0.5 - 1.0 / p) * (e0 / weights.min()) ** (1.0 / p),
+        # ||x - c||_2 <= n^(1/2 - 1/p) ||x - c||_p on the level set; e0 and
+        # min(w) are rooted apart and the scalar stays outside the norm, as
+        # their quotient and the norm's squares would overflow first
+        self._set_geometry(2.0 * n ** (0.5 - 1.0 / p) * e0 ** (1.0 / p)
+                           / weights.min() ** (1.0 / p),
                            float(p * e0 ** ((p - 1.0) / p)
                                  * np.linalg.norm(weights ** (1.0 / p))),
                            (float(weights.max()), float(weights.min())) if p == 2.0 else None)
@@ -430,9 +430,12 @@ class SpanFactor:
     and its coefficients z, taken once per ``extend``.  So ``value`` gives
     E = c ||r||^2 and ``gradient`` gives the form's E' = -2c S^T r with no
     product with S; for a composed form, S^T is D^T S^T and E' is in the
-    atoms' coefficients.  Without a Gram in the form, S^T r is one adjoint
-    product.  With one, the factor keeps the (n, k) block S^T S B, grown by
-    ``extend_gram`` with G's columns of the new atoms, and takes
+    atoms' coefficients.  ``atoms`` lists the columns' atoms in column order,
+    as ``record_atoms`` is handed them after each ``extend``.  Without a
+    Gram in the form, S^T r is one adjoint product.  With one (a tall
+    :class:`LeastSquares` on the canonical basis), the factor takes
+    S^T y = ``form.adjoint(form.rhs)`` once, at construction, copies G's
+    columns at its atoms into an (n, k) block S^T S B, and takes
     S^T r = S^T y - (S^T S B) z in O(n k) with no product with S^T either:
     the update of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008), for k n
     floats beside the form's n^2.  Its round-off
@@ -442,7 +445,7 @@ class SpanFactor:
     ``configs/least_squares.cfg`` and the benchmark's 1200 x 600 problem
     (||S^T y|| of 4 to 16) that is under 1e-11, three orders below the
     default ``stop_tol``; measured, it is a few eps ||S^T y||.  A factor
-    extended without its Gram columns (``extend`` alone) keeps the adjoint.
+    extended without its atoms (``extend`` alone) keeps the adjoint.
 
     A column whose residual after the last pass is at most ``DEPENDENT_TOL``
     times ||s|| lies in the span of the earlier ones.  It takes no storage,
@@ -478,9 +481,10 @@ class SpanFactor:
         self._independent: list[int] = []
         self._z = np.zeros(0)
         self.size = 0
-        # row i is S^T S b_i; the Gram route holds while every column has one
+        self.atoms: list[int] = []
+        # row i is S^T S b_i; the Gram route holds while every column has its atom
         self._gram = None if form.gram is None else np.empty((capacity, form.gram.shape[0]))
-        self._grams = 0
+        self._st_y = None if form.gram is None else form.adjoint(form.rhs)
 
     def extend(self, image: np.ndarray) -> None:
         """Append the columns of the (m, j) image S B of j new atoms B."""
@@ -491,11 +495,11 @@ class SpanFactor:
         self._z[self._independent] = self._rinv[:r, :r] @ self._qty[:r]
         self._z.flags.writeable = False  # shared with the caller and read by gradient
 
-    def extend_gram(self, gram_columns: np.ndarray) -> None:
-        """Append the (n, j) block S^T S B of the j atoms B whose image was appended last."""
-        j = gram_columns.shape[1]
-        self._gram[self._grams:self._grams + j] = gram_columns.T
-        self._grams += j
+    def record_atoms(self, atoms: Sequence[int]) -> None:
+        """Record the atoms whose image was appended last, in column order, with G's columns."""
+        if self._gram is not None:
+            self._gram[len(self.atoms):len(self.atoms) + len(atoms)] = self.form.gram[:, atoms].T
+        self.atoms += atoms
 
     def _append(self, s: Vector) -> None:
         r = len(self._independent)
@@ -548,8 +552,8 @@ class SpanFactor:
 
     def gradient(self) -> Vector:
         """The ambient gradient E' = -2c S^T r at the span minimizer."""
-        if self._gram is not None and self._grams == self.size:
-            st_r = self.form.adjoint_rhs - self._z @ self._gram[:self.size]
+        if self._gram is not None and len(self.atoms) == self.size:
+            st_r = self._st_y - self._z @ self._gram[:self.size]
         else:
             st_r = self.form.adjoint(self._r)
         return (-2.0 * float(self.form.scale)) * st_r

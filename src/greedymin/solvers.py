@@ -14,14 +14,10 @@ solves exactly when it is given a ``SpanFactor``, and ``run_wcga`` builds
 one when the objective has a least-squares form E(x) = c ||S x - y||^2
 (quadratics), which it checks against the objective at both ends of the
 run.  The factor is of that form composed with the dictionary,
-z -> c ||S D z - y||^2, so an exact step works in coefficient space.  Its
-thin QR is carried across the run with its residual r: a step factors only
-the column S D e_j of the newly selected atom j (a read of S's column on
-the canonical basis, S applied to the atom on others), and takes
-E_k = c ||r||^2 and the selection vector -2c D^T S^T r, with D^T S^T r from
-one adjoint product or, when the composed form carries the Gram matrix
-G = S^T S (on the canonical basis, where it is the form itself), as
-S^T y - G[:, I] z in O(n k) from the factor's Gram block.  The exact step
+z -> c ||S D z - y||^2, so an exact step works in coefficient space: it
+hands the factor the column S D e_j of the newly selected atom j and then
+j itself, and takes E_k and the selection vector D^T E' off the factor
+(see ``SpanFactor``, which also owns the Gram route).  The exact step
 returns the factor's answer and never falls through to descent; a wrong
 form, its G included, fails the check at the end of the run.
 Without a factor, descent with Armijo backtracking, evaluating the
@@ -141,16 +137,12 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
     :class:`SpanFactor` built on this ``dictionary`` (the same object, else
     ValueError naming both), whose form is ``dictionary.compose(form)``, the
     objective's least-squares form in the atoms' coefficients, carried
-    across calls and holding the leading atoms of ``idx`` already, so
-    ``start`` is not read.
-    Only the atoms after them are appended, as the composed form's columns,
-    and x is not formed: the analysis is the factor's gradient
-    -2c D^T S^T r at its residual r, and E(x) is c ||r||^2.  D^T S^T r is
-    one adjoint product of r, O(m n), unless the composed form carries the
-    Gram matrix G = S^T S, as the canonical basis's does: then the factor
-    keeps G's columns of the new atoms as an (n, k) block, and
-    S^T r = S^T y - G[:, I] z costs O(n k) with the coefficients z the
-    step already solved for.  Its answer is returned as it is, z being the
+    across calls and holding the leading atoms of ``idx`` already as its
+    ``atoms`` (else ValueError naming both lists), so ``start`` is not
+    read.  The atoms after them are appended, as the composed form's
+    columns, then handed to the factor, and x is not formed: the analysis
+    is the factor's gradient -2c D^T S^T r (see :class:`SpanFactor`) and
+    E(x) is c ||r||^2.  Its answer is returned as it is, z being the
     factor's own read-only array, with no check against ``cfg.inner_tol``
     and no descent after it: its restricted gradient sits at the factor's
     round-off, which grows with the scale of the problem, and ``run_wcga``
@@ -170,10 +162,12 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         if factor.size > len(idx):
             raise ValueError(f"idx has {len(idx)} atoms, "
                              f"the factor already holds {factor.size}")
-        form, new = factor.form, idx[factor.size:]
-        z = objective.argmin_in_span(form.columns(new), factor)
-        if form.gram is not None:
-            factor.extend_gram(form.gram[:, new])
+        if list(idx[:factor.size]) != factor.atoms:
+            raise ValueError(f"idx leads with atoms {list(idx[:factor.size])}, "
+                             f"the factor holds atoms {factor.atoms}")
+        new = idx[factor.size:]
+        z = objective.argmin_in_span(factor.form.columns(new), factor)
+        factor.record_atoms(new)
         return z, factor.gradient(), factor.value()
     z = np.zeros(len(idx))
     z[:len(start)] = start

@@ -73,14 +73,14 @@ def _forms(n: int) -> dict:
 @pytest.mark.parametrize("kind", ["least_squares_tall", "least_squares_wide", "quadratic",
                                   "powersum2"])
 def test_image_is_the_product_on_the_subset_bit_for_bit(basis, kind, indices):
-    # the composed form's columns are S on the atoms, with the bits of its
-    # map S D on the unit block: the canonical basis reads S's columns; a
-    # reordered or dropped column fails
+    # the composed form's columns are S on the atoms, bit for bit: the
+    # canonical basis reads S's columns; a reordered or dropped column fails.
+    # Off the canonical basis the composed form has no map of its own
     form = _forms(basis.size)[kind]
     composed = basis.compose(form)
     image = composed.columns(indices)
     assert np.array_equal(image, form.apply(basis.subset(indices)))
-    assert np.array_equal(image, composed.apply(np.eye(basis.size)[:, indices]))
+    assert (composed.apply is None) != isinstance(basis, gm.CanonicalBasis)
 
 
 @pytest.mark.parametrize("indices", [[7], [9, 2, 11, 0, 5]])
@@ -93,9 +93,9 @@ def test_gram_image_is_the_gram_on_the_subset(basis, indices):
     composed = basis.compose(tall)
     if isinstance(basis, gm.CanonicalBasis):
         assert np.array_equal(composed.gram[:, indices], tall.gram @ basis.subset(indices))
-        assert composed.adjoint_rhs is tall.adjoint_rhs
+        assert composed.gram is tall.gram
     else:
-        assert composed.gram is None and composed.adjoint_rhs is None
+        assert composed.gram is None
     assert basis.compose(forms["least_squares_wide"]).gram is None
 
 

@@ -147,11 +147,12 @@ def _closed_form_geometry(E):
     zero = np.zeros(E.dimension)
     if isinstance(E, gm.DiagonalQuadratic):
         e0, w = E.value(zero), E.weights
-        return (2.0 * np.sqrt(2.0 * e0 / w.min()), float(np.sqrt(2.0 * e0) * np.sqrt(w.max())),
+        return (2.0 * np.sqrt(2.0 * e0) / np.sqrt(w.min()),
+                float(np.sqrt(2.0 * e0) * np.sqrt(w.max())),
                 (float(w.max()) / 2.0, float(w.min()) / 2.0))
     if isinstance(E, gm.PowerSum):
         e0, w, n, p = E.value(zero), E.weights, E.dimension, E.exponent
-        return (2.0 * n ** (0.5 - 1.0 / p) * (e0 / w.min()) ** (1.0 / p),
+        return (2.0 * n ** (0.5 - 1.0 / p) * e0 ** (1.0 / p) / w.min() ** (1.0 / p),
                 float(p * e0 ** ((p - 1.0) / p) * np.linalg.norm(w ** (1.0 / p))),
                 (float(w.max()), float(w.min())) if p == 2.0 else None)
     m, n = E.A.shape
@@ -228,6 +229,20 @@ def test_quadratic_gradient_bound_is_finite_where_its_product_overflows():
         E = gm.DiagonalQuadratic([1e150, 0.0], [1.0, 1e300])
     assert E.gradient_sup_bound == pytest.approx(1e300, rel=4e-16)
     assert E.level_set_diameter == 2e150
+
+
+@pytest.mark.parametrize("make, diameter", [
+    (lambda: gm.DiagonalQuadratic([1e150, 0.0], [1.0, 1e-300]), 2e300),
+    (lambda: gm.PowerSum([1e100, 0.0], 2.0, [1.0, 1e-300]), 2e250),
+    (lambda: gm.PowerSum([1e60, 0.0], 4.0, [1.0, 1e-300]), 2.0 * 2.0 ** 0.25 * 1e135),
+], ids=["quadratic", "powersum2", "powersum4"])
+def test_diameter_is_finite_where_its_quotient_overflows(make, diameter):
+    # E(0) / min(w) overflows, but the diameter, a quotient of roots, does
+    # not: it is set with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = make()
+    assert E.level_set_diameter == pytest.approx(diameter, rel=1e-15)
 
 
 def test_powersum_p2_known_params_are_the_extreme_weights():
@@ -750,15 +765,14 @@ def test_every_shipped_form_is_one_record(kind):
     E = gm.LeastSquares(A, A[:, 0]) if kind == "least_squares_wide" else lib[kind]
     form = E.least_squares_form()
     assert isinstance(form, LeastSquaresForm)
-    # only a tall A carries a Gram: the G = A^T A and A^T b it forms in
-    # __init__, the same arrays on every call rather than a copy
+    assert LeastSquaresForm._fields == ("apply", "columns", "adjoint", "rhs", "scale", "gram")
+    # only a tall A carries a Gram: the G = A^T A it forms in __init__, the
+    # same array on every call rather than a copy
     if kind == "least_squares":
         assert np.array_equal(form.gram, E.A.T @ E.A)
-        assert np.array_equal(form.adjoint_rhs, E.A.T @ E.b)
-        again = E.least_squares_form()
-        assert again.gram is form.gram and again.adjoint_rhs is form.adjoint_rhs
+        assert E.least_squares_form().gram is form.gram
     else:
-        assert form.gram is None and form.adjoint_rhs is None
+        assert form.gram is None
 
 
 @pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])

@@ -220,6 +220,24 @@ def test_restricted_refuses_a_factor_of_another_dictionary():
         assert factor.size == 0
 
 
+def test_restricted_refuses_a_factor_of_other_leading_atoms():
+    # a factor holding atom 5 would append atom 7 to it and return the
+    # minimizer over atoms (5, 7), E = 29.09, not over (3, 7), E = 14.24
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((12, 8))
+    E = gm.LeastSquares.planted(A, rng.standard_normal(8))
+    D, cfg = gm.CanonicalBasis(8), gm.SolverConfig()
+    factor = SpanFactor(D, E.least_squares_form(), capacity=8)
+    restricted_minimize(E, D, [5], cfg, factor)
+    with pytest.raises(ValueError, match=r"^idx leads with atoms \[3\], "
+                                         r"the factor holds atoms \[5\]$"):
+        restricted_minimize(E, D, [3, 7], cfg, factor)
+    assert factor.size == 1 and factor.atoms == [5]
+    z, _, e = restricted_minimize(E, D, [5, 7], cfg, factor)
+    assert np.allclose(z, np.linalg.lstsq(A[:, [5, 7]], E.b, rcond=None)[0], rtol=0, atol=1e-12)
+    assert e == pytest.approx(29.092015649562097, rel=1e-12)
+
+
 @pytest.mark.parametrize("path", ["exact", "descent"])
 def test_restricted_returns_the_gradient_at_its_point(path):
     base = gm.DiagonalQuadratic(np.arange(1.0, 7.0), np.linspace(0.5, 2.0, 6))
@@ -907,8 +925,8 @@ def test_carried_residual_stays_the_span_residual(kind, basis_kind, monkeypatch)
 class AdjointCounted(gm.LeastSquares):
     """A least squares counting the vectors its form's S^T is applied to.
 
-    With ``gram=False`` its form drops G and S^T y, so its runs take the
-    residual adjoint route.
+    With ``gram=False`` its form drops G, so its runs take the residual
+    adjoint route.
     """
 
     def __init__(self, matrix, rhs, gram=True):
@@ -924,7 +942,7 @@ class AdjointCounted(gm.LeastSquares):
             return form.adjoint(v)
 
         counted_form = form._replace(adjoint=counted)
-        return counted_form if self.gram else counted_form._replace(gram=None, adjoint_rhs=None)
+        return counted_form if self.gram else counted_form._replace(gram=None)
 
 
 def _tall_problem(noise: float):
@@ -962,7 +980,7 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
             g = super().gradient()
             ref = (-2.0 * self.form.scale) * (A.T @ self._r)
             gaps.append(gm.norm(g - D.analyze(ref)))
-            grams.append((self._grams, self.size))
+            grams.append((0 if self._gram is None else len(self.atoms), self.size))
             return g
 
     monkeypatch.setattr(solvers, "SpanFactor", Compared)
@@ -979,17 +997,15 @@ def test_gram_selection_vector_is_the_residual_adjoint(basis_kind, noise, cfg, m
     assert [s.value for s in tr] == [s.value for s in ref]
     if noise:
         assert tr.final.value > 1e-4 * tr[0].value
-    # S^T never meets r on the canonical basis, which reads G's columns; a
-    # rotated one composes a form without G or S^T y, so it applies S^T to r
-    # once per step and once more for the empty factor
-    assert E.adjoint_calls == (0 if basis_kind == "canonical" else len(tr))
+    # S^T never meets r on the canonical basis, which reads G's columns: the
+    # factor applies it once, to y; a rotated one composes a form without G,
+    # so it applies S^T to r once per step and once more for the empty factor
+    assert E.adjoint_calls == (1 if basis_kind == "canonical" else len(tr))
     assert residual.adjoint_calls == len(ref)
 
 
-@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
-def test_gram_block_is_allocated_only_where_steps_fill_it(basis_kind, monkeypatch):
-    # the canonical basis appends one Gram column per step; a rotated one
-    # composes a form without G, so its factor holds no block beside G
+def _recorded_omp_factor(basis_kind: str, k: int, monkeypatch):
+    """(the one factor, the trace) of a k-step OMP run on the noisy tall problem."""
     made = []
 
     class Recording(SpanFactor):
@@ -999,14 +1015,42 @@ def test_gram_block_is_allocated_only_where_steps_fill_it(basis_kind, monkeypatc
 
     monkeypatch.setattr(solvers, "SpanFactor", Recording)
     A, b = _tall_problem(0.1)
-    n, k = A.shape[1], 12
+    n = A.shape[1]
     D = gm.CanonicalBasis(n) if basis_kind == "canonical" else gm.RotatedBasis(n, seed=5)
     tr = gm.run_wcga(gm.LeastSquares(A, b), D, gm.SolverConfig(algorithm="omp", max_steps=k))
-    assert len(tr) - 1 == k and len(made) == 1
+    assert len(made) == 1
+    return made[0], tr
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+def test_gram_block_is_allocated_only_where_steps_fill_it(basis_kind, monkeypatch):
+    # the canonical basis appends one Gram column per step; a rotated one
+    # composes a form without G, so its factor holds no block beside G
+    k = 12
+    factor, tr = _recorded_omp_factor(basis_kind, k, monkeypatch)
+    assert len(tr) - 1 == k
     if basis_kind == "canonical":
-        assert made[0]._gram.shape == (k, n) and made[0]._grams == k
+        assert factor._gram.shape == (k, factor.dictionary.size) and len(factor.atoms) == k
     else:
-        assert made[0]._gram is None
+        assert factor._gram is None
+
+
+@pytest.mark.parametrize("basis_kind", ["canonical", "rotated"])
+def test_factor_atoms_are_the_run_support(basis_kind, monkeypatch):
+    # restricted_minimize hands the factor each new atom after its image, so
+    # the factor's atoms are the trace's support, in selection order
+    factor, tr = _recorded_omp_factor(basis_kind, 12, monkeypatch)
+    assert factor.atoms == tr.support and len(tr.support) == 12
+
+
+def test_gram_factor_takes_the_adjoint_of_y_once():
+    # S^T y is the same A.T @ b product the objective forms, bit for bit, and
+    # only a factor whose form carries G takes it
+    A, b = _tall_problem(0.1)
+    form = gm.LeastSquares(A, b).least_squares_form()
+    factor = SpanFactor(gm.CanonicalBasis(A.shape[1]), form, capacity=4)
+    assert np.array_equal(factor._st_y, A.T @ b)
+    assert SpanFactor(gm.RotatedBasis(A.shape[1], seed=5), form, capacity=4)._st_y is None
 
 
 class SkewedGram(gm.LeastSquares):
