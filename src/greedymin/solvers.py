@@ -159,9 +159,6 @@ def restricted_minimize(objective: Objective, dictionary: Dictionary,
         if factor.dictionary is not dictionary:
             raise ValueError(f"the factor's atoms are those of {factor.dictionary!r}, "
                              f"not of {dictionary!r}")
-        if factor.size > len(idx):
-            raise ValueError(f"idx has {len(idx)} atoms, "
-                             f"the factor already holds {factor.size}")
         if list(idx[:factor.size]) != factor.atoms:
             raise ValueError(f"idx leads with atoms {list(idx[:factor.size])}, "
                              f"the factor holds atoms {factor.atoms}")

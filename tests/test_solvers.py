@@ -154,7 +154,7 @@ def test_restricted_validation(unit_quadratic4):
         restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), start=[3.0, 0.0])
     factor = SpanFactor(D, unit_quadratic4.least_squares_form(), capacity=4)
     restricted_minimize(unit_quadratic4, D, [0, 1], gm.SolverConfig(), factor)
-    with pytest.raises(ValueError, match="idx has 1 atoms, the factor already holds 2"):
+    with pytest.raises(ValueError, match=r"idx leads with atoms \[0\], the factor holds atoms \[0, 1\]"):
         restricted_minimize(unit_quadratic4, D, [0], gm.SolverConfig(), factor)
 
 

@@ -1,5 +1,6 @@
 """The traffic-lines tool: which package lines a command leaves unrun."""
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,7 +25,17 @@ def test_a_shipped_config_leaves_descent_unrun_and_runs_the_exact_step():
     # the descent's lines are listed, the exact branch's are not; a docstring,
     # which has no code, is never listed
     tool = _load_tool()
-    unrun = tool.unrun_lines([["run", str(ROOT / "configs" / "quadratic.cfg")]])
+    before = sys.gettrace()
+
+    def outer(frame, event, arg):
+        return None
+
+    sys.settrace(outer)
+    try:
+        unrun = tool.unrun_lines([["run", str(ROOT / "configs" / "quadratic.cfg")]])
+        assert sys.gettrace() is outer  # the tracer that was active is put back
+    finally:
+        sys.settrace(before)
     solvers = tool.PACKAGE / "solvers.py"
     lines = {line for path, line in unrun if path == solvers}
     assert _line_of(solvers, "basis = dictionary.subset(idx)") in lines

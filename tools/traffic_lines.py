@@ -1,32 +1,31 @@
 """List the greedymin statement lines that a fixed set of commands never runs.
 
 Usage:
-    PYTHONPATH=<checkout>/src python3 tools/traffic_lines.py [--seed N]
+    PYTHONPATH=<checkout>/src python3 tools/traffic_lines.py
 
-Runs, in one process under ``sys.settrace``, every command of the matrix of
-``tools/golden_outputs.py`` and the commands that
-``perfbench/workloads.generate(workload, N)`` returns for each of the four
-benchmark workloads (N defaults to 1), each through ``greedymin.cli.main``
-with its outputs in a temporary directory.  It then prints, as
-``path:line: source`` rows, every statement line inside a function of
-``src/greedymin`` that no command ran, followed by their count.  Module
-and class bodies are not listed: they run on import.  A statement counts as
-a line when the compiler gives it code of its own (docstrings, ``global``
-and the like have none); a statement spanning several lines is run when its
-first line is.
+Runs, in one process under the standard library's ``trace``, every command
+of the matrix of ``tools/golden_outputs.py`` and the commands that
+``perfbench/workloads.generate(workload, 1)`` returns for each of the four
+benchmark workloads, each through ``greedymin.cli.main`` with its outputs
+in a temporary directory.  It then prints, as ``path:line: source`` rows,
+every statement line inside a function of ``src/greedymin`` that no command
+ran, followed by their count.  Module and class bodies are not listed: they
+run on import.  A statement counts as a line when the compiler gives it code
+of its own (docstrings, ``global`` and the like have none); a statement
+spanning several lines is run when its first line is.
 
 Only the standard library, greedymin and the two modules named above are
 used; nothing under ``perfbench/`` is written.
 """
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import importlib.util
 import io
 import sys
 import tempfile
+import trace
 import warnings
 from pathlib import Path
 from types import CodeType
@@ -36,6 +35,7 @@ from greedymin.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(greedymin.__file__).resolve().parent
+SEED = 1  # the workloads' seed
 
 
 def _load(path: Path):
@@ -65,44 +65,38 @@ def statement_lines(path: Path) -> set[int]:
 
 
 def run_traced(runs: list[list[str]]) -> dict[str, set[int]]:
-    """Run each argument list through the CLI; the package lines run, by file name."""
-    seen: dict[str, set[int]] = {}
-    package = str(PACKAGE)
+    """Run each argument list through the CLI; the lines run, by file name.
 
-    def local(frame, event, arg):
-        if event == "line":
-            seen[frame.f_code.co_filename].add(frame.f_lineno)
-        return local
-
-    def global_trace(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(package):
-            return None
-        seen.setdefault(filename, set()).add(frame.f_lineno)
-        return local
-
+    Every module is traced: ``trace`` keys its ignore list on a module's bare
+    name, so ignoring numpy's directory would also drop ``greedymin/core.py``
+    if ``numpy/ma/core.py`` ran first.  The package's files are picked out after.
+    """
+    tracer = trace.Trace(count=1, trace=0)
+    previous = sys.gettrace()
     with tempfile.TemporaryDirectory() as tmp:
         for i, args in enumerate(runs):
             out = io.StringIO()
             with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
                   contextlib.redirect_stderr(out)):
                 warnings.simplefilter("ignore")
-                sys.settrace(global_trace)
                 try:
-                    main(["--output-dir", str(Path(tmp) / str(i)), *args])
+                    tracer.runfunc(main, ["--output-dir", str(Path(tmp) / str(i)), *args])
                 finally:
-                    sys.settrace(None)
+                    sys.settrace(previous)
+    seen: dict[str, set[int]] = {}
+    for filename, line in tracer.results().counts:
+        seen.setdefault(filename, set()).add(line)
     return seen
 
 
-def traffic(seed: int, workdir: Path) -> list[list[str]]:
-    """The golden matrix and the four benchmark workloads at ``seed``, as CLI arguments."""
+def traffic(workdir: Path) -> list[list[str]]:
+    """The golden matrix and the four benchmark workloads at ``SEED``, as CLI arguments."""
     golden_outputs = _load(ROOT / "tools" / "golden_outputs.py")
     workloads = _load(ROOT / "perfbench" / "workloads.py")
     runs = [args for _, args in golden_outputs.commands(workdir)]
     for workload in workloads.WORKLOADS:
         runs += [["--quiet", *cmd.args]
-                 for cmd in workloads.generate(workload, seed, workdir / workload)]
+                 for cmd in workloads.generate(workload, SEED, workdir / workload)]
     return runs
 
 
@@ -114,11 +108,8 @@ def unrun_lines(runs: list[list[str]]) -> list[tuple[Path, int]]:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seed", type=int, default=1, help="the workloads' seed (default 1)")
-    seed = parser.parse_args().seed
     with tempfile.TemporaryDirectory() as tmp:
-        unrun = unrun_lines(traffic(seed, Path(tmp)))
+        unrun = unrun_lines(traffic(Path(tmp)))
     texts = {}
     for path, line in unrun:
         text = texts.setdefault(path, path.read_text().splitlines())[line - 1].strip()
