@@ -274,6 +274,14 @@ class RateConstants:
         return self.scale / self.support_size ** (q / (2.0 * (q - 1.0)))
 
 
+def _finite_positive(name: str, value: float) -> float:
+    """``value``, else ValueError naming the derived constant that is not finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"rate constant {name} = {value:g} is not finite and positive; "
+                         f"the curvature record's radius or constants are out of range")
+    return value
+
+
 def rate_constants(objective: Objective, support_size: int,
                    params: CurvatureParams) -> RateConstants:
     """Derive every recursion and bound constant from the curvature parameters.
@@ -284,7 +292,9 @@ def rate_constants(objective: Objective, support_size: int,
     :class:`CurvatureParams` has q <= 2 <= p, so q < p or p = q = 2.  Valid
     constants give gain <= scale when p = q = 2 (beta <= alpha), with
     equality when one step reaches the minimum; a gain above scale beyond
-    round-off raises "bound vacuous".
+    round-off raises "bound vacuous".  A beta_global, gain or scale that is
+    not finite and positive (a radius far below the diameter underflows
+    beta_global to 0) raises ValueError naming it.
     """
     alpha, q, beta, p = params.alpha, params.q, params.beta, params.p
     if support_size < 1:
@@ -295,16 +305,17 @@ def rate_constants(objective: Objective, support_size: int,
     if diam is None:
         raise ValueError("objective has no closed-form level-set diameter")
     diameter_ratio = max(1.0, diam / params.radius)
-    beta_global = beta * min(1.0, diameter_ratio ** (1.0 - p))
+    beta_global = _finite_positive("beta_global",
+                                   beta * min(1.0, diameter_ratio ** (1.0 - p)))
     initial_gap = objective.value(np.zeros(objective.dimension)) - objective.value(minimizer)
     if not initial_gap > 0:
         raise ValueError("objective is already minimized at the origin")
-    gain = decrement_gain(params.grad_bound, params.radius, alpha, q)
+    gain = _finite_positive("gain", decrement_gain(params.grad_bound, params.radius, alpha, q))
     # weighted mean inequality constant tying the gap to the distance
     geom = p * beta_global ** (1.0 / p) * (p - 1.0) ** ((1.0 - p) / p)
     qq = q / (q - 1.0)
     per_atom = alpha ** (1.0 / (q - 1.0)) * geom ** (-qq)
-    scale = support_size ** (qq / 2.0) * per_atom
+    scale = _finite_positive("scale", support_size ** (qq / 2.0) * per_atom)
     if p == q == 2.0:
         if gain > scale * (1.0 + 4.0 * np.finfo(np.float64).eps):
             raise ValueError(
@@ -443,7 +454,10 @@ def fit_rate(trace: IterateTrace, tail_fraction: float) -> RateFit:
     """Least-squares power-law fit of the trailing positive-error steps.
 
     Fits log e_k against log k over the last ``tail_fraction`` of steps with
-    positive error (step 0 excluded); needs at least 5 usable points.
+    positive error (step 0 excluded); needs at least 5 usable points.  With
+    x = log k and y = log e_k of means mx and my, the line is the centred
+    closed form slope = sum (x - mx)(y - my) / sum (x - mx)^2 and
+    intercept = my - slope mx, so no LAPACK solve runs.
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must be in (0, 1]")
@@ -458,6 +472,9 @@ def fit_rate(trace: IterateTrace, tail_fraction: float) -> RateFit:
         raise ValueError(f"need at least 5 positive-error steps in the tail, have {n_fit}")
     lk = np.log(np.array(ks[-n_fit:], dtype=np.float64))
     le = np.log(np.array(es[-n_fit:], dtype=np.float64))
-    slope, intercept = np.polyfit(lk, le, 1)
+    mx, my = float(lk.mean()), float(le.mean())
+    dx = lk - mx
+    slope = float(dx @ (le - my)) / float(dx @ dx)
+    intercept = my - slope * mx
     resid = float(np.sqrt(np.mean((le - (slope * lk + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), resid)
+    return RateFit(slope, intercept, resid)

@@ -607,6 +607,29 @@ def test_fit_rate_exponential_is_super_polynomial():
     assert tail.slope < full.slope < -2.0   # steepens with the window
 
 
+def test_fit_rate_is_the_closed_form_least_squares_line(monkeypatch):
+    # a noisy power law: the closed form agrees with polyfit's SVD solve and
+    # calls no LAPACK routine, neither through np.linalg nor through polyfit
+    rng = np.random.default_rng(3)
+    ks = np.arange(1, 61)
+    errors = [1.0] + list(3.0 * ks ** -1.5 * np.exp(0.2 * rng.standard_normal(ks.size)))
+    lk, le = np.log(ks), np.log(errors[1:])
+    slope, intercept = np.polyfit(lk, le, 1)
+    residual = np.sqrt(np.mean((le - (slope * lk + intercept)) ** 2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_rate called a LAPACK routine")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(np, "polyfit", forbidden)
+    fit = fit_rate(synth_trace(errors), 1.0)
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+    assert fit.residual == pytest.approx(residual, rel=1e-12)
+
+
 def test_fit_rate_needs_points():
     with pytest.raises(ValueError, match="at least 5"):
         fit_rate(synth_trace([1.0, 0.5, 0.25]), 1.0)

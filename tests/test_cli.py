@@ -287,6 +287,25 @@ def test_overflowing_gradient_bound_exits_1_naming_it(tmp_path, capsys, command)
                                        "overflows: inf\n")
 
 
+def test_underflowing_beta_global_exits_1_naming_it(tmp_path, capsys):
+    # a radius of 1e-120 puts the level-set diameter 7e120 radii across, so
+    # beta * L^(1-p) underflows to 0; unchecked, the run went on to an inf
+    # scale and NaN bounds and reported STATUS: VIOLATION
+    cfg = tmp_path / "tiny_radius.cfg"
+    cfg.write_text(f"name = tiny_radius\ndimension = 10\nseed = 1\n"
+                   f"output_dir = {tmp_path / 'out'}\n"
+                   "objective.type = power_sum\nobjective.exponent = 4\n"
+                   "objective.center_sparsity = 3\n"
+                   "analysis.q = 2.0\nanalysis.p = 4.0\nanalysis.alpha = 1\n"
+                   "analysis.beta = 1\nanalysis.grad_bound = 1\nanalysis.radius = 1e-120\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--quiet", "run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate constant beta_global = 0 is not finite and positive")
+    assert not list((tmp_path / "out").glob("*.report.txt"))
+
+
 def test_compare_t1_identical_columns(quad_cfg):
     path, out = quad_cfg
     assert main(["--quiet", "compare", str(path),

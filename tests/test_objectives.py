@@ -907,6 +907,7 @@ def test_disjoint_column_skips_the_projection_bit_for_bit(kind):
             dense.extend(_image(E, atoms[:, j:j + 1]))
             assert np.array_equal(skipping._rows, np.any(atoms[:, :j + 1] != 0.0, axis=1))
             assert (skipping._qt is None) == (overlap is None or j < overlap)
+            assert (skipping._rinv is None) == (skipping._qt is None)
             assert np.array_equal(skipping.coefficients(), dense.coefficients())
             assert skipping.value() == dense.value()
             assert np.array_equal(skipping.gradient(), dense.gradient())
@@ -918,8 +919,9 @@ def test_disjoint_column_skips_the_projection_bit_for_bit(kind):
 
 def test_canonical_columns_of_a_diagonal_form_keep_q_sparse():
     # 300 canonical columns of a diagonal S with m = 3000 never need the
-    # projection, so the factor forms no dense (300, 3000) Q (7.2 MB): it
-    # holds the columns' nonzeros, r, the row mask and the 300 x 300 R^-1
+    # projection, so the factor forms no dense (300, 3000) Q (7.2 MB) and no
+    # dense 300 x 300 R^-1 (0.69 MiB): it holds the columns' nonzeros, r,
+    # the row mask and R^-1's diagonal
     n, k = 3000, 300
     rng = np.random.default_rng(5)
     E = gm.DiagonalQuadratic(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
@@ -933,8 +935,8 @@ def test_canonical_columns_of_a_diagonal_form_keep_q_sparse():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
-    assert factor._qt is None and factor.size == k
+    assert peak < k * k * 8
+    assert factor._qt is None and factor._rinv is None and factor.size == k
     x = np.zeros(n)
     x[cols] = factor.coefficients()
     assert factor.value() == pytest.approx(E.value(x), rel=1e-12)
